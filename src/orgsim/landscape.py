@@ -27,6 +27,10 @@ NONDECOMPOSABLE_K5 = "nondecomposable_k5"
 # the chunked scan should ever be asked to sweep.
 ENUMERATION_LIMIT = 25
 _SCAN_CHUNK = 1 << 18
+# Byte budget of the process-local gather-index cache of global_optimum: a
+# matrix with tables of at most 256 entries costs n * 2**n bytes, so n <= 18 fits.
+INDEX_CACHE_BYTES = 8 << 20
+_index_cache: dict[tuple, list[np.ndarray]] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +179,7 @@ class Landscape:
     optimum_config: np.ndarray | None = None
     optimum_performance: float | None = None
     # index order per decision: (j, dep_0, dep_1, ...) with deps ascending
-    _orders: list[tuple[int, ...]] = field(init=False, repr=False)
+    orders: list[tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.matrix.n
@@ -190,7 +194,7 @@ class Landscape:
                     f"table for decision {j} must have {expected} entries, got {len(self.tables[j])}"
                 )
             orders.append((j, *deps))
-        self._orders = orders
+        self.orders = orders
 
     @property
     def n(self) -> int:
@@ -226,7 +230,7 @@ def contribution(landscape: Landscape, config: Sequence[int], j: int) -> float:
     if not 0 <= j < landscape.n:
         raise IndexError(f"decision index {j} out of range for n={landscape.n}")
     index = 0
-    for i in landscape._orders[j]:
+    for i in landscape.orders[j]:
         index = (index << 1) | int(config[i])
     return float(landscape.tables[j][index])
 
@@ -252,28 +256,35 @@ def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
     """Exhaustively locate the best configuration.
 
     Enumerates all ``2**n`` configurations with decision 0 as the highest-order
-    bit, so ties resolve to the lexicographically smallest configuration. The
-    winning performance is recomputed through :func:`performance` to keep the
-    cached optimum bit-identical to the scalar path used during simulation.
+    bit. Each configuration's total is gathered from a per-decision table
+    index, ``totals += tables[j][index[j]]`` for ascending ``j`` starting from
+    ``0.0``; the index depends only on the interaction matrix, so it is built
+    once per matrix and kept in a process-local cache of at most
+    ``INDEX_CACHE_BYTES`` in total. Indexes too large for the budget are
+    computed chunk by chunk on every call and summed by the same loop. The
+    first maximum wins, so ties resolve to the lexicographically smallest
+    configuration. The winning performance is recomputed through
+    :func:`performance` to keep the cached optimum bit-identical to the scalar
+    path used during simulation.
     """
     n = landscape.n
     if n > ENUMERATION_LIMIT:
         raise ConfigError(f"exhaustive optimum supports n <= {ENUMERATION_LIMIT}, got {n}")
 
     tables = landscape.tables
-    orders = landscape._orders
+    cached = _cached_index(landscape)
     best_code = -1
     best_total = -np.inf
     for lo in range(0, 1 << n, _SCAN_CHUNK):
         hi = min(lo + _SCAN_CHUNK, 1 << n)
-        codes = np.arange(lo, hi, dtype=np.int64)
+        if cached is None:
+            index = _gather_index(landscape.orders, n, lo, hi, np.intp)
+        else:
+            index = [column[lo:hi] for column in cached]
         totals = np.zeros(hi - lo, dtype=np.float64)
         # Ascending j accumulation mirrors the summation order in performance().
         for j in range(n):
-            index = np.zeros(hi - lo, dtype=np.int64)
-            for i in orders[j]:
-                index = (index << 1) | ((codes >> (n - 1 - i)) & 1)
-            totals += tables[j][index]
+            totals += tables[j][index[j]]
         pos = int(np.argmax(totals))
         if totals[pos] > best_total:
             best_total = float(totals[pos])
@@ -281,3 +292,43 @@ def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
 
     config = np.array([(best_code >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.int8)
     return config, performance(landscape, config)
+
+
+def _gather_index(orders: list[tuple[int, ...]], n: int, lo: int, hi: int, dtype) -> list[np.ndarray]:
+    """Table index of every decision for the configuration codes ``lo..hi-1``."""
+    codes = np.arange(lo, hi, dtype=np.int64)
+    index = []
+    for order in orders:
+        column = np.zeros(hi - lo, dtype=np.int64)
+        for i in order:
+            column <<= 1
+            column |= (codes >> (n - 1 - i)) & 1
+        index.append(column.astype(dtype, copy=False))
+    return index
+
+
+def _cached_index(landscape: Landscape) -> list[np.ndarray] | None:
+    """The full gather index of the landscape's matrix, or None above the budget.
+
+    Keyed by the matrix content, so every landscape drawn on the same
+    structure reuses one index. The oldest entries are evicted to keep the
+    cache's total size within ``INDEX_CACHE_BYTES``.
+    """
+    entries = landscape.matrix.entries
+    key = (entries.shape, entries.tobytes())
+    index = _index_cache.get(key)
+    if index is None:
+        n = landscape.n
+        dtype = np.min_scalar_type((1 << max(map(len, landscape.orders))) - 1)
+        size = n * (1 << n) * dtype.itemsize
+        if size > INDEX_CACHE_BYTES:
+            return None
+        while _index_cache and _index_cache_bytes() + size > INDEX_CACHE_BYTES:
+            del _index_cache[next(iter(_index_cache))]
+        index = _index_cache[key] = _gather_index(landscape.orders, n, 0, 1 << n, dtype)
+    return index
+
+
+def _index_cache_bytes() -> int:
+    """Total size of the gather indexes currently cached in this process."""
+    return sum(column.nbytes for index in _index_cache.values() for column in index)

@@ -49,6 +49,7 @@ from .auction import (
 from .errors import ConfigError, InvariantViolation
 from .landscape import (
     DECOMPOSABLE_K2,
+    ENUMERATION_LIMIT,
     NONDECOMPOSABLE_K5,
     InteractionMatrix,
     Landscape,
@@ -139,6 +140,8 @@ class ScenarioConfig:
             problems.append(f"n must be positive, got {self.n}")
         if self.m < 1:
             problems.append(f"m must be positive, got {self.m}")
+        if self.n > ENUMERATION_LIMIT:
+            problems.append(f"exhaustive optimum supports n <= {ENUMERATION_LIMIT}, got n={self.n}")
         if self.n >= 1 and self.m >= 1 and self.n % self.m != 0:
             problems.append(f"n={self.n} must be divisible by m={self.m} for the equal initial split")
         if self.tau < 2:
@@ -244,7 +247,7 @@ def run_replication(
     bits = [int(b) for b in rng_init.integers(0, 2, size=n)]
 
     # Hot-loop views of the landscape: plain lists beat ndarray indexing here.
-    orders = land._orders
+    orders = land.orders
     tables = [table.tolist() for table in land.tables]
     dependents = [matrix.dependents(i) for i in range(n)]
 

@@ -185,6 +185,15 @@ class TestValidate:
         assert "tau" in err
         assert "divisible" in err
 
+    def test_unenumerable_n_fails_before_work(self, tmp_path, monkeypatch, capsys):
+        path = write_scenario(tmp_path, n=27, m=3, capacity=9)
+        assert main(["validate", path]) == 2
+        assert "n <= 25, got n=27" in capsys.readouterr().err
+        monkeypatch.setattr("orgsim.cli.run_experiment", None)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert "n <= 25, got n=27" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file(self, tmp_path, capsys):
         code = main(["validate", str(tmp_path / "nope.json")])
         assert code == 2
