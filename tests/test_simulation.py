@@ -69,8 +69,8 @@ class TestScenarioConfig:
         ({"capacity": [5, 5, 5]}, "capacities"),
         ({"structure": "k9"}, "unknown structure"),
         ({"structure": "k2", "n": 8, "m": 2}, "multiple"),
-        ({"n": 27, "m": 3, "capacity": 9}, "exhaustive optimum supports n <= 25, got n=27"),
         ({"structure": "file:/nonexistent/m.txt"}, "cannot|scenario|file|No such"),
+        ({"n": 27, "m": 3, "capacity": 9}, "exhaustive optimum supports n <= 25, got n=27"),
     ])
     def test_validate_flags_problems(self, overrides, fragment):
         problems = scenario(**overrides).validate()
