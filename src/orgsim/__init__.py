@@ -72,6 +72,7 @@ from .simulation import (
     ReplicationResult,
     ScenarioConfig,
     aggregate_norm_series,
+    expand_grid,
     replication_rng,
     resolve_matrix,
     run_experiment,

@@ -8,6 +8,10 @@ Subcommands:
 
 Exit codes: 0 on success, 2 for configuration problems (bad flags, malformed
 or invalid scenario files), 3 when a model invariant breaks mid-run.
+
+The scenario schema (keys, value types, grid expansion, per-cell records)
+lives in ``orgsim.simulation``. This module only reads scenario files, reports
+JSON syntax errors with their positions, and merges flags over file values.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +27,16 @@ from . import __version__
 from .errors import ConfigError, InvariantViolation
 from .landscape import generate_landscape, random_matrix
 from .oracle import ORACLE_MAX_N, oracle_report
-from .organization import INCENTIVE_PRESETS, IncentiveScheme
+from .organization import INCENTIVE_PRESETS
 from .simulation import (
     GRID_INCENTIVES,
     GRID_STRATEGIES,
     GRID_STRUCTURES,
+    INPUT_KEYS,
     STRATEGIES,
     ExperimentResult,
     ScenarioConfig,
+    expand_grid,
     run_experiment,
     run_grid,
     write_beliefs_csv,
@@ -40,52 +45,13 @@ from .simulation import (
     write_trades_csv,
 )
 
-SCENARIO_KEYS = {
-    "structure", "incentive", "strategy", "n", "m", "tau", "horizon", "reps",
-    "sigma", "capacity", "seed", "grid",
-}
 GRID_KEYS = {"structures", "incentives", "strategies"}
 EMIT_TOKENS = {"csv", "json", "beliefs", "trades"}
 SUMMARY_CHECKPOINTS = (100, 250, 500)
 
 
-def parse_incentive(text: str) -> IncentiveScheme:
-    if text in INCENTIVE_PRESETS:
-        return IncentiveScheme.from_name(text)
-    if text.startswith("alpha="):
-        try:
-            alpha = float(text[6:])
-        except ValueError:
-            raise ConfigError(f"cannot parse incentive weight in {text!r}") from None
-        return IncentiveScheme.from_alpha(alpha)
-    raise ConfigError(
-        f"unknown incentive {text!r}; use one of {sorted(INCENTIVE_PRESETS)} or alpha=<value>"
-    )
-
-
-def parse_capacity(value) -> int | tuple[int, ...]:
-    if isinstance(value, bool):
-        raise ConfigError(f"capacity must be an integer or list of integers, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        parts = [p.strip() for p in value.split(",") if p.strip()]
-        try:
-            numbers = [int(p) for p in parts]
-        except ValueError:
-            raise ConfigError(f"cannot parse capacity {value!r}") from None
-        if not numbers:
-            raise ConfigError(f"cannot parse capacity {value!r}")
-        return numbers[0] if len(numbers) == 1 else tuple(numbers)
-    if isinstance(value, list):
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in value):
-            raise ConfigError(f"capacity list must hold integers, got {value!r}")
-        return tuple(value)
-    raise ConfigError(f"capacity must be an integer or list of integers, got {value!r}")
-
-
 def load_scenario_file(path: str) -> dict:
-    """Read and shape-check a JSON scenario file; values are range-checked later."""
+    """Read a JSON scenario file and shape-check its grid; scenario keys are checked later."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -98,18 +64,6 @@ def load_scenario_file(path: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: scenario file must hold a JSON object")
 
-    unknown = sorted(set(data) - SCENARIO_KEYS)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}; allowed keys are {sorted(SCENARIO_KEYS)}")
-
-    for key in ("n", "m", "tau", "horizon", "reps", "seed"):
-        if key in data and (isinstance(data[key], bool) or not isinstance(data[key], int)):
-            raise ConfigError(f"{path}: {key} must be an integer, got {data[key]!r}")
-    if "sigma" in data and (isinstance(data["sigma"], bool) or not isinstance(data["sigma"], (int, float))):
-        raise ConfigError(f"{path}: sigma must be a number, got {data['sigma']!r}")
-    for key in ("structure", "incentive", "strategy"):
-        if key in data and not isinstance(data[key], str):
-            raise ConfigError(f"{path}: {key} must be a string, got {data[key]!r}")
     if "grid" in data:
         grid = data["grid"]
         if not isinstance(grid, dict):
@@ -126,61 +80,36 @@ def load_scenario_file(path: str) -> dict:
 def build_scenario(data: dict, args: argparse.Namespace) -> tuple[ScenarioConfig, dict | None]:
     """Merge file values and CLI flags (flags win) into a scenario plus grid axes."""
     merged = dict(data)
-    for key in ("structure", "incentive", "strategy", "n", "m", "tau", "horizon", "reps", "sigma", "seed"):
+    grid = merged.pop("grid", None)
+    for key in INPUT_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    if getattr(args, "capacity", None) is not None:
-        merged["capacity"] = args.capacity
+    if getattr(args, "preset", None) == "paper-grid":
+        grid = {}
 
     grid_axes: dict | None = None
-    if getattr(args, "preset", None) == "paper-grid":
+    if grid is not None:
         grid_axes = {
-            "structures": list(GRID_STRUCTURES),
-            "incentives": list(GRID_INCENTIVES),
-            "strategies": list(GRID_STRATEGIES),
+            "structures": grid.get("structures", GRID_STRUCTURES),
+            "incentives": grid.get("incentives", GRID_INCENTIVES),
+            "strategies": grid.get("strategies", GRID_STRATEGIES),
         }
-    elif "grid" in merged:
-        file_grid = merged["grid"]
-        grid_axes = {
-            "structures": list(file_grid.get("structures", GRID_STRUCTURES)),
-            "incentives": list(file_grid.get("incentives", GRID_INCENTIVES)),
-            "strategies": list(file_grid.get("strategies", GRID_STRATEGIES)),
-        }
-    merged.pop("grid", None)
-
-    if grid_axes is not None:
         merged.setdefault("structure", grid_axes["structures"][0])
         merged.setdefault("incentive", grid_axes["incentives"][0])
         merged.setdefault("strategy", grid_axes["strategies"][0])
-    missing = [key for key in ("structure", "incentive", "strategy") if key not in merged]
-    if missing:
-        raise ConfigError(f"missing required settings: {', '.join(missing)} (no defaults exist for these)")
-
-    if isinstance(merged["incentive"], str):
-        merged["incentive"] = parse_incentive(merged["incentive"])
-    if "capacity" in merged:
-        merged["capacity"] = parse_capacity(merged["capacity"])
-    try:
-        scenario = ScenarioConfig(**merged)
-    except TypeError as exc:
-        raise ConfigError(f"bad scenario settings: {exc}") from None
-    return scenario, grid_axes
+    return ScenarioConfig.from_dict(merged), grid_axes
 
 
-def expand_grid(base: ScenarioConfig, grid_axes: dict) -> list[ScenarioConfig]:
-    """The scenarios run_grid would execute, in its enumeration order."""
-    scenarios = []
-    cell_index = 0
-    for structure in grid_axes["structures"]:
-        for incentive in grid_axes["incentives"]:
-            scheme = parse_incentive(incentive)
-            for strategy in grid_axes["strategies"]:
-                scenarios.append(
-                    replace(base, structure=structure, incentive=scheme, strategy=strategy, cell_index=cell_index)
-                )
-                cell_index += 1
-    return scenarios
+def load_cells(args: argparse.Namespace) -> tuple[ScenarioConfig, dict | None, list[ScenarioConfig]]:
+    """Load, merge and expand the scenario, then validate every cell before any work."""
+    data = load_scenario_file(args.scenario) if args.scenario else {}
+    base, grid_axes = build_scenario(data, args)
+    scenarios = expand_grid(base, **grid_axes) if grid_axes is not None else [base]
+    problems = [f"{scenario.cell}: {p}" for scenario in scenarios for p in scenario.validate()]
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return base, grid_axes, scenarios
 
 
 def parse_emit(text: str) -> set[str]:
@@ -205,30 +134,16 @@ def print_summary(results: list[ExperimentResult]) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    data = load_scenario_file(args.scenario) if args.scenario else {}
-    base, grid_axes = build_scenario(data, args)
+    base, grid_axes, _ = load_cells(args)
     emit = parse_emit(args.emit)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     collect_trades = "trades" in emit
     collect_beliefs = "beliefs" in emit
 
-    scenarios = expand_grid(base, grid_axes) if grid_axes is not None else [base]
-    problems = []
-    for scenario in scenarios:
-        problems += [f"{scenario.cell}: {p}" for p in scenario.validate()]
-    if problems:
-        raise ConfigError("; ".join(problems))
-
     if grid_axes is not None:
         results = run_grid(
-            base,
-            structures=grid_axes["structures"],
-            incentives=grid_axes["incentives"],
-            strategies=grid_axes["strategies"],
-            jobs=args.jobs,
-            collect_trades=collect_trades,
-            collect_beliefs=collect_beliefs,
+            base, **grid_axes, jobs=args.jobs, collect_trades=collect_trades, collect_beliefs=collect_beliefs
         )
     else:
         results = [
@@ -257,40 +172,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        data = load_scenario_file(args.scenario)
-        base, grid_axes = build_scenario(data, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    scenarios = expand_grid(base, grid_axes) if grid_axes is not None else [base]
-    problems = []
-    for scenario in scenarios:
-        problems += [f"{scenario.cell}: {p}" for p in scenario.validate()]
-    if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
-        return 2
-    resolved = {
-        "cells": [
-            {
-                "cell": s.cell,
-                "structure": s.structure,
-                "incentive": {"name": s.incentive.name, "alpha": s.incentive.alpha, "beta": s.incentive.beta},
-                "strategy": s.strategy,
-                "n": s.n,
-                "m": s.m,
-                "tau": s.tau,
-                "horizon": s.horizon,
-                "reps": s.reps,
-                "sigma": s.sigma,
-                "capacity": list(s.resolved_capacities()),
-                "seed": s.seed,
-            }
-            for s in scenarios
-        ]
-    }
-    print(json.dumps(resolved, indent=2, sort_keys=True))
+    _, _, scenarios = load_cells(args)
+    print(json.dumps({"cells": [scenario.to_dict() for scenario in scenarios]}, indent=2, sort_keys=True))
     print(f"ok: {len(scenarios)} cell(s)", file=sys.stderr)
     return 0
 

@@ -53,6 +53,19 @@ class IncentiveScheme:
     def from_alpha(cls, alpha: float) -> "IncentiveScheme":
         return cls(float(alpha), 1.0 - float(alpha))
 
+    @classmethod
+    def parse(cls, token: str) -> "IncentiveScheme":
+        """Scheme named by a scenario token: a preset name or ``alpha=<value>``."""
+        if token in INCENTIVE_PRESETS:
+            return cls.from_name(token)
+        if token.startswith("alpha="):
+            try:
+                alpha = float(token[6:])
+            except ValueError:
+                raise ConfigError(f"cannot parse incentive weight in {token!r}") from None
+            return cls.from_alpha(alpha)
+        raise ConfigError(f"unknown incentive {token!r}; use one of {sorted(INCENTIVE_PRESETS)} or alpha=<value>")
+
     @property
     def name(self) -> str:
         for label, (alpha, beta) in INCENTIVE_PRESETS.items():

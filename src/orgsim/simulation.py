@@ -23,6 +23,12 @@ how replications are distributed over worker processes.
 The period loop is hand-inlined for speed (table lookups on plain lists, no
 array allocation per agent); ``tests/test_simulation.py`` pins it to a slow
 reference replication composed from the public ops, to exact float equality.
+
+The scenario schema lives here and nowhere else: ``ScenarioConfig`` holds the
+fields, ``ScenarioConfig.from_dict`` the keys a scenario file or the flags may
+set and their value types, ``ScenarioConfig.to_dict`` the per-cell record of
+``orgsim validate`` and ``metadata.json``, and ``expand_grid`` the cell
+enumeration that ``run_grid`` and the command line share.
 """
 
 from __future__ import annotations
@@ -31,9 +37,10 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from itertools import product
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -119,6 +126,45 @@ class ScenarioConfig:
         if isinstance(self.capacity, (list, tuple)):
             object.__setattr__(self, "capacity", tuple(int(c) for c in self.capacity))
 
+    @classmethod
+    def from_dict(cls, data: Mapping[str, object]) -> "ScenarioConfig":
+        """Scenario from scenario-file or flag values, checking keys and value types.
+
+        ``incentive`` is a token for ``IncentiveScheme.parse``; ``capacity`` is
+        one integer, a list of integers, or a comma-separated string of them.
+        Value ranges are left to ``validate``.
+        """
+        unknown = sorted(set(data) - set(INPUT_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown keys {unknown}; allowed keys are {sorted(INPUT_KEYS)}")
+        for key, value in data.items():
+            if key in ("structure", "incentive", "strategy"):
+                if not isinstance(value, str):
+                    raise ConfigError(f"{key} must be a string, got {value!r}")
+            elif key == "sigma":
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ConfigError(f"sigma must be a number, got {value!r}")
+            elif key != "capacity" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+        if missing:
+            raise ConfigError(f"missing required settings: {', '.join(missing)} (no defaults exist for these)")
+
+        values = dict(data, incentive=IncentiveScheme.parse(data["incentive"]))
+        if "capacity" in data:
+            values["capacity"] = _parse_capacity(data["capacity"])
+        return cls(**values)
+
+    def to_dict(self) -> dict:
+        """The cell's resolved settings, as ``orgsim validate`` and ``metadata.json`` print them."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(
+            cell=self.cell,
+            incentive={"name": self.incentive.name, "alpha": self.incentive.alpha, "beta": self.incentive.beta},
+            capacity=list(self.resolved_capacities()),
+        )
+        return data
+
     def resolved_capacities(self) -> tuple[int, ...]:
         if isinstance(self.capacity, tuple):
             return self.capacity
@@ -178,6 +224,50 @@ class ScenarioConfig:
             if matrix.n != self.n:
                 problems.append(f"structure defines {matrix.n} decisions but scenario says n={self.n}")
         return problems
+
+
+# Keys a scenario file or the flags may set; grid expansion assigns cell_index.
+INPUT_KEYS = tuple(f.name for f in fields(ScenarioConfig) if f.name != "cell_index")
+
+
+def _parse_capacity(value) -> int | tuple[int, ...]:
+    if isinstance(value, bool):
+        raise ConfigError(f"capacity must be an integer or list of integers, got {value!r}")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
+        parts = [p.strip() for p in value.split(",") if p.strip()]
+        try:
+            numbers = [int(p) for p in parts]
+        except ValueError:
+            raise ConfigError(f"cannot parse capacity {value!r}") from None
+        if not numbers:
+            raise ConfigError(f"cannot parse capacity {value!r}")
+        return numbers[0] if len(numbers) == 1 else tuple(numbers)
+    if isinstance(value, list):
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in value):
+            raise ConfigError(f"capacity list must hold integers, got {value!r}")
+        return tuple(value)
+    raise ConfigError(f"capacity must be an integer or list of integers, got {value!r}")
+
+
+def expand_grid(
+    base: ScenarioConfig,
+    structures: Sequence[str] = GRID_STRUCTURES,
+    incentives: Sequence[str | IncentiveScheme] = GRID_INCENTIVES,
+    strategies: Sequence[str] = GRID_STRATEGIES,
+) -> list[ScenarioConfig]:
+    """The cross of structures x incentives x strategies over ``base``.
+
+    Cells are enumerated in that nesting order and numbered sequentially, so a
+    given grid always maps to the same cell indices and seed streams. An
+    incentive is a scheme or a token for ``IncentiveScheme.parse``.
+    """
+    schemes = [i if isinstance(i, IncentiveScheme) else IncentiveScheme.parse(i) for i in incentives]
+    return [
+        replace(base, structure=structure, incentive=scheme, strategy=strategy, cell_index=index)
+        for index, (structure, scheme, strategy) in enumerate(product(structures, schemes, strategies))
+    ]
 
 
 def resolve_matrix(scenario: ScenarioConfig) -> InteractionMatrix:
@@ -281,7 +371,7 @@ def run_replication(
             round_trades = clear_auction(offers, agents, strategy, land, bits, sigma, rng_noise, rng_tie, t)
             trades.extend(round_trades)
             trade_count = len(round_trades)
-            _check_allocation(agents, n, rep_index, t)
+            _check_allocation(agents, scenario, rep_index, t)
         else:
             flips: list[tuple[AgentState, int]] = []
             for agent in agents:
@@ -347,7 +437,7 @@ def run_replication(
         norm = perf / optimum
         if not 0.0 < norm <= 1.0:
             raise InvariantViolation(
-                f"rep {rep_index}, period {t}: normalized performance {norm!r} outside (0, 1]"
+                f"cell {scenario.cell}, rep {rep_index}, period {t}: normalized performance {norm!r} outside (0, 1]"
             )
         records.append(PeriodRecord(t, perf, norm, tuple(len(a.owned) for a in agents), trade_count))
 
@@ -357,27 +447,33 @@ def run_replication(
     return ReplicationResult(records, trades, agents, observations, optimum, snapshots)
 
 
-def _check_allocation(agents: Sequence[AgentState], n: int, rep_index: int, t: int) -> None:
+def _check_allocation(agents: Sequence[AgentState], scenario: ScenarioConfig, rep_index: int, t: int) -> None:
+    where = f"cell {scenario.cell}, rep {rep_index}, period {t}"
     held = sorted(d for agent in agents for d in agent.owned)
-    if held != list(range(n)):
-        raise InvariantViolation(f"rep {rep_index}, period {t}: owned sets do not partition the decisions")
+    if held != list(range(scenario.n)):
+        raise InvariantViolation(f"{where}: owned sets do not partition the decisions")
     for agent in agents:
         if not 1 <= len(agent.owned) <= agent.capacity:
-            raise InvariantViolation(
-                f"rep {rep_index}, period {t}: agent {agent.id} holds {len(agent.owned)} decisions"
-            )
+            raise InvariantViolation(f"{where}: agent {agent.id} holds {len(agent.owned)} decisions")
 
 
 @dataclass(eq=False)
 class ExperimentResult:
-    """Aggregated output of one cell: per-period mean and CI99 half-width."""
+    """Aggregated output of one cell: per-period mean and CI99 half-width.
+
+    ``matrix`` is the interaction matrix the replications ran on.
+    """
 
     scenario: ScenarioConfig
-    cell: str
+    matrix: InteractionMatrix
     mean_norm_perf: np.ndarray
     ci99_half_width: np.ndarray
     trades: list[tuple[int, TradeRecord]] | None = None
     belief_snapshots: list[tuple[int, int, list[BeliefCounters]]] | None = None
+
+    @property
+    def cell(self) -> str:
+        return self.scenario.cell
 
     @property
     def final_mean(self) -> float:
@@ -444,7 +540,7 @@ def run_experiment(
     mean, half_width = aggregate_norm_series(series)
     return ExperimentResult(
         scenario=scenario,
-        cell=scenario.cell,
+        matrix=matrix,
         mean_norm_perf=mean,
         ci99_half_width=half_width,
         trades=trades if collect_trades else None,
@@ -461,25 +557,11 @@ def run_grid(
     collect_trades: bool = False,
     collect_beliefs: bool = False,
 ) -> list[ExperimentResult]:
-    """Run the cross of structures x incentives x strategies.
-
-    Cells are enumerated in that nesting order and numbered sequentially, so a
-    given grid always maps to the same cell indices and seed streams.
-    """
-    results = []
-    cell_index = 0
-    for structure in structures:
-        for incentive in incentives:
-            scheme = incentive if isinstance(incentive, IncentiveScheme) else IncentiveScheme.from_name(incentive)
-            for strategy in strategies:
-                scenario = replace(
-                    base, structure=structure, incentive=scheme, strategy=strategy, cell_index=cell_index
-                )
-                results.append(
-                    run_experiment(scenario, jobs=jobs, collect_trades=collect_trades, collect_beliefs=collect_beliefs)
-                )
-                cell_index += 1
-    return results
+    """Run every cell of ``expand_grid(base, structures, incentives, strategies)``."""
+    return [
+        run_experiment(scenario, jobs=jobs, collect_trades=collect_trades, collect_beliefs=collect_beliefs)
+        for scenario in expand_grid(base, structures, incentives, strategies)
+    ]
 
 
 def write_results_csv(results: Sequence[ExperimentResult], path: str | Path) -> None:
@@ -492,35 +574,20 @@ def write_results_csv(results: Sequence[ExperimentResult], path: str | Path) -> 
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["cell", "period", "mean_norm_perf", "ci99_half_width"])
         for result in results:
+            cell = result.cell
             for t, (mean, half_width) in enumerate(zip(result.mean_norm_perf, result.ci99_half_width), start=1):
-                writer.writerow([result.cell, t, repr(float(mean)), repr(float(half_width))])
+                writer.writerow([cell, t, repr(float(mean)), repr(float(half_width))])
 
 
 def write_metadata_json(results: Sequence[ExperimentResult], path: str | Path) -> None:
     """Sidecar with everything needed to reproduce the run exactly."""
-    cells = []
-    for result in results:
-        scenario = result.scenario
-        matrix = resolve_matrix(scenario)
-        cells.append(
-            {
-                "cell": result.cell,
-                "cell_index": scenario.cell_index,
-                "structure": scenario.structure,
-                "dependencies": {str(j): matrix.dependencies(j) for j in range(matrix.n)},
-                "incentive": {"name": scenario.incentive.name, "alpha": scenario.incentive.alpha,
-                              "beta": scenario.incentive.beta},
-                "strategy": scenario.strategy,
-                "n": scenario.n,
-                "m": scenario.m,
-                "tau": scenario.tau,
-                "horizon": scenario.horizon,
-                "reps": scenario.reps,
-                "sigma": scenario.sigma,
-                "capacity": list(scenario.resolved_capacities()),
-                "seed": scenario.seed,
-            }
+    cells = [
+        dict(
+            result.scenario.to_dict(),
+            dependencies={str(j): result.matrix.dependencies(j) for j in range(result.matrix.n)},
         )
+        for result in results
+    ]
     payload = {
         "version": __version__,
         "rng": {
@@ -550,13 +617,14 @@ def write_trades_csv(results: Sequence[ExperimentResult], path: str | Path) -> N
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for result in results:
+            cell = result.cell
             if result.trades is None:
-                raise ValueError(f"cell {result.cell} was run without collect_trades")
+                raise ValueError(f"cell {cell} was run without collect_trades")
             for rep, trade in result.trades:
                 row = [rep, trade.period, trade.decision, trade.seller, trade.winner,
                        repr(float(trade.winning_bid)), repr(float(trade.price)), result.scenario.strategy]
                 if grid:
-                    row = [result.cell] + row
+                    row = [cell] + row
                 writer.writerow(row)
 
 
@@ -570,8 +638,9 @@ def write_beliefs_csv(results: Sequence[ExperimentResult], path: str | Path) -> 
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for result in results:
+            cell = result.cell
             if result.belief_snapshots is None:
-                raise ValueError(f"cell {result.cell} was run without collect_beliefs")
+                raise ValueError(f"cell {cell} was run without collect_beliefs")
             for rep, period, counters_by_agent in result.belief_snapshots:
                 for agent_id, counters in enumerate(counters_by_agent):
                     n = counters.p.shape[0]
@@ -583,5 +652,5 @@ def write_beliefs_csv(results: Sequence[ExperimentResult], path: str | Path) -> 
                             q = int(counters.q[i, j])
                             row = [rep, period, agent_id, i, j, p, q, repr(p / (p + q))]
                             if grid:
-                                row = [result.cell] + row
+                                row = [cell] + row
                             writer.writerow(row)

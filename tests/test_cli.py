@@ -1,7 +1,9 @@
 """Command line driver: scenario files, flag merging, outputs, exit codes."""
 
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +142,22 @@ class TestRun:
         cells = {row[0] for row in rows[1:]}
         assert cells == {"k2-balanced-utility", "k2-balanced-benchmark"}
 
+    def test_grid_accepts_alpha_incentive_tokens(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({
+            "grid": {"structures": ["k2"], "incentives": ["balanced", "alpha=0.3"], "strategies": ["utility"]},
+            "n": 6, "m": 2, "tau": 5, "horizon": 8, "reps": 2, "seed": 1,
+        }))
+        assert main(["validate", str(path)]) == 0
+        echoed = [cell["cell"] for cell in json.loads(capsys.readouterr().out)["cells"]]
+        assert echoed == ["k2-balanced-utility", "k2-alpha0.3-utility"]
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert [cell["cell"] for cell in meta["cells"]] == echoed
+        assert meta["cells"][1]["incentive"]["alpha"] == 0.3
+        assert {row[0] for row in read_rows(out / "results.csv")[1:]} == set(echoed)
+
     def test_paper_grid_preset(self, tmp_path):
         out = tmp_path / "out"
         code = main(["run", "--preset", "paper-grid", "--n", "6", "--m", "2", "--tau", "5",
@@ -248,3 +266,18 @@ class TestParserSurface:
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--strategy", "greedy"])
         assert excinfo.value.code == 2
+
+
+class TestTraceTargets:
+    def test_benchmark_patch_targets_resolve(self):
+        """Every name the benchmark tracer patches exists, so a rename fails here first."""
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("orgsim_bench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        for module_name, dotted, _ in tracer.TRACED_FUNCTIONS + tracer.ENGINE_FUNCTIONS:
+            owner = importlib.import_module(module_name)
+            for attr in dotted.split("."):
+                assert hasattr(owner, attr), f"{module_name}.{dotted} does not resolve"
+                owner = getattr(owner, attr)
+            assert callable(owner), f"{module_name}.{dotted} is not callable"

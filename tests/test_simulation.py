@@ -3,14 +3,17 @@
 import csv
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+import orgsim.simulation
 from orgsim import (
     CI99_Z,
     ConfigError,
     IncentiveScheme,
+    InvariantViolation,
     ScenarioConfig,
     aggregate_norm_series,
     replication_rng,
@@ -240,6 +243,21 @@ class TestRunExperiment:
         assert np.array_equal(serial.mean_norm_perf, parallel.mean_norm_perf)
         assert np.array_equal(serial.ci99_half_width, parallel.ci99_half_width)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_invariant_violation_names_cell_rep_and_period(self, monkeypatch, jobs):
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched module global only when forked")
+        real = orgsim.simulation.generate_landscape
+
+        def deflated(matrix, rng):
+            land = real(matrix, rng)
+            land.optimum_performance /= 1000.0
+            return land
+
+        monkeypatch.setattr(orgsim.simulation, "generate_landscape", deflated)
+        with pytest.raises(InvariantViolation, match=r"cell k2-balanced-utility, rep 0, period 1: normalized"):
+            run_experiment(scenario(reps=2), jobs=jobs)
+
     def test_matches_manual_aggregation(self):
         config = scenario(reps=3)
         result = run_experiment(config)
@@ -299,6 +317,18 @@ class TestWriters:
         assert cell["seed"] == 11
         assert cell["dependencies"]["0"] == [1, 2]
         assert cell["capacity"] == [5, 5]
+
+    def test_metadata_records_the_simulated_matrix(self, tmp_path):
+        simulated = resolve_matrix(scenario())
+        path = tmp_path / "m.txt"
+        rows = "\n".join(" ".join(str(int(v)) for v in row) for row in simulated.entries)
+        path.write_text(f"{simulated.n}\n{rows}\n")
+        result = run_experiment(scenario(structure=f"file:{path}", reps=1, horizon=6))
+        path.write_text("6\n" + "\n".join(" ".join("1" if i == j else "0" for i in range(6)) for j in range(6)) + "\n")
+        write_metadata_json([result], tmp_path / "metadata.json")
+        cell = json.loads((tmp_path / "metadata.json").read_text())["cells"][0]
+        assert cell["dependencies"] == {str(j): simulated.dependencies(j) for j in range(6)}
+        assert cell["dependencies"]["0"] == [1, 2]
 
     def test_trades_csv(self, tmp_path):
         result = run_experiment(scenario(horizon=40, seed=2), collect_trades=True)
