@@ -10,7 +10,7 @@ both honest learning and false inference are visible.
 
 import numpy as np
 
-from orgsim import IncentiveScheme, ScenarioConfig, belief, resolve_matrix, run_replication
+from orgsim import IncentiveScheme, ScenarioConfig, belief, run_replication
 
 scenario = ScenarioConfig(
     structure="k5",
@@ -20,7 +20,7 @@ scenario = ScenarioConfig(
     reps=1,
     seed=21,
 )
-matrix = resolve_matrix(scenario)
+matrix = scenario.matrix
 result = run_replication(scenario, 0)
 
 agent = result.agents[0]

@@ -68,13 +68,11 @@ from .simulation import (
     STRATEGIES,
     STRATEGY_BENCHMARK,
     ExperimentResult,
-    PeriodRecord,
     ReplicationResult,
     ScenarioConfig,
     aggregate_norm_series,
     expand_grid,
     replication_rng,
-    resolve_matrix,
     run_experiment,
     run_grid,
     run_replication,

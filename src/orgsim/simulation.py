@@ -10,10 +10,12 @@ is ``benchmark``) agents trade decisions instead of flipping them; the
 configuration carries over unchanged, so performance repeats the previous
 period's value exactly.
 
-Performance is reported normalized by the landscape's exhaustive optimum, so
-values live in (0, 1] and 1.0 means the global optimum was found. Experiments
-aggregate ``reps`` independent replications into a per-period mean and a 99
-percent confidence half-width.
+A replication returns its trajectory as arrays: ``performance`` (one value per
+period) and ``sizes`` (each agent's portfolio size per period). Performance is
+reported normalized by the landscape's exhaustive optimum, so values live in
+(0, 1] and 1.0 means the global optimum was found. Experiments aggregate
+``reps`` independent replications into a per-period mean and a 99 percent
+confidence half-width.
 
 Randomness is split into per-role streams seeded as
 ``SeedSequence(master_seed, spawn_key=(cell_index, rep_index, role))``. Every
@@ -28,7 +30,9 @@ The scenario schema lives here and nowhere else: ``ScenarioConfig`` holds the
 fields, ``ScenarioConfig.from_dict`` the keys a scenario file or the flags may
 set and their value types, ``ScenarioConfig.to_dict`` the per-cell record of
 ``orgsim validate`` and ``metadata.json``, and ``expand_grid`` the cell
-enumeration that ``run_grid`` and the command line share.
+enumeration that ``run_grid`` and the command line share. A scenario resolves
+its interaction structure once, in ``ScenarioConfig.matrix``; ``validate``, the
+replications and ``metadata.json`` all read that one value.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cached_property
 from itertools import product
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -170,12 +175,29 @@ class ScenarioConfig:
             return self.capacity
         return (int(self.capacity),) * self.m
 
-    @property
+    @cached_property
     def cell(self) -> str:
         structure = self.structure
         if structure.startswith("file:"):
             structure = Path(structure[5:]).stem
         return f"{structure}-{self.incentive.name}-{self.strategy}"
+
+    @cached_property
+    def matrix(self) -> InteractionMatrix:
+        """The interaction matrix the structure token names, built or read once per scenario.
+
+        The value travels with the scenario when it is pickled, so worker
+        processes simulate the matrix ``validate`` checked without reading a
+        ``file:`` structure again.
+        """
+        token = self.structure
+        if token == STRUCTURE_K2:
+            return build_stylized_matrix(DECOMPOSABLE_K2, self.n)
+        if token == STRUCTURE_K5:
+            return build_stylized_matrix(NONDECOMPOSABLE_K5, self.n)
+        if token.startswith("file:"):
+            return load_matrix(token[5:])
+        raise ConfigError(f"unknown structure {token!r}; use 'k2', 'k5', or 'file:<path>'")
 
     def validate(self) -> list[str]:
         """Collect every violation instead of stopping at the first."""
@@ -196,8 +218,8 @@ class ScenarioConfig:
             problems.append(f"horizon must be positive, got {self.horizon}")
         if self.reps < 1:
             problems.append(f"reps must be positive, got {self.reps}")
-        if self.sigma < 0:
-            problems.append(f"sigma must be nonnegative, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            problems.append(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.seed < 0:
             problems.append(f"seed must be nonnegative, got {self.seed}")
         if self.cell_index < 0:
@@ -217,7 +239,7 @@ class ScenarioConfig:
             problems.append("a single agent has no residual; alpha must be 1.0 when m=1")
 
         try:
-            matrix = resolve_matrix(self)
+            matrix = self.matrix
         except ConfigError as exc:
             problems.append(str(exc))
         else:
@@ -270,30 +292,14 @@ def expand_grid(
     ]
 
 
-def resolve_matrix(scenario: ScenarioConfig) -> InteractionMatrix:
-    """Build the interaction matrix the scenario's structure token names."""
-    token = scenario.structure
-    if token == STRUCTURE_K2:
-        return build_stylized_matrix(DECOMPOSABLE_K2, scenario.n)
-    if token == STRUCTURE_K5:
-        return build_stylized_matrix(NONDECOMPOSABLE_K5, scenario.n)
-    if token.startswith("file:"):
-        return load_matrix(token[5:])
-    raise ConfigError(f"unknown structure {token!r}; use 'k2', 'k5', or 'file:<path>'")
-
-
-@dataclass(frozen=True, slots=True)
-class PeriodRecord:
-    period: int
-    performance: float
-    normalized: float
-    sizes: tuple[int, ...]
-    trades: int
-
-
 @dataclass(eq=False)
 class ReplicationResult:
-    records: list[PeriodRecord]
+    """One replication's trajectory: ``performance`` holds one value per period
+    (period t at index t - 1) and ``sizes[t - 1, a]`` is agent a's portfolio size
+    at the end of period t."""
+
+    performance: np.ndarray
+    sizes: np.ndarray
     trades: list[TradeRecord]
     agents: list[AgentState]
     observation_counts: list[int]
@@ -302,18 +308,12 @@ class ReplicationResult:
 
     @property
     def normalized_series(self) -> np.ndarray:
-        return np.array([rec.normalized for rec in self.records], dtype=np.float64)
+        return self.performance / self.optimum_performance
 
 
-def run_replication(
-    scenario: ScenarioConfig,
-    rep_index: int,
-    matrix: InteractionMatrix | None = None,
-    collect_beliefs: bool = False,
-) -> ReplicationResult:
+def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: bool = False) -> ReplicationResult:
     """Run one replication; see the module docstring for the period semantics."""
-    if matrix is None:
-        matrix = resolve_matrix(scenario)
+    matrix = scenario.matrix
     n, m = scenario.n, scenario.m
     tau = scenario.tau
     sigma = scenario.sigma
@@ -348,7 +348,9 @@ def run_replication(
             index = (index << 1) | bits[i]
         contribs.append(tables[j][index])
 
-    records: list[PeriodRecord] = []
+    performance: list[float] = []
+    sizes: list[list[int]] = []
+    current_sizes = [len(agent.owned) for agent in agents]
     trades: list[TradeRecord] = []
     snapshots: list[tuple[int, list[BeliefCounters]]] = []
     observations = [0] * m
@@ -370,7 +372,7 @@ def run_replication(
                     offers.append(offer)
             round_trades = clear_auction(offers, agents, strategy, land, bits, sigma, rng_noise, rng_tie, t)
             trades.extend(round_trades)
-            trade_count = len(round_trades)
+            current_sizes = [len(agent.owned) for agent in agents]
             _check_allocation(agents, scenario, rep_index, t)
         else:
             flips: list[tuple[AgentState, int]] = []
@@ -428,23 +430,28 @@ def run_replication(
                     after = {j: contribs[j] for j in agent.owned}
                     update_beliefs(agent, flip, before, after)
                     observations[agent.id] += len(agent.owned) - 1
-            trade_count = 0
 
         total = 0.0
         for value in contribs:
             total += value
-        perf = total / n
-        norm = perf / optimum
-        if not 0.0 < norm <= 1.0:
-            raise InvariantViolation(
-                f"cell {scenario.cell}, rep {rep_index}, period {t}: normalized performance {norm!r} outside (0, 1]"
-            )
-        records.append(PeriodRecord(t, perf, norm, tuple(len(a.owned) for a in agents), trade_count))
+        performance.append(total / n)
+        sizes.append(current_sizes)
 
         if collect_beliefs and (t % tau == 0 or t == scenario.horizon):
             snapshots.append((t, [agent.beliefs.copy() for agent in agents]))
 
-    return ReplicationResult(records, trades, agents, observations, optimum, snapshots)
+    result = ReplicationResult(
+        np.array(performance, dtype=np.float64), np.array(sizes), trades, agents, observations, optimum, snapshots
+    )
+    norm = result.normalized_series
+    bad = np.flatnonzero(~((norm > 0.0) & (norm <= 1.0)))
+    if bad.size:
+        t = int(bad[0]) + 1
+        raise InvariantViolation(
+            f"cell {scenario.cell}, rep {rep_index}, period {t}: "
+            f"normalized performance {float(norm[t - 1])!r} outside (0, 1]"
+        )
+    return result
 
 
 def _check_allocation(agents: Sequence[AgentState], scenario: ScenarioConfig, rep_index: int, t: int) -> None:
@@ -461,11 +468,10 @@ def _check_allocation(agents: Sequence[AgentState], scenario: ScenarioConfig, re
 class ExperimentResult:
     """Aggregated output of one cell: per-period mean and CI99 half-width.
 
-    ``matrix`` is the interaction matrix the replications ran on.
+    ``scenario.matrix`` is the interaction matrix the replications ran on.
     """
 
     scenario: ScenarioConfig
-    matrix: InteractionMatrix
     mean_norm_perf: np.ndarray
     ci99_half_width: np.ndarray
     trades: list[tuple[int, TradeRecord]] | None = None
@@ -494,9 +500,9 @@ def aggregate_norm_series(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, half_width
 
 
-def _replication_payload(task: tuple[ScenarioConfig, int, InteractionMatrix, bool, bool]):
-    scenario, rep, matrix, want_trades, want_beliefs = task
-    result = run_replication(scenario, rep, matrix=matrix, collect_beliefs=want_beliefs)
+def _replication_payload(task: tuple[ScenarioConfig, int, bool, bool]):
+    scenario, rep, want_trades, want_beliefs = task
+    result = run_replication(scenario, rep, collect_beliefs=want_beliefs)
     trades = result.trades if want_trades else None
     beliefs = result.belief_snapshots if want_beliefs else None
     return result.normalized_series, trades, beliefs
@@ -512,16 +518,16 @@ def run_experiment(
 
     ``jobs`` > 1 distributes replications over worker processes; because every
     replication owns its seed streams, the output does not depend on ``jobs``.
+    No more workers start than there are replications.
     """
     problems = scenario.validate()
     if problems:
         raise ConfigError("invalid scenario: " + "; ".join(problems))
-    matrix = resolve_matrix(scenario)
 
     series = np.empty((scenario.reps, scenario.horizon), dtype=np.float64)
     trades: list[tuple[int, TradeRecord]] = []
     beliefs: list[tuple[int, int, list[BeliefCounters]]] = []
-    tasks = [(scenario, rep, matrix, collect_trades, collect_beliefs) for rep in range(scenario.reps)]
+    tasks = [(scenario, rep, collect_trades, collect_beliefs) for rep in range(scenario.reps)]
 
     def consume(payloads) -> None:
         for rep, (norm, rep_trades, rep_beliefs) in enumerate(payloads):
@@ -534,13 +540,12 @@ def run_experiment(
     if jobs <= 1:
         consume(map(_replication_payload, tasks))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
+        with ProcessPoolExecutor(max_workers=min(jobs, scenario.reps)) as executor:
             consume(executor.map(_replication_payload, tasks))
 
     mean, half_width = aggregate_norm_series(series)
     return ExperimentResult(
         scenario=scenario,
-        matrix=matrix,
         mean_norm_perf=mean,
         ci99_half_width=half_width,
         trades=trades if collect_trades else None,
@@ -581,13 +586,11 @@ def write_results_csv(results: Sequence[ExperimentResult], path: str | Path) -> 
 
 def write_metadata_json(results: Sequence[ExperimentResult], path: str | Path) -> None:
     """Sidecar with everything needed to reproduce the run exactly."""
-    cells = [
-        dict(
-            result.scenario.to_dict(),
-            dependencies={str(j): result.matrix.dependencies(j) for j in range(result.matrix.n)},
-        )
-        for result in results
-    ]
+    cells = []
+    for result in results:
+        matrix = result.scenario.matrix
+        dependencies = {str(j): matrix.dependencies(j) for j in range(matrix.n)}
+        cells.append(dict(result.scenario.to_dict(), dependencies=dependencies))
     payload = {
         "version": __version__,
         "rng": {
@@ -603,45 +606,42 @@ def write_metadata_json(results: Sequence[ExperimentResult], path: str | Path) -
         fh.write("\n")
 
 
-def write_trades_csv(results: Sequence[ExperimentResult], path: str | Path) -> None:
-    """Trade ledger; requires experiments run with ``collect_trades=True``.
+def _ledger_cells(writer, results: Sequence[ExperimentResult], header: list[str], attribute: str, flag: str):
+    """Write a ledger's header, then yield ``(prefix, collected, result)`` for each cell.
 
-    Grid runs prefix a ``cell`` column so ledgers from different cells stay
-    distinguishable.
+    The rules the trades and beliefs ledgers share: grid runs prefix a ``cell``
+    column so rows from different cells stay distinguishable (each row starts
+    with ``prefix``), and a cell whose ``attribute`` was not collected raises
+    ``ValueError`` naming ``flag``.
     """
     grid = len(results) > 1
+    writer.writerow(["cell", *header] if grid else header)
+    for result in results:
+        collected = getattr(result, attribute)
+        if collected is None:
+            raise ValueError(f"cell {result.cell} was run without {flag}")
+        yield ([result.cell] if grid else []), collected, result
+
+
+def write_trades_csv(results: Sequence[ExperimentResult], path: str | Path) -> None:
+    """Trade ledger; requires experiments run with ``collect_trades=True``."""
     header = ["rep", "period", "decision", "seller", "winner", "winning_bid", "price", "strategy"]
-    if grid:
-        header = ["cell"] + header
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for result in results:
-            cell = result.cell
-            if result.trades is None:
-                raise ValueError(f"cell {cell} was run without collect_trades")
-            for rep, trade in result.trades:
-                row = [rep, trade.period, trade.decision, trade.seller, trade.winner,
-                       repr(float(trade.winning_bid)), repr(float(trade.price)), result.scenario.strategy]
-                if grid:
-                    row = [cell] + row
-                writer.writerow(row)
+        for prefix, trades, result in _ledger_cells(writer, results, header, "trades", "collect_trades"):
+            strategy = result.scenario.strategy
+            for rep, trade in trades:
+                writer.writerow([*prefix, rep, trade.period, trade.decision, trade.seller, trade.winner,
+                                 repr(float(trade.winning_bid)), repr(float(trade.price)), strategy])
 
 
 def write_beliefs_csv(results: Sequence[ExperimentResult], path: str | Path) -> None:
     """Belief counter dump; requires experiments run with ``collect_beliefs=True``."""
-    grid = len(results) > 1
     header = ["rep", "period", "agent", "i", "j", "p", "q", "belief"]
-    if grid:
-        header = ["cell"] + header
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for result in results:
-            cell = result.cell
-            if result.belief_snapshots is None:
-                raise ValueError(f"cell {cell} was run without collect_beliefs")
-            for rep, period, counters_by_agent in result.belief_snapshots:
+        for prefix, snapshots, _ in _ledger_cells(writer, results, header, "belief_snapshots", "collect_beliefs"):
+            for rep, period, counters_by_agent in snapshots:
                 for agent_id, counters in enumerate(counters_by_agent):
                     n = counters.p.shape[0]
                     for i in range(n):
@@ -650,7 +650,4 @@ def write_beliefs_csv(results: Sequence[ExperimentResult], path: str | Path) -> 
                                 continue
                             p = int(counters.p[i, j])
                             q = int(counters.q[i, j])
-                            row = [rep, period, agent_id, i, j, p, q, repr(p / (p + q))]
-                            if grid:
-                                row = [cell] + row
-                            writer.writerow(row)
+                            writer.writerow([*prefix, rep, period, agent_id, i, j, p, q, repr(p / (p + q))])

@@ -12,7 +12,6 @@ from orgsim import (
     AgentState,
     InteractionMatrix,
     Landscape,
-    PeriodRecord,
     ScenarioConfig,
     assemble_configuration,
     clear_auction,
@@ -23,7 +22,6 @@ from orgsim import (
     mirrored_allocation,
     performance,
     replication_rng,
-    resolve_matrix,
     select_offer_interdependence,
     select_offer_utility,
     update_beliefs,
@@ -53,8 +51,12 @@ def k0_landscape(values):
 
 
 def reference_replication(scenario: ScenarioConfig, rep_index: int):
-    """Slow twin of orgsim.simulation.run_replication, composed from public ops."""
-    matrix = resolve_matrix(scenario)
+    """Slow twin of orgsim.simulation.run_replication, composed from public ops.
+
+    Returns ``(performance, normalized, sizes, trades, agents)``, the arrays
+    shaped like ``ReplicationResult``'s.
+    """
+    matrix = scenario.matrix
     rng_land = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_LANDSCAPE)
     rng_init = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_INIT)
     rng_hc = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_HILLCLIMB)
@@ -70,7 +72,9 @@ def reference_replication(scenario: ScenarioConfig, rep_index: int):
     agents = [AgentState(a, owned_lists[a], caps[a], init_beliefs(scenario.n)) for a in range(scenario.m)]
     config = [int(b) for b in rng_init.integers(0, 2, size=scenario.n)]
 
-    records = []
+    performance_series = []
+    normalized = []
+    sizes = []
     trades = []
     for t in range(1, scenario.horizon + 1):
         if t % scenario.tau == 0 and scenario.strategy != STRATEGY_BENCHMARK:
@@ -86,7 +90,6 @@ def reference_replication(scenario: ScenarioConfig, rep_index: int):
                 offers, agents, scenario.strategy, land, config, scenario.sigma, rng_noise, rng_tie, t
             )
             trades.extend(round_trades)
-            trade_count = len(round_trades)
         else:
             moves = [hillclimb_step(agent, land, config, scenario.incentive, rng_hc) for agent in agents]
             merged = assemble_configuration(
@@ -98,10 +101,9 @@ def reference_replication(scenario: ScenarioConfig, rep_index: int):
                     after = {j: contribution(land, merged, j) for j in agent.owned}
                     update_beliefs(agent, flip, before, after)
             config = [int(b) for b in merged]
-            trade_count = 0
 
         perf = performance(land, config)
-        records.append(
-            PeriodRecord(t, perf, perf / land.optimum_performance, tuple(len(a.owned) for a in agents), trade_count)
-        )
-    return records, trades, agents
+        performance_series.append(perf)
+        normalized.append(perf / land.optimum_performance)
+        sizes.append([len(a.owned) for a in agents])
+    return np.array(performance_series), np.array(normalized), np.array(sizes), trades, agents

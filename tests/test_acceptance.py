@@ -100,7 +100,7 @@ def test_criterion_2_single_agent_convergence(tmp_path):
     assert scenario.validate() == []
     converged = sum(
         1 for rep in range(100)
-        if any(record.normalized == 1.0 for record in run_replication(scenario, rep).records)
+        if np.any(run_replication(scenario, rep).normalized_series == 1.0)
     )
     assert converged >= 99, f"only {converged}/100 replications reached the optimum exactly"
 
@@ -120,23 +120,19 @@ def test_criterion_3_invariant_suite():
                 cell_index += 1
                 for rep in range(scenario.reps):
                     result = run_replication(scenario, rep)
-                    records = result.records
-                    assert [r.period for r in records] == list(range(1, 121))
-                    previous = None
-                    for record in records:
-                        assert 0.0 < record.normalized <= 1.0
-                        assert sum(record.sizes) == 15
-                        for agent, size in zip(result.agents, record.sizes):
-                            assert 1 <= size <= agent.capacity
-                        auction_period = record.period % 25 == 0 and strategy != "benchmark"
-                        if auction_period:
-                            assert record.performance == previous.performance
-                        else:
-                            assert record.trades == 0
-                        previous = record
+                    normalized = result.normalized_series
+                    assert normalized.shape == (120,)
+                    assert result.sizes.shape == (120, 5)
+                    assert np.all((normalized > 0.0) & (normalized <= 1.0))
+                    assert np.all(result.sizes.sum(axis=1) == 15)
+                    capacities = [agent.capacity for agent in result.agents]
+                    assert np.all((result.sizes >= 1) & (result.sizes <= capacities))
+                    if strategy != "benchmark":
+                        auctions = np.arange(25, 121, 25)
+                        assert np.array_equal(result.performance[auctions - 1], result.performance[auctions - 2])
                     if strategy == "benchmark":
                         assert result.trades == []
-                        assert all(record.sizes == (3, 3, 3, 3, 3) for record in records)
+                        assert np.all(result.sizes == 3)
                     for trade in result.trades:
                         assert trade.period % 25 == 0
                         assert trade.seller != trade.winner

@@ -97,6 +97,12 @@ class TestRun:
         err = capsys.readouterr().err
         assert "tau" in err and "sigma" in err
 
+    def test_non_finite_sigma_fails_before_work(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", write_scenario(tmp_path), "--sigma", "nan", "--out", str(out)]) == 2
+        assert "sigma must be finite and nonnegative, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_matrix_file_structure(self, tmp_path):
         matrix_path = write_matrix(tmp_path, build_stylized_matrix(DECOMPOSABLE_K2, 6))
         out = tmp_path / "out"

@@ -17,7 +17,6 @@ from orgsim import (
     ScenarioConfig,
     aggregate_norm_series,
     replication_rng,
-    resolve_matrix,
     run_experiment,
     run_grid,
     run_replication,
@@ -26,6 +25,8 @@ from orgsim import (
     write_results_csv,
     write_trades_csv,
 )
+from orgsim.cli import main
+from orgsim.landscape import DECOMPOSABLE_K2, build_stylized_matrix
 from helpers import reference_replication
 
 BALANCED = IncentiveScheme.from_name("balanced")
@@ -38,6 +39,12 @@ def scenario(**overrides):
                 n=6, m=2, tau=5, horizon=20, reps=3, capacity=5, seed=11)
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def write_matrix(path, matrix):
+    rows = "\n".join(" ".join(str(int(v)) for v in row) for row in matrix.entries)
+    path.write_text(f"{matrix.n}\n{rows}\n")
+    return path
 
 
 class TestScenarioConfig:
@@ -74,6 +81,8 @@ class TestScenarioConfig:
         ({"structure": "k2", "n": 8, "m": 2}, "multiple"),
         ({"structure": "file:/nonexistent/m.txt"}, "cannot|scenario|file|No such"),
         ({"n": 27, "m": 3, "capacity": 9}, "exhaustive optimum supports n <= 25, got n=27"),
+        ({"sigma": float("nan")}, "sigma must be finite"),
+        ({"sigma": float("inf")}, "sigma must be finite"),
     ])
     def test_validate_flags_problems(self, overrides, fragment):
         problems = scenario(**overrides).validate()
@@ -91,13 +100,11 @@ class TestScenarioConfig:
         assert ok.validate() == []
 
     def test_structure_file_roundtrip(self, tmp_path):
-        matrix = resolve_matrix(scenario())
-        path = tmp_path / "m.txt"
-        rows = "\n".join(" ".join(str(int(v)) for v in row) for row in matrix.entries)
-        path.write_text(f"{matrix.n}\n{rows}\n")
+        matrix = scenario().matrix
+        path = write_matrix(tmp_path / "m.txt", matrix)
         config = scenario(structure=f"file:{path}")
         assert config.validate() == []
-        assert np.array_equal(resolve_matrix(config).entries, matrix.entries)
+        assert np.array_equal(config.matrix.entries, matrix.entries)
 
     def test_structure_file_size_mismatch(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -121,21 +128,20 @@ class TestReplicationRng:
 class TestRunReplication:
     def test_period_accounting(self):
         result = run_replication(scenario(), 0)
-        assert [rec.period for rec in result.records] == list(range(1, 21))
-        for rec in result.records:
-            assert sum(rec.sizes) == 6
-            assert all(1 <= size <= 5 for size in rec.sizes)
-            assert 0.0 < rec.normalized <= 1.0
-            assert rec.performance == pytest.approx(rec.normalized * result.optimum_performance)
+        assert result.performance.shape == (20,)
+        assert result.sizes.shape == (20, 2)
+        for performance, normalized, sizes in zip(result.performance, result.normalized_series, result.sizes):
+            assert sum(sizes) == 6
+            assert all(1 <= size <= 5 for size in sizes)
+            assert 0.0 < normalized <= 1.0
+            assert performance == pytest.approx(normalized * result.optimum_performance)
 
     def test_auction_periods_carry_performance(self):
         result = run_replication(scenario(horizon=30), 0)
-        by_period = {rec.period: rec for rec in result.records}
         for t in (5, 10, 15, 20, 25, 30):
-            assert by_period[t].performance == by_period[t - 1].performance
-        for rec in result.records:
-            if rec.period % 5 != 0:
-                assert rec.trades == 0
+            assert result.performance[t - 1] == result.performance[t - 2]
+        for trade in result.trades:
+            assert trade.period % 5 == 0
 
     def test_trades_only_at_auction_periods(self):
         result = run_replication(scenario(horizon=40, seed=2), 0)
@@ -148,9 +154,8 @@ class TestRunReplication:
     def test_benchmark_never_trades_and_keeps_blocks(self):
         result = run_replication(scenario(strategy="benchmark", horizon=30), 0)
         assert result.trades == []
-        for rec in result.records:
-            assert rec.sizes == (3, 3)
-            assert rec.trades == 0
+        assert result.sizes.shape == (30, 2)
+        assert np.all(result.sizes == [3, 3])
         assert [agent.owned for agent in result.agents] == [[0, 1, 2], [3, 4, 5]]
 
     def test_observation_ledger_matches_counters(self):
@@ -185,8 +190,10 @@ class TestReferenceEquivalence:
     def test_engine_matches_reference(self, case):
         for rep in range(2):
             engine = run_replication(case, rep)
-            ref_records, ref_trades, ref_agents = reference_replication(case, rep)
-            assert engine.records == ref_records
+            ref_performance, ref_normalized, ref_sizes, ref_trades, ref_agents = reference_replication(case, rep)
+            assert np.array_equal(engine.performance, ref_performance)
+            assert np.array_equal(engine.normalized_series, ref_normalized)
+            assert np.array_equal(engine.sizes, ref_sizes)
             assert engine.trades == ref_trades
             for mine, theirs in zip(engine.agents, ref_agents):
                 assert mine.owned == theirs.owned
@@ -258,6 +265,28 @@ class TestRunExperiment:
         with pytest.raises(InvariantViolation, match=r"cell k2-balanced-utility, rep 0, period 1: normalized"):
             run_experiment(scenario(reps=2), jobs=jobs)
 
+    @pytest.mark.parametrize("jobs, reps, workers", [(5000, 2, 2), (2, 3, 2)])
+    def test_never_starts_more_workers_than_replications(self, monkeypatch, jobs, reps, workers):
+        started = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(orgsim.simulation, "ProcessPoolExecutor", InlineExecutor)
+        result = run_experiment(scenario(reps=reps), jobs=jobs)
+        assert started == [workers]
+        assert np.array_equal(result.mean_norm_perf, run_experiment(scenario(reps=reps)).mean_norm_perf)
+
     def test_matches_manual_aggregation(self):
         config = scenario(reps=3)
         result = run_experiment(config)
@@ -265,6 +294,34 @@ class TestRunExperiment:
         mean, half_width = aggregate_norm_series(series)
         assert np.array_equal(result.mean_norm_perf, mean)
         assert np.array_equal(result.ci99_half_width, half_width)
+
+
+class TestMatrixReads:
+    """A ``file:`` structure is read once per scenario, and the run simulates that read."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        paths = []
+        real = orgsim.simulation.load_matrix
+
+        def counting(path):
+            paths.append(path)
+            return real(path)
+
+        monkeypatch.setattr(orgsim.simulation, "load_matrix", counting)
+        return paths
+
+    def test_run_experiment_reads_the_file_once(self, tmp_path, reads):
+        path = write_matrix(tmp_path / "m.txt", build_stylized_matrix(DECOMPOSABLE_K2, 6))
+        run_experiment(scenario(structure=f"file:{path}"), jobs=1)
+        assert reads == [str(path)]
+
+    def test_cli_single_cell_run_reads_the_file_once(self, tmp_path, reads):
+        path = write_matrix(tmp_path / "m.txt", build_stylized_matrix(DECOMPOSABLE_K2, 6))
+        args = ["run", "--structure", f"file:{path}", "--incentive", "balanced", "--strategy", "utility",
+                "--n", "6", "--m", "2", "--tau", "5", "--horizon", "6", "--reps", "2", "--out", str(tmp_path / "out")]
+        assert main(args) == 0
+        assert reads == [str(path)]
 
 
 class TestRunGrid:
@@ -319,10 +376,8 @@ class TestWriters:
         assert cell["capacity"] == [5, 5]
 
     def test_metadata_records_the_simulated_matrix(self, tmp_path):
-        simulated = resolve_matrix(scenario())
-        path = tmp_path / "m.txt"
-        rows = "\n".join(" ".join(str(int(v)) for v in row) for row in simulated.entries)
-        path.write_text(f"{simulated.n}\n{rows}\n")
+        simulated = scenario().matrix
+        path = write_matrix(tmp_path / "m.txt", simulated)
         result = run_experiment(scenario(structure=f"file:{path}", reps=1, horizon=6))
         path.write_text("6\n" + "\n".join(" ".join("1" if i == j else "0" for i in range(6)) for j in range(6)) + "\n")
         write_metadata_json([result], tmp_path / "metadata.json")
