@@ -23,8 +23,13 @@ replication is therefore self-contained: results are byte-identical no matter
 how replications are distributed over worker processes.
 
 The period loop is hand-inlined for speed (table lookups on plain lists, no
-array allocation per agent); ``tests/test_simulation.py`` pins it to a slow
-reference replication composed from the public ops, to exact float equality.
+array allocation per agent). A proposal's verdict depends only on the
+configuration, the ownership and the incentive weights, so it is cached per
+flipped decision and dropped only when a flip lands or an auction clears. One
+``integers(0, highs)`` call draws the hillclimb positions up to the next
+auction or the horizon, exactly like one scalar draw per agent and period.
+``tests/test_simulation.py`` and ``tests/test_properties.py`` pin the loop to
+the op-composed reference replication, to exact float equality.
 
 The scenario schema lives here and nowhere else: ``ScenarioConfig`` holds the
 fields, ``ScenarioConfig.from_dict`` the keys a scenario file or the flags may
@@ -41,6 +46,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from itertools import product
@@ -318,6 +324,7 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
     tau = scenario.tau
     sigma = scenario.sigma
     strategy = scenario.strategy
+    auction_every = scenario.horizon + 1 if strategy == STRATEGY_BENCHMARK else tau  # benchmark: never
     alpha, beta = scenario.incentive.alpha, scenario.incentive.beta
 
     rng_land = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_LANDSCAPE)
@@ -341,12 +348,42 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
     tables = [table.tolist() for table in land.tables]
     dependents = [matrix.dependents(i) for i in range(n)]
 
-    contribs = []
-    for j in range(n):
+    def contribution(j: int) -> float:
         index = 0
         for i in orders[j]:
             index = (index << 1) | bits[i]
-        contribs.append(tables[j][index])
+        return tables[j][index]
+
+    def utility(values: list[float], owned: list[int], aid: int) -> float:
+        own_sum = 0.0
+        for d in owned:
+            own_sum += values[d]
+        res_sum = 0.0
+        for d in range(n):
+            if owner[d] != aid:
+                res_sum += values[d]
+        n_res = n - len(owned)
+        return alpha * (own_sum / len(owned)) + beta * (res_sum / n_res if n_res else 0.0)
+
+    def improves(agent: AgentState, flip: int) -> bool:
+        candidate = contribs.copy()
+        bits[flip] ^= 1
+        for j in dependents[flip]:
+            candidate[j] = contribution(j)
+        bits[flip] ^= 1
+        return utility(candidate, agent.owned, agent.id) > utility(contribs, agent.owned, agent.id)
+
+    def total() -> float:
+        value = 0.0
+        for c in contribs:
+            value += c
+        return value / n
+
+    owner = [0] * n
+    contribs = [contribution(j) for j in range(n)]
+    current_performance = total()
+    verdicts: dict[int, bool] = {}
+    positions = None
 
     performance: list[float] = []
     sizes: list[list[int]] = []
@@ -356,12 +393,7 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
     observations = [0] * m
 
     for t in range(1, scenario.horizon + 1):
-        owner = [0] * n
-        for agent in agents:
-            for d in agent.owned:
-                owner[d] = agent.id
-
-        if t % tau == 0 and strategy != STRATEGY_BENCHMARK:
+        if t % auction_every == 0:
             offers = []
             for agent in agents:
                 if strategy == STRATEGY_UTILITY:
@@ -374,67 +406,39 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
             trades.extend(round_trades)
             current_sizes = [len(agent.owned) for agent in agents]
             _check_allocation(agents, scenario, rep_index, t)
+            positions = None
         else:
+            if positions is None:
+                # New ownership, fixed until the next auction: remap, drop verdicts, draw every position to then.
+                for agent in agents:
+                    for d in agent.owned:
+                        owner[d] = agent.id
+                verdicts.clear()
+                last = min(scenario.horizon, (t // auction_every + 1) * auction_every - 1)
+                positions = iter(rng_hc.integers(0, current_sizes * (last - t + 1)).tolist())
             flips: list[tuple[AgentState, int]] = []
             for agent in agents:
-                owned = agent.owned
-                aid = agent.id
-                pos = int(rng_hc.integers(len(owned)))
-                flip = owned[pos]
-
-                own_sum = 0.0
-                for d in owned:
-                    own_sum += contribs[d]
-                res_sum = 0.0
-                for d in range(n):
-                    if owner[d] != aid:
-                        res_sum += contribs[d]
-                n_res = n - len(owned)
-                res_mean = res_sum / n_res if n_res else 0.0
-                status_quo = alpha * (own_sum / len(owned)) + beta * res_mean
-
-                candidate = contribs.copy()
-                bits[flip] ^= 1
-                for j in dependents[flip]:
-                    index = 0
-                    for i in orders[j]:
-                        index = (index << 1) | bits[i]
-                    candidate[j] = tables[j][index]
-                bits[flip] ^= 1
-
-                own_sum = 0.0
-                for d in owned:
-                    own_sum += candidate[d]
-                res_sum = 0.0
-                for d in range(n):
-                    if owner[d] != aid:
-                        res_sum += candidate[d]
-                res_mean = res_sum / n_res if n_res else 0.0
-                challenger = alpha * (own_sum / len(owned)) + beta * res_mean
-
-                if challenger > status_quo:
+                flip = agent.owned[next(positions)]
+                verdict = verdicts.get(flip)
+                if verdict is None:
+                    verdict = verdicts[flip] = improves(agent, flip)
+                if verdict:
                     flips.append((agent, flip))
 
             if flips:
                 previous = contribs
                 for _, flip in flips:
                     bits[flip] ^= 1
-                contribs = []
-                for j in range(n):
-                    index = 0
-                    for i in orders[j]:
-                        index = (index << 1) | bits[i]
-                    contribs.append(tables[j][index])
+                contribs = [contribution(j) for j in range(n)]
+                current_performance = total()
+                verdicts.clear()
                 for agent, flip in flips:
                     before = {j: previous[j] for j in agent.owned}
                     after = {j: contribs[j] for j in agent.owned}
                     update_beliefs(agent, flip, before, after)
                     observations[agent.id] += len(agent.owned) - 1
 
-        total = 0.0
-        for value in contribs:
-            total += value
-        performance.append(total / n)
+        performance.append(current_performance)
         sizes.append(current_sizes)
 
         if collect_beliefs and (t % tau == 0 or t == scenario.horizon):
@@ -513,12 +517,15 @@ def run_experiment(
     jobs: int = 1,
     collect_trades: bool = False,
     collect_beliefs: bool = False,
+    *,
+    _executor: ProcessPoolExecutor | None = None,
 ) -> ExperimentResult:
     """Run all replications of one cell and aggregate them.
 
     ``jobs`` > 1 distributes replications over worker processes; because every
     replication owns its seed streams, the output does not depend on ``jobs``.
-    No more workers start than there are replications.
+    No more workers start than there are replications. ``run_grid`` hands its
+    one pool over as ``_executor``.
     """
     problems = scenario.validate()
     if problems:
@@ -537,11 +544,8 @@ def run_experiment(
             if collect_beliefs and rep_beliefs:
                 beliefs.extend((rep, period, counters) for period, counters in rep_beliefs)
 
-    if jobs <= 1:
-        consume(map(_replication_payload, tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, scenario.reps)) as executor:
-            consume(executor.map(_replication_payload, tasks))
+    with nullcontext(_executor) if _executor is not None else _worker_pool(jobs, scenario.reps) as executor:
+        consume((executor.map if executor else map)(_replication_payload, tasks))
 
     mean, half_width = aggregate_norm_series(series)
     return ExperimentResult(
@@ -553,6 +557,20 @@ def run_experiment(
     )
 
 
+@contextmanager
+def _worker_pool(jobs: int, reps: int):
+    """``min(jobs, reps)`` worker processes (None if ``jobs`` <= 1); a raising body cancels the queued work."""
+    if jobs <= 1:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=max(1, min(jobs, reps))) as executor:
+        try:
+            yield executor
+        except BaseException:
+            executor.shutdown(cancel_futures=True)
+            raise
+
+
 def run_grid(
     base: ScenarioConfig,
     structures: Sequence[str] = GRID_STRUCTURES,
@@ -562,11 +580,13 @@ def run_grid(
     collect_trades: bool = False,
     collect_beliefs: bool = False,
 ) -> list[ExperimentResult]:
-    """Run every cell of ``expand_grid(base, structures, incentives, strategies)``."""
-    return [
-        run_experiment(scenario, jobs=jobs, collect_trades=collect_trades, collect_beliefs=collect_beliefs)
-        for scenario in expand_grid(base, structures, incentives, strategies)
-    ]
+    """Run every cell of ``expand_grid(base, structures, incentives, strategies)``, on one worker pool."""
+    with _worker_pool(jobs, base.reps) as executor:
+        return [
+            run_experiment(scenario, jobs=jobs, collect_trades=collect_trades, collect_beliefs=collect_beliefs,
+                           _executor=executor)
+            for scenario in expand_grid(base, structures, incentives, strategies)
+        ]
 
 
 def write_results_csv(results: Sequence[ExperimentResult], path: str | Path) -> None:

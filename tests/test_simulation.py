@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from orgsim import (
     write_trades_csv,
 )
 from orgsim.cli import main
+from orgsim.simulation import ROLE_HILLCLIMB
 from orgsim.landscape import DECOMPOSABLE_K2, build_stylized_matrix
 from helpers import reference_replication
 
@@ -113,6 +115,28 @@ class TestScenarioConfig:
         assert any("n=6" in p for p in config.validate())
 
 
+@pytest.fixture
+def inline_executor(monkeypatch):
+    """Replace the process pool with an in-process fake; returns the ``max_workers`` of every pool opened."""
+    started = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(orgsim.simulation, "ProcessPoolExecutor", InlineExecutor)
+    return started
+
+
 class TestReplicationRng:
     def test_reproducible(self):
         a = replication_rng(3, 1, 2, 0).random(4)
@@ -123,6 +147,23 @@ class TestReplicationRng:
         base = replication_rng(3, 1, 2, 0).random(4)
         for args in [(4, 1, 2, 0), (3, 2, 2, 0), (3, 1, 3, 0), (3, 1, 2, 1)]:
             assert not np.array_equal(base, replication_rng(*args).random(4))
+
+    @pytest.mark.parametrize("highs", [
+        [3, 1, 5, 1, 1, 2, 7, 4, 1, 15] * 5 + [1, 6, 1],
+        [1, 1, 1, 1],
+        [2, 2, 3],
+        [1],
+    ], ids=["mixed", "all-one", "odd-count", "single-one"])
+    def test_array_highs_draw_like_scalar_draws(self, highs):
+        """``run_replication`` draws an auction interval's hillclimb positions with one
+        ``integers(0, highs)`` call; it must consume the stream exactly like one
+        scalar ``integers(h)`` call per position (numpy 2.4.6 behaviour)."""
+        batch = replication_rng(3, 1, 2, ROLE_HILLCLIMB)
+        scalar = replication_rng(3, 1, 2, ROLE_HILLCLIMB)
+        assert batch.integers(0, highs).tolist() == [int(scalar.integers(h)) for h in highs]
+        assert batch.bit_generator.state == scalar.bit_generator.state
+        assert batch.integers(1000) == scalar.integers(1000)
+        assert batch.random() == scalar.random()
 
 
 class TestRunReplication:
@@ -266,23 +307,8 @@ class TestRunExperiment:
             run_experiment(scenario(reps=2), jobs=jobs)
 
     @pytest.mark.parametrize("jobs, reps, workers", [(5000, 2, 2), (2, 3, 2)])
-    def test_never_starts_more_workers_than_replications(self, monkeypatch, jobs, reps, workers):
-        started = []
-
-        class InlineExecutor:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(orgsim.simulation, "ProcessPoolExecutor", InlineExecutor)
+    def test_never_starts_more_workers_than_replications(self, inline_executor, jobs, reps, workers):
+        started = inline_executor
         result = run_experiment(scenario(reps=reps), jobs=jobs)
         assert started == [workers]
         assert np.array_equal(result.mean_norm_perf, run_experiment(scenario(reps=reps)).mean_norm_perf)
@@ -338,6 +364,37 @@ class TestRunGrid:
                            incentives=["balanced"], strategies=["utility", "benchmark"])
         assert [r.cell for r in results] == ["k2-balanced-utility", "k2-balanced-benchmark"]
         assert [r.scenario.cell_index for r in results] == [0, 1]
+
+    def test_grid_runs_on_one_pool(self, inline_executor):
+        axes = dict(structures=["k2", "k5"], incentives=["balanced"], strategies=["utility", "benchmark"])
+        results = run_grid(scenario(reps=3, horizon=6), jobs=2, **axes)
+        assert inline_executor == [2]
+        serial = run_grid(scenario(reps=3, horizon=6), **axes)
+        assert len(results) == 4
+        for parallel, expected in zip(results, serial):
+            assert np.array_equal(parallel.mean_norm_perf, expected.mean_norm_perf)
+
+    def test_failure_cancels_queued_replications(self, monkeypatch, tmp_path):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched module global only when forked")
+        real = orgsim.simulation.run_replication
+
+        def marked(scenario, rep_index, collect_beliefs=False):
+            (tmp_path / f"{scenario.cell_index}-{rep_index}").touch()
+            if rep_index == 0:
+                raise InvariantViolation(f"cell {scenario.cell}, rep 0, period 1: forced")
+            time.sleep(0.2)
+            return real(scenario, rep_index, collect_beliefs)
+
+        monkeypatch.setattr(orgsim.simulation, "run_replication", marked)
+        with pytest.raises(InvariantViolation, match="forced"):
+            run_grid(scenario(reps=60, horizon=6), structures=["k2"], incentives=["balanced"],
+                     strategies=["utility", "benchmark"], jobs=2)
+        started = sorted(path.name for path in tmp_path.iterdir())
+        assert "0-0" in started
+        # Rep 0, what each worker picks up next, and the jobs + 1 calls already
+        # queued for the workers; without cancellation all 60 of the cell would run.
+        assert len(started) <= 8, started
 
 
 class TestWriters:
