@@ -8,7 +8,7 @@ parameterization uses 800 replications per cell.
 
 import time
 
-from orgsim import IncentiveScheme, ScenarioConfig, run_grid
+from orgsim import IncentiveScheme, ScenarioConfig, expand_grid, run_grid
 
 base = ScenarioConfig(
     structure="k2",
@@ -20,7 +20,7 @@ base = ScenarioConfig(
 )
 
 start = time.perf_counter()
-results = run_grid(base)
+results = run_grid(expand_grid(base))
 elapsed = time.perf_counter() - start
 print(f"18 cells x {base.reps} replications x {base.horizon} periods in {elapsed:.0f}s\n")
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .simulation import (
     ExperimentResult,
     ScenarioConfig,
     expand_grid,
-    run_experiment,
+    run_experiment,  # noqa: F401  not called here; benchmarks/tracer.py patches this name (TestTraceTargets)
     run_grid,
     write_beliefs_csv,
     write_metadata_json,
@@ -77,9 +78,9 @@ def load_scenario_file(path: str) -> dict:
     return data
 
 
-def build_scenario(data: dict, args: argparse.Namespace) -> tuple[ScenarioConfig, dict | None]:
-    """Merge file values and CLI flags (flags win) into a scenario plus grid axes."""
-    merged = dict(data)
+def load_cells(args: argparse.Namespace) -> list[ScenarioConfig]:
+    """Merge file values and flags (flags win), expand the grid once, and validate every cell before any work."""
+    merged = load_scenario_file(args.scenario) if args.scenario else {}
     grid = merged.pop("grid", None)
     for key in INPUT_KEYS:
         value = getattr(args, key, None)
@@ -88,28 +89,20 @@ def build_scenario(data: dict, args: argparse.Namespace) -> tuple[ScenarioConfig
     if getattr(args, "preset", None) == "paper-grid":
         grid = {}
 
-    grid_axes: dict | None = None
-    if grid is not None:
-        grid_axes = {
-            "structures": grid.get("structures", GRID_STRUCTURES),
-            "incentives": grid.get("incentives", GRID_INCENTIVES),
-            "strategies": grid.get("strategies", GRID_STRATEGIES),
-        }
-        merged.setdefault("structure", grid_axes["structures"][0])
-        merged.setdefault("incentive", grid_axes["incentives"][0])
-        merged.setdefault("strategy", grid_axes["strategies"][0])
-    return ScenarioConfig.from_dict(merged), grid_axes
+    if grid is None:
+        scenarios = [ScenarioConfig.from_dict(merged)]
+    else:
+        # expand_grid sets these three fields in every cell; the base only needs them present.
+        fill = {"structure": GRID_STRUCTURES[0], "incentive": GRID_INCENTIVES[0], "strategy": GRID_STRATEGIES[0]}
+        scenarios = expand_grid(ScenarioConfig.from_dict({**fill, **merged}), **grid)
 
-
-def load_cells(args: argparse.Namespace) -> tuple[ScenarioConfig, dict | None, list[ScenarioConfig]]:
-    """Load, merge and expand the scenario, then validate every cell before any work."""
-    data = load_scenario_file(args.scenario) if args.scenario else {}
-    base, grid_axes = build_scenario(data, args)
-    scenarios = expand_grid(base, **grid_axes) if grid_axes is not None else [base]
     problems = [f"{scenario.cell}: {p}" for scenario in scenarios for p in scenario.validate()]
+    duplicates = [cell for cell, count in Counter(scenario.cell for scenario in scenarios).items() if count > 1]
+    if duplicates:
+        problems.append(f"duplicate cell labels: {', '.join(duplicates)}")
     if problems:
         raise ConfigError("; ".join(problems))
-    return base, grid_axes, scenarios
+    return scenarios
 
 
 def parse_emit(text: str) -> set[str]:
@@ -134,24 +127,20 @@ def print_summary(results: list[ExperimentResult]) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    base, grid_axes, _ = load_cells(args)
+    cells = load_cells(args)
     emit = parse_emit(args.emit)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
     collect_trades = "trades" in emit
     collect_beliefs = "beliefs" in emit
 
-    if grid_axes is not None:
-        results = run_grid(
-            base, **grid_axes, jobs=args.jobs, collect_trades=collect_trades, collect_beliefs=collect_beliefs
-        )
-    else:
-        results = [
-            run_experiment(base, jobs=args.jobs, collect_trades=collect_trades, collect_beliefs=collect_beliefs)
-        ]
+    results = run_grid(cells, jobs=args.jobs, collect_trades=collect_trades, collect_beliefs=collect_beliefs)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     written = []
     if "csv" in emit:
         write_results_csv(results, out / "results.csv")
@@ -172,7 +161,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    _, _, scenarios = load_cells(args)
+    scenarios = load_cells(args)
     print(json.dumps({"cells": [scenario.to_dict() for scenario in scenarios]}, indent=2, sort_keys=True))
     print(f"ok: {len(scenarios)} cell(s)", file=sys.stderr)
     return 0

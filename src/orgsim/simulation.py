@@ -35,9 +35,10 @@ The scenario schema lives here and nowhere else: ``ScenarioConfig`` holds the
 fields, ``ScenarioConfig.from_dict`` the keys a scenario file or the flags may
 set and their value types, ``ScenarioConfig.to_dict`` the per-cell record of
 ``orgsim validate`` and ``metadata.json``, and ``expand_grid`` the cell
-enumeration that ``run_grid`` and the command line share. A scenario resolves
-its interaction structure once, in ``ScenarioConfig.matrix``; ``validate``, the
-replications and ``metadata.json`` all read that one value.
+enumeration. Callers expand a grid once and hand the cell list to ``run_grid``,
+which runs the cells as given. A scenario resolves its interaction structure
+once, in ``ScenarioConfig.matrix``; ``validate``, the replications and
+``metadata.json`` all read that one value.
 """
 
 from __future__ import annotations
@@ -572,20 +573,20 @@ def _worker_pool(jobs: int, reps: int):
 
 
 def run_grid(
-    base: ScenarioConfig,
-    structures: Sequence[str] = GRID_STRUCTURES,
-    incentives: Sequence[str | IncentiveScheme] = GRID_INCENTIVES,
-    strategies: Sequence[str] = GRID_STRATEGIES,
+    scenarios: Sequence[ScenarioConfig],
     jobs: int = 1,
     collect_trades: bool = False,
     collect_beliefs: bool = False,
 ) -> list[ExperimentResult]:
-    """Run every cell of ``expand_grid(base, structures, incentives, strategies)``, on one worker pool."""
-    with _worker_pool(jobs, base.reps) as executor:
+    """Run the given cells in order, on one worker pool of ``min(jobs, max reps)`` processes.
+
+    ``expand_grid(base)`` gives the reference grid; a single cell is a list of one.
+    """
+    with _worker_pool(jobs, max((s.reps for s in scenarios), default=1)) as executor:
         return [
             run_experiment(scenario, jobs=jobs, collect_trades=collect_trades, collect_beliefs=collect_beliefs,
                            _executor=executor)
-            for scenario in expand_grid(base, structures, incentives, strategies)
+            for scenario in scenarios
         ]
 
 

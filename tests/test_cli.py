@@ -183,11 +183,48 @@ class TestRun:
         assert (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
         assert (out_a / "metadata.json").read_bytes() == (out_b / "metadata.json").read_bytes()
 
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    def test_bad_out_fails_before_work(self, tmp_path, monkeypatch, capsys, under_file):
+        def never(*args, **kwargs):
+            raise AssertionError("run_grid called despite an unusable --out")
+
+        monkeypatch.setattr("orgsim.cli.run_grid", never)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = taken / "out" if under_file else taken
+        assert main(["run", write_scenario(tmp_path), "--out", str(out)]) == 2
+        assert "error: cannot create output directory" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("grid, file_dirs", [
+        ({"structures": ["k2"], "incentives": ["balanced", "alpha=0.5"], "strategies": ["utility"]}, None),
+        ({"structures": ["k2"], "incentives": ["balanced"], "strategies": ["utility", "benchmark", "utility"]}, None),
+        ({"incentives": ["balanced"], "strategies": ["utility"]}, ["a", "b"]),
+    ], ids=["alpha-equals-preset", "repeated-value", "same-file-stem"])
+    def test_duplicate_cell_labels_rejected(self, tmp_path, monkeypatch, capsys, grid, file_dirs):
+        label = "k2-balanced-utility"
+        if file_dirs:
+            # a/matrix.txt and b/matrix.txt: two structures, one stem
+            matrix = build_stylized_matrix(DECOMPOSABLE_K2, 6)
+            for name in file_dirs:
+                (tmp_path / name).mkdir()
+            grid = dict(grid, structures=[f"file:{write_matrix(tmp_path / name, matrix)}" for name in file_dirs])
+            label = "matrix-balanced-utility"
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"grid": grid, "n": 6, "m": 2, "tau": 5, "horizon": 8, "reps": 2}))
+        assert main(["validate", str(path)]) == 2
+        assert f"duplicate cell labels: {label}" in capsys.readouterr().err
+        monkeypatch.setattr("orgsim.cli.run_grid", None)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert f"duplicate cell labels: {label}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invariant_violation_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise InvariantViolation("rep 0, period 5: induced for the exit-code test")
 
-        monkeypatch.setattr("orgsim.cli.run_experiment", boom)
+        monkeypatch.setattr("orgsim.cli.run_grid", boom)
         code = main(["run", write_scenario(tmp_path)])
         assert code == 3
         assert "invariant violation" in capsys.readouterr().err
@@ -213,7 +250,7 @@ class TestValidate:
         path = write_scenario(tmp_path, n=27, m=3, capacity=9)
         assert main(["validate", path]) == 2
         assert "n <= 25, got n=27" in capsys.readouterr().err
-        monkeypatch.setattr("orgsim.cli.run_experiment", None)
+        monkeypatch.setattr("orgsim.cli.run_grid", None)
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert "n <= 25, got n=27" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

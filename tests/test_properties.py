@@ -1,8 +1,13 @@
-"""Property tests: the engine equals the reference twin on random small scenarios.
+"""Property tests: the engine equals the reference twin on random small scenarios,
+and ``orgsim run`` writes the same bytes at ``--jobs 1`` and ``--jobs 2``.
 
 Hypothesis runs derandomized (a fixed example sequence and no example
 database), so the suite stays deterministic from run to run.
 """
+
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orgsim import IncentiveScheme, ScenarioConfig, run_replication
+from orgsim.cli import main
 from orgsim.organization import INCENTIVE_PRESETS
 from orgsim.simulation import STRATEGIES
 from helpers import reference_replication
@@ -101,3 +107,43 @@ def test_engine_matches_reference(matrix_dir, case, rep):
         assert mine.owned == theirs.owned
         assert np.array_equal(mine.beliefs.p, theirs.beliefs.p)
         assert np.array_equal(mine.beliefs.q, theirs.beliefs.q)
+
+
+@st.composite
+def grid_files(draw):
+    """A small valid grid scenario file: 1-2 values per axis, two or more agents, tiny n, horizon and reps."""
+    n = draw(st.sampled_from([3, 6]))
+    m = draw(st.sampled_from([d for d in range(2, n + 1) if n % d == 0]))
+    tau = draw(st.integers(2, 5))
+    grid = {
+        "structures": draw(st.lists(st.sampled_from(["k2", "k5"] if n == 6 else ["k2"]),
+                                    min_size=1, max_size=2, unique=True)),
+        "incentives": draw(st.lists(st.sampled_from(sorted(INCENTIVE_PRESETS) + ["alpha=0.3", "alpha=0.9"]),
+                                    min_size=1, max_size=2, unique=True)),
+        "strategies": draw(st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=2, unique=True)),
+    }
+    return {
+        "grid": grid, "n": n, "m": m, "tau": tau,
+        "horizon": draw(st.integers(1, 3 * tau + 1)),
+        "reps": draw(st.integers(1, 4)),
+        "capacity": draw(st.integers(n // m, n)),
+        "sigma": draw(st.sampled_from([0.0, 0.05, 0.3])),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(payload=grid_files())
+def test_jobs_do_not_change_output_bytes(payload):
+    names = ("results.csv", "metadata.json", "trades.csv", "beliefs.csv")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        path = root / "grid.json"
+        path.write_text(json.dumps(payload))
+        outputs = []
+        for jobs in (1, 2):
+            out = root / f"jobs{jobs}"
+            args = ["run", str(path), "--jobs", str(jobs), "--out", str(out), "--emit", "csv,json,trades,beliefs"]
+            assert main(args) == 0
+            outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1]

@@ -17,6 +17,7 @@ from orgsim import (
     InvariantViolation,
     ScenarioConfig,
     aggregate_norm_series,
+    expand_grid,
     replication_rng,
     run_experiment,
     run_grid,
@@ -349,10 +350,20 @@ class TestMatrixReads:
         assert main(args) == 0
         assert reads == [str(path)]
 
+    def test_cli_grid_reads_each_file_once(self, tmp_path, reads):
+        first = write_matrix(tmp_path / "first.txt", build_stylized_matrix(DECOMPOSABLE_K2, 6))
+        second = write_matrix(tmp_path / "second.txt", build_stylized_matrix(DECOMPOSABLE_K2, 6))
+        grid = {"structures": [f"file:{first}", f"file:{second}"], "incentives": ["balanced"],
+                "strategies": ["utility"]}
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"grid": grid, "n": 6, "m": 2, "tau": 5, "horizon": 6, "reps": 2}))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert reads == [str(first), str(second)]
+
 
 class TestRunGrid:
     def test_default_grid_is_18_cells(self):
-        results = run_grid(scenario(reps=1, horizon=4, n=6, m=2, tau=3))
+        results = run_grid(expand_grid(scenario(reps=1, horizon=4, n=6, m=2, tau=3)))
         assert len(results) == 18
         assert [r.scenario.cell_index for r in results] == list(range(18))
         assert results[0].cell == "k2-individualistic-utility"
@@ -360,16 +371,16 @@ class TestRunGrid:
         assert len({r.cell for r in results}) == 18
 
     def test_restricted_axes(self):
-        results = run_grid(scenario(reps=1, horizon=4), structures=["k2"],
-                           incentives=["balanced"], strategies=["utility", "benchmark"])
+        results = run_grid(expand_grid(scenario(reps=1, horizon=4), structures=["k2"],
+                                       incentives=["balanced"], strategies=["utility", "benchmark"]))
         assert [r.cell for r in results] == ["k2-balanced-utility", "k2-balanced-benchmark"]
         assert [r.scenario.cell_index for r in results] == [0, 1]
 
     def test_grid_runs_on_one_pool(self, inline_executor):
         axes = dict(structures=["k2", "k5"], incentives=["balanced"], strategies=["utility", "benchmark"])
-        results = run_grid(scenario(reps=3, horizon=6), jobs=2, **axes)
+        results = run_grid(expand_grid(scenario(reps=3, horizon=6), **axes), jobs=2)
         assert inline_executor == [2]
-        serial = run_grid(scenario(reps=3, horizon=6), **axes)
+        serial = run_grid(expand_grid(scenario(reps=3, horizon=6), **axes))
         assert len(results) == 4
         for parallel, expected in zip(results, serial):
             assert np.array_equal(parallel.mean_norm_perf, expected.mean_norm_perf)
@@ -388,8 +399,8 @@ class TestRunGrid:
 
         monkeypatch.setattr(orgsim.simulation, "run_replication", marked)
         with pytest.raises(InvariantViolation, match="forced"):
-            run_grid(scenario(reps=60, horizon=6), structures=["k2"], incentives=["balanced"],
-                     strategies=["utility", "benchmark"], jobs=2)
+            run_grid(expand_grid(scenario(reps=60, horizon=6), structures=["k2"], incentives=["balanced"],
+                                 strategies=["utility", "benchmark"]), jobs=2)
         started = sorted(path.name for path in tmp_path.iterdir())
         assert "0-0" in started
         # Rep 0, what each worker picks up next, and the jobs + 1 calls already
@@ -399,8 +410,8 @@ class TestRunGrid:
 
 class TestWriters:
     def test_results_csv_layout(self, tmp_path):
-        results = run_grid(scenario(reps=2, horizon=6), structures=["k2"],
-                           incentives=["balanced"], strategies=["utility", "benchmark"])
+        results = run_grid(expand_grid(scenario(reps=2, horizon=6), structures=["k2"],
+                                       incentives=["balanced"], strategies=["utility", "benchmark"]))
         path = tmp_path / "results.csv"
         write_results_csv(results, path)
         with open(path, newline="") as fh:
@@ -456,8 +467,8 @@ class TestWriters:
             assert float(row[6]) <= float(row[5]) or math.isclose(float(row[6]), float(row[5]))
 
     def test_trades_csv_grid_gets_cell_column(self, tmp_path):
-        results = run_grid(scenario(horizon=10, seed=2), structures=["k2"], incentives=["balanced"],
-                           strategies=["utility", "interdependence"], collect_trades=True)
+        results = run_grid(expand_grid(scenario(horizon=10, seed=2), structures=["k2"], incentives=["balanced"],
+                                       strategies=["utility", "interdependence"]), collect_trades=True)
         path = tmp_path / "trades.csv"
         write_trades_csv(results, path)
         with open(path, newline="") as fh:
