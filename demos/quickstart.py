@@ -5,9 +5,20 @@ adapt by single-flip hillclimbing under balanced incentives, and reallocate
 decisions through a second-price auction every 25 periods.
 """
 
-import numpy as np
+from collections import Counter
 
 from orgsim import IncentiveScheme, ScenarioConfig, run_experiment
+
+
+class TradeTally:
+    """A ledger sink: run_experiment hands it each replication's trades as the replication arrives."""
+
+    def __init__(self):
+        self.by_period = Counter()
+
+    def write(self, scenario, rep, trades):
+        self.by_period.update(trade.period for trade in trades)
+
 
 scenario = ScenarioConfig(
     structure="k5",
@@ -20,7 +31,8 @@ scenario = ScenarioConfig(
 print(f"cell: {scenario.cell}")
 print(f"decisions n={scenario.n}, agents m={scenario.m}, auction every tau={scenario.tau} periods")
 
-result = run_experiment(scenario, collect_trades=True)
+tally = TradeTally()
+result = run_experiment(scenario, trades=tally)
 
 print("\nnormalized performance (mean over replications, 99% CI half-width):")
 for t in (1, 25, 50, 100, 250, 500):
@@ -29,12 +41,9 @@ for t in (1, 25, 50, 100, 250, 500):
     bar = "#" * int(round(mean * 40))
     print(f"  t={t:>3}  {mean:.4f} +/- {half_width:.4f}  {bar}")
 
-trades = [trade for _, trade in result.trades]
-volume = len(trades) / scenario.reps
+by_period = tally.by_period
+volume = sum(by_period.values()) / scenario.reps
 print(f"\ntrades per replication: {volume:.1f}")
-by_period = {}
-for trade in trades:
-    by_period[trade.period] = by_period.get(trade.period, 0) + 1
 early = sum(count for period, count in by_period.items() if period <= 100) / scenario.reps
 late = sum(count for period, count in by_period.items() if period > 400) / scenario.reps
 print(f"  in the first 100 periods: {early:.2f}, in the last 100: {late:.2f}")

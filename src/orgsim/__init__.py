@@ -68,6 +68,7 @@ from .simulation import (
     STRATEGIES,
     STRATEGY_BENCHMARK,
     ExperimentResult,
+    LedgerSink,
     ReplicationResult,
     ScenarioConfig,
     aggregate_norm_series,

@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,8 @@ from .simulation import (
 )
 
 GRID_KEYS = {"structures", "incentives", "strategies"}
+# The single-cell keys a grid's axes replace.
+CELL_KEYS = ("structure", "incentive", "strategy")
 EMIT_TOKENS = {"csv", "json", "beliefs", "trades"}
 SUMMARY_CHECKPOINTS = (100, 250, 500)
 
@@ -92,7 +95,11 @@ def load_cells(args: argparse.Namespace) -> list[ScenarioConfig]:
     if grid is None:
         scenarios = [ScenarioConfig.from_dict(merged)]
     else:
-        # expand_grid sets these three fields in every cell; the base only needs them present.
+        # expand_grid sets these three fields in every cell, so a single value would be dropped.
+        given = [key for key in CELL_KEYS if key in merged]
+        if given:
+            raise ConfigError(f"a grid run sets {', '.join(given)} per cell; remove it from the flags and the "
+                              "top level of the scenario file, or list it in the grid")
         fill = {"structure": GRID_STRUCTURES[0], "incentive": GRID_INCENTIVES[0], "strategy": GRID_STRATEGIES[0]}
         scenarios = expand_grid(ScenarioConfig.from_dict({**fill, **merged}), **grid)
 
@@ -136,10 +143,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from None
-    collect_trades = "trades" in emit
-    collect_beliefs = "beliefs" in emit
 
-    results = run_grid(cells, jobs=args.jobs, collect_trades=collect_trades, collect_beliefs=collect_beliefs)
+    grid = len(cells) > 1
+    with ExitStack() as ledgers:
+        trades = ledgers.enter_context(write_trades_csv(out / "trades.csv", grid)) if "trades" in emit else None
+        beliefs = ledgers.enter_context(write_beliefs_csv(out / "beliefs.csv", grid)) if "beliefs" in emit else None
+        results = run_grid(cells, jobs=args.jobs, trades=trades, beliefs=beliefs)
 
     written = []
     if "csv" in emit:
@@ -148,12 +157,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if "json" in emit:
         write_metadata_json(results, out / "metadata.json")
         written.append("metadata.json")
-    if collect_trades:
-        write_trades_csv(results, out / "trades.csv")
-        written.append("trades.csv")
-    if collect_beliefs:
-        write_beliefs_csv(results, out / "beliefs.csv")
-        written.append("beliefs.csv")
+    written += [f"{token}.csv" for token in ("trades", "beliefs") if token in emit]
 
     print_summary(results)
     print(f"wrote {', '.join(written)} to {out}")

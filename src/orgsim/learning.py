@@ -82,10 +82,7 @@ def mean_internal_belief(agent, i: int) -> float:
     others = [j for j in agent.owned if j != i]
     if not others:
         raise ValueError("mean internal belief needs at least two owned decisions")
-    total = 0.0
-    for j in others:
-        total += belief(agent.beliefs, i, j)
-    return total / len(others)
+    return _mean_belief(agent.beliefs, i, others)
 
 
 def mean_external_belief(agent, i: int) -> float:
@@ -98,7 +95,15 @@ def mean_external_belief(agent, i: int) -> float:
         raise ValueError(f"decision {i} is already owned by agent {agent.id}")
     if not agent.owned:
         raise ValueError("agent owns no decisions")
+    return _mean_belief(agent.beliefs, i, agent.owned)
+
+
+def _mean_belief(counters: BeliefCounters, i: int, decisions: list[int]) -> float:
+    """Mean of ``belief(counters, i, j)`` over ``decisions``, summed in their order from row ``i`` read once."""
+    p_row = counters.p[i].tolist()
+    q_row = counters.q[i].tolist()
     total = 0.0
-    for j in agent.owned:
-        total += belief(agent.beliefs, i, j)
-    return total / len(agent.owned)
+    for j in decisions:
+        p = p_row[j]
+        total += p / (p + q_row[j])
+    return total / len(decisions)

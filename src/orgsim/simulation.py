@@ -39,20 +39,30 @@ enumeration. Callers expand a grid once and hand the cell list to ``run_grid``,
 which runs the cells as given. A scenario resolves its interaction structure
 once, in ``ScenarioConfig.matrix``; ``validate``, the replications and
 ``metadata.json`` all read that one value.
+
+A run is one stream of (cell, rep) tasks on one pool, read back in that order
+with at most ``IN_FLIGHT_PER_WORKER`` results per worker submitted and unread.
+Each replication's trades and belief snapshots go to the caller's ledger sinks
+(``write_trades_csv``, ``write_beliefs_csv``) as it arrives, so a run keeps
+only each cell's ``[reps, horizon]`` performance series, and its memory does
+not grow with the ledgers.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Protocol, Sequence, TextIO
 
 import numpy as np
 
@@ -479,8 +489,6 @@ class ExperimentResult:
     scenario: ScenarioConfig
     mean_norm_perf: np.ndarray
     ci99_half_width: np.ndarray
-    trades: list[tuple[int, TradeRecord]] | None = None
-    belief_snapshots: list[tuple[int, int, list[BeliefCounters]]] | None = None
 
     @property
     def cell(self) -> str:
@@ -505,89 +513,115 @@ def aggregate_norm_series(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, half_width
 
 
-def _replication_payload(task: tuple[ScenarioConfig, int, bool, bool]):
-    scenario, rep, want_trades, want_beliefs = task
-    result = run_replication(scenario, rep, collect_beliefs=want_beliefs)
-    trades = result.trades if want_trades else None
-    beliefs = result.belief_snapshots if want_beliefs else None
-    return result.normalized_series, trades, beliefs
+class LedgerSink(Protocol):
+    """Receives each replication's ``trades`` or ``belief_snapshots`` (``records``), in (cell, rep) order."""
+
+    def write(self, scenario: ScenarioConfig, rep: int, records: list) -> None: ...
 
 
-def run_experiment(
-    scenario: ScenarioConfig,
-    jobs: int = 1,
-    collect_trades: bool = False,
-    collect_beliefs: bool = False,
-    *,
-    _executor: ProcessPoolExecutor | None = None,
-) -> ExperimentResult:
-    """Run all replications of one cell and aggregate them.
+# Replication results a pool may hold submitted but not yet read, per worker:
+# enough to keep every worker busy while the parent writes ledger rows, few
+# enough that a run's memory does not grow with its replications.
+IN_FLIGHT_PER_WORKER = 4
 
-    ``jobs`` > 1 distributes replications over worker processes; because every
-    replication owns its seed streams, the output does not depend on ``jobs``.
-    No more workers start than there are replications. ``run_grid`` hands its
-    one pool over as ``_executor``.
-    """
+
+def _require_valid(scenario: ScenarioConfig) -> None:
     problems = scenario.validate()
     if problems:
         raise ConfigError("invalid scenario: " + "; ".join(problems))
 
-    series = np.empty((scenario.reps, scenario.horizon), dtype=np.float64)
-    trades: list[tuple[int, TradeRecord]] = []
-    beliefs: list[tuple[int, int, list[BeliefCounters]]] = []
-    tasks = [(scenario, rep, collect_trades, collect_beliefs) for rep in range(scenario.reps)]
 
-    def consume(payloads) -> None:
-        for rep, (norm, rep_trades, rep_beliefs) in enumerate(payloads):
-            series[rep] = norm
-            if collect_trades and rep_trades:
-                trades.extend((rep, trade) for trade in rep_trades)
-            if collect_beliefs and rep_beliefs:
-                beliefs.extend((rep, period, counters) for period, counters in rep_beliefs)
+def _tasks(scenarios: Sequence[ScenarioConfig], want_trades: bool, want_beliefs: bool):
+    """Every (cell, rep) task of a run, in that order; a cell is validated before its first task."""
+    for scenario in scenarios:
+        _require_valid(scenario)
+        for rep in range(scenario.reps):
+            yield scenario, rep, want_trades, want_beliefs
 
-    with nullcontext(_executor) if _executor is not None else _worker_pool(jobs, scenario.reps) as executor:
-        consume((executor.map if executor else map)(_replication_payload, tasks))
 
-    mean, half_width = aggregate_norm_series(series)
-    return ExperimentResult(
-        scenario=scenario,
-        mean_norm_perf=mean,
-        ci99_half_width=half_width,
-        trades=trades if collect_trades else None,
-        belief_snapshots=beliefs if collect_beliefs else None,
-    )
+def _replication_payload(task: tuple[ScenarioConfig, int, bool, bool]):
+    scenario, rep, want_trades, want_beliefs = task
+    result = run_replication(scenario, rep, collect_beliefs=want_beliefs)
+    return result.normalized_series, result.trades if want_trades else None, result.belief_snapshots
+
+
+def _in_order(executor: ProcessPoolExecutor, tasks, limit: int):
+    """Yield each task's payload in task order, with at most ``limit`` submitted and not yet read."""
+    pending = deque(executor.submit(_replication_payload, task) for task in islice(tasks, limit))
+    while pending:
+        payload = pending.popleft().result()
+        pending.extend(executor.submit(_replication_payload, task) for task in islice(tasks, 1))
+        yield payload
 
 
 @contextmanager
-def _worker_pool(jobs: int, reps: int):
-    """``min(jobs, reps)`` worker processes (None if ``jobs`` <= 1); a raising body cancels the queued work."""
-    if jobs <= 1:
-        yield None
+def _replications(scenarios: Sequence[ScenarioConfig], jobs: int, want_trades: bool, want_beliefs: bool):
+    """Yield an iterator over the payloads of every (cell, rep) of ``scenarios``, in that order.
+
+    The run has one pool of ``min(jobs, total reps)`` workers, or none when
+    that is 1: then each payload is computed as it is read. A raising body
+    cancels the submitted work.
+    """
+    tasks = _tasks(scenarios, want_trades, want_beliefs)
+    workers = min(jobs, sum(scenario.reps for scenario in scenarios))
+    if workers <= 1:
+        yield map(_replication_payload, tasks)
         return
-    with ProcessPoolExecutor(max_workers=max(1, min(jobs, reps))) as executor:
+    with ProcessPoolExecutor(max_workers=workers) as executor:
         try:
-            yield executor
+            yield _in_order(executor, tasks, IN_FLIGHT_PER_WORKER * workers)
         except BaseException:
             executor.shutdown(cancel_futures=True)
             raise
 
 
+def run_experiment(
+    scenario: ScenarioConfig,
+    jobs: int = 1,
+    trades: LedgerSink | None = None,
+    beliefs: LedgerSink | None = None,
+    *,
+    _payloads=None,
+) -> ExperimentResult:
+    """Run all replications of one cell and aggregate them.
+
+    ``jobs`` > 1 distributes replications over worker processes; because every
+    replication owns its seed streams, the output does not depend on ``jobs``.
+    No more workers start than there are replications. Each replication's
+    trades and belief snapshots go to the ``trades`` and ``beliefs`` sinks as
+    it arrives, in rep order; neither is kept. ``run_grid`` hands over its
+    run-wide payload stream as ``_payloads``.
+    """
+    _require_valid(scenario)
+    with nullcontext(_payloads) if _payloads is not None else _replications(
+        [scenario], jobs, trades is not None, beliefs is not None
+    ) as payloads:
+        series = np.empty((scenario.reps, scenario.horizon), dtype=np.float64)
+        for rep, (norm, rep_trades, rep_beliefs) in zip(range(scenario.reps), payloads):
+            series[rep] = norm
+            if trades is not None:
+                trades.write(scenario, rep, rep_trades)
+            if beliefs is not None:
+                beliefs.write(scenario, rep, rep_beliefs)
+
+    mean, half_width = aggregate_norm_series(series)
+    return ExperimentResult(scenario=scenario, mean_norm_perf=mean, ci99_half_width=half_width)
+
+
 def run_grid(
     scenarios: Sequence[ScenarioConfig],
     jobs: int = 1,
-    collect_trades: bool = False,
-    collect_beliefs: bool = False,
+    trades: LedgerSink | None = None,
+    beliefs: LedgerSink | None = None,
 ) -> list[ExperimentResult]:
-    """Run the given cells in order, on one worker pool of ``min(jobs, max reps)`` processes.
+    """Run the given cells in order, as one stream of (cell, rep) tasks on one pool.
 
-    ``expand_grid(base)`` gives the reference grid; a single cell is a list of one.
+    The pool has ``min(jobs, total reps)`` workers, and later cells' replications
+    start while earlier cells are still being read. ``expand_grid(base)`` gives
+    the reference grid; a single cell is a list of one.
     """
-    with _worker_pool(jobs, max((s.reps for s in scenarios), default=1)) as executor:
-        return [
-            run_experiment(scenario, jobs=jobs, collect_trades=collect_trades, collect_beliefs=collect_beliefs,
-                           _executor=executor)
-            for scenario in scenarios
-        ]
+    with _replications(scenarios, jobs, trades is not None, beliefs is not None) as payloads:
+        return [run_experiment(scenario, trades=trades, beliefs=beliefs, _payloads=payloads) for scenario in scenarios]
 
 
 def write_results_csv(results: Sequence[ExperimentResult], path: str | Path) -> None:
@@ -627,48 +661,97 @@ def write_metadata_json(results: Sequence[ExperimentResult], path: str | Path) -
         fh.write("\n")
 
 
-def _ledger_cells(writer, results: Sequence[ExperimentResult], header: list[str], attribute: str, flag: str):
-    """Write a ledger's header, then yield ``(prefix, collected, result)`` for each cell.
+class _Ledger:
+    """A CSV ledger written one replication at a time.
 
-    The rules the trades and beliefs ledgers share: grid runs prefix a ``cell``
-    column so rows from different cells stay distinguishable (each row starts
-    with ``prefix``), and a cell whose ``attribute`` was not collected raises
-    ``ValueError`` naming ``flag``.
+    Grid runs prefix a ``cell`` column so rows from different cells stay
+    distinguishable. The header and a row's leading ``cell`` and ``rep``
+    fields go through ``csv.writer``, because a ``file:`` stem may need
+    quoting; the remaining fields are numbers and a strategy name, which
+    ``csv.writer`` would write unquoted, so subclasses build them as text
+    in ``_rows``.
     """
-    grid = len(results) > 1
-    writer.writerow(["cell", *header] if grid else header)
-    for result in results:
-        collected = getattr(result, attribute)
-        if collected is None:
-            raise ValueError(f"cell {result.cell} was run without {flag}")
-        yield ([result.cell] if grid else []), collected, result
+
+    header: tuple[str, ...] = ()
+
+    def __init__(self, fh: TextIO, grid: bool) -> None:
+        self._fh = fh
+        self._grid = grid
+        csv.writer(fh, lineterminator="\n").writerow(("cell", *self.header) if grid else self.header)
+
+    def write(self, scenario: ScenarioConfig, rep: int, records: list) -> None:
+        lead = io.StringIO()
+        csv.writer(lead, lineterminator="\n").writerow([scenario.cell, rep, ""] if self._grid else [rep, ""])
+        self._fh.write(self._rows(lead.getvalue()[:-1], scenario, records))
 
 
-def write_trades_csv(results: Sequence[ExperimentResult], path: str | Path) -> None:
-    """Trade ledger; requires experiments run with ``collect_trades=True``."""
-    header = ["rep", "period", "decision", "seller", "winner", "winning_bid", "price", "strategy"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for prefix, trades, result in _ledger_cells(writer, results, header, "trades", "collect_trades"):
-            strategy = result.scenario.strategy
-            for rep, trade in trades:
-                writer.writerow([*prefix, rep, trade.period, trade.decision, trade.seller, trade.winner,
-                                 repr(float(trade.winning_bid)), repr(float(trade.price)), strategy])
+class _TradesLedger(_Ledger):
+    header = ("rep", "period", "decision", "seller", "winner", "winning_bid", "price", "strategy")
+
+    def _rows(self, lead: str, scenario: ScenarioConfig, trades: list[TradeRecord]) -> str:
+        strategy = scenario.strategy
+        return "".join(
+            f"{lead}{t.period},{t.decision},{t.seller},{t.winner},{float(t.winning_bid)!r},{float(t.price)!r},"
+            f"{strategy}\n"
+            for t in trades
+        )
 
 
-def write_beliefs_csv(results: Sequence[ExperimentResult], path: str | Path) -> None:
-    """Belief counter dump; requires experiments run with ``collect_beliefs=True``."""
-    header = ["rep", "period", "agent", "i", "j", "p", "q", "belief"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for prefix, snapshots, _ in _ledger_cells(writer, results, header, "belief_snapshots", "collect_beliefs"):
-            for rep, period, counters_by_agent in snapshots:
-                for agent_id, counters in enumerate(counters_by_agent):
-                    n = counters.p.shape[0]
-                    for i in range(n):
-                        for j in range(n):
-                            if i == j:
-                                continue
-                            p = int(counters.p[i, j])
-                            q = int(counters.q[i, j])
-                            writer.writerow([*prefix, rep, period, agent_id, i, j, p, q, repr(p / (p + q))])
+class _BeliefText(dict):
+    """Maps ``p << 32 | q`` to the row tail ``p,q,<repr(p / (p + q))>``; few distinct pairs recur in a run."""
+
+    def __missing__(self, key: int) -> str:
+        p, q = key >> 32, key & 0xFFFFFFFF
+        text = self[key] = f"{p},{q},{p / (p + q)!r}\n"
+        return text
+
+
+class _BeliefsLedger(_Ledger):
+    header = ("rep", "period", "agent", "i", "j", "p", "q", "belief")
+
+    def __init__(self, fh: TextIO, grid: bool) -> None:
+        super().__init__(fh, grid)
+        self._text = _BeliefText()
+
+    def _rows(self, lead: str, scenario: ScenarioConfig, snapshots: list[tuple[int, list[BeliefCounters]]]) -> str:
+        n = scenario.n
+        off_diagonal = ~np.eye(n, dtype=bool)  # row-major (i, j) pairs with i != j
+        pairs = [f"{i},{j}," for i in range(n) for j in range(n) if i != j]
+        text = self._text
+        parts = []
+        for period, counters_by_agent in snapshots:
+            for agent_id, counters in enumerate(counters_by_agent):
+                head = f"{lead}{period},{agent_id},"
+                keys = ((counters.p[off_diagonal] << 32) | counters.q[off_diagonal]).tolist()
+                # Every row ends in a newline, so joining on head starts each later row with it.
+                parts.append(head + head.join([pair + text[key] for pair, key in zip(pairs, keys)]))
+        return "".join(parts)
+
+
+@contextmanager
+def _ledger(path: str | Path, kind: type[_Ledger], grid: bool):
+    """Write ``path`` under a temporary name and move it into place only when the body completes.
+
+    A run that fails part way leaves no ledger that looks complete.
+    """
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            yield kind(fh, grid)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, path)
+
+
+def write_trades_csv(path: str | Path, grid: bool = False):
+    """Trade ledger at ``path``: a context manager yielding the ``trades`` sink of ``run_experiment`` or
+    ``run_grid``. ``grid`` adds the leading ``cell`` column that multi-cell runs carry."""
+    return _ledger(path, _TradesLedger, grid)
+
+
+def write_beliefs_csv(path: str | Path, grid: bool = False):
+    """Belief counter dump at ``path``: a context manager yielding the ``beliefs`` sink of ``run_experiment``
+    or ``run_grid``. ``grid`` adds the leading ``cell`` column that multi-cell runs carry."""
+    return _ledger(path, _BeliefsLedger, grid)

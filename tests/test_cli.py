@@ -3,11 +3,14 @@
 import csv
 import importlib.util
 import json
+import multiprocessing
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import orgsim.simulation
 from orgsim.cli import main
 from orgsim.errors import InvariantViolation
 from orgsim.landscape import DECOMPOSABLE_K2, build_stylized_matrix
@@ -219,6 +222,64 @@ class TestRun:
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert f"duplicate cell labels: {label}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_grid_rejects_single_cell_keys(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("orgsim.cli.run_grid", None)
+        out = tmp_path / "out"
+        assert main(["run", "--preset", "paper-grid", "--strategy", "benchmark", "--out", str(out)]) == 2
+        assert "a grid run sets strategy per cell" in capsys.readouterr().err
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"grid": {"strategies": ["utility"]}, "structure": "k5", "incentive": "balanced",
+                                    "n": 6, "m": 2, "tau": 5, "horizon": 8, "reps": 2}))
+        for command in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+            assert main(command) == 2
+            assert "a grid run sets structure, incentive per cell" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_run_leaves_no_ledger(self, tmp_path, monkeypatch, capsys, jobs):
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched module global only when forked")
+        real = orgsim.simulation.run_replication
+
+        def failing(scenario, rep_index, collect_beliefs=False):
+            if scenario.cell_index == 1:
+                raise InvariantViolation(f"cell {scenario.cell}, rep {rep_index}, period 1: forced")
+            return real(scenario, rep_index, collect_beliefs)
+
+        monkeypatch.setattr(orgsim.simulation, "run_replication", failing)
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({
+            "grid": {"structures": ["k2"], "incentives": ["balanced"], "strategies": ["utility", "interdependence"]},
+            "n": 6, "m": 2, "tau": 5, "horizon": 10, "reps": 3,
+        }))
+        out = tmp_path / "out"
+        args = ["run", str(path), "--jobs", str(jobs), "--out", str(out), "--emit", "csv,json,trades,beliefs"]
+        assert main(args) == 3
+        assert "forced" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_ledger_memory_does_not_grow_with_reps(self, tmp_path):
+        """trades.csv and beliefs.csv are written as replications arrive, so 10x the reps peaks the same."""
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps({
+            "grid": {"structures": ["k5"], "incentives": ["balanced"], "strategies": ["utility", "interdependence"]},
+            "horizon": 100, "seed": 0,
+        }))
+
+        def peak(reps):
+            args = ["run", str(path), "--reps", str(reps), "--jobs", "1", "--emit", "csv,json,trades,beliefs",
+                    "--out", str(tmp_path / f"out{reps}")]
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # fills the process-local optimum index cache, which later runs reuse
+        small, large = peak(3), peak(30)
+        assert large <= 1.1 * small, (small, large)
 
     def test_invariant_violation_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):

@@ -135,3 +135,24 @@ class TestMeanBeliefs:
         outsider.beliefs.p[1, 2] = 9
         external = mean_external_belief(outsider, 1)
         assert external == (0.9 + 0.5 + 0.5) / 3
+
+
+class TestMeanBeliefSums:
+    def test_means_equal_belief_sums_in_owned_order(self):
+        """The row reads keep each term and the summation order of ``belief`` calls, so the floats are equal."""
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            agent = make_agent(rng.permutation(8)[:5].tolist())
+            agent.beliefs.p[:] = rng.integers(1, 40, size=(8, 8))
+            agent.beliefs.q[:] = rng.integers(1, 40, size=(8, 8))
+            outsider = next(d for d in range(8) if d not in agent.owned)
+            for i in agent.owned:
+                expected = 0.0
+                for j in agent.owned:
+                    if j != i:
+                        expected += belief(agent.beliefs, i, j)
+                assert mean_internal_belief(agent, i) == expected / 4
+            expected = 0.0
+            for j in agent.owned:
+                expected += belief(agent.beliefs, outsider, j)
+            assert mean_external_belief(agent, outsider) == expected / 5

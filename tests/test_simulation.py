@@ -5,6 +5,8 @@ import json
 import math
 import multiprocessing
 import time
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -117,13 +119,27 @@ class TestScenarioConfig:
 
 
 @pytest.fixture
-def inline_executor(monkeypatch):
-    """Replace the process pool with an in-process fake; returns the ``max_workers`` of every pool opened."""
-    started = []
+def pool_log():
+    """What the fake pool saw: ``started`` holds the ``max_workers`` of every pool opened, ``in_flight``
+    the number of results submitted and not yet read, taken at every submit."""
+    return SimpleNamespace(started=[], in_flight=[], submitted=0, read=0)
+
+
+@pytest.fixture
+def inline_executor(monkeypatch, pool_log):
+    """Replace the process pool with an in-process fake; returns ``pool_log.started``."""
+
+    class InlineFuture:
+        def __init__(self, value):
+            self.value = value
+
+        def result(self):
+            pool_log.read += 1
+            return self.value
 
     class InlineExecutor:
         def __init__(self, max_workers):
-            started.append(max_workers)
+            pool_log.started.append(max_workers)
 
         def __enter__(self):
             return self
@@ -131,11 +147,23 @@ def inline_executor(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            pool_log.submitted += 1
+            pool_log.in_flight.append(pool_log.submitted - pool_log.read)
+            return InlineFuture(fn(*args))
 
     monkeypatch.setattr(orgsim.simulation, "ProcessPoolExecutor", InlineExecutor)
-    return started
+    return pool_log.started
+
+
+class Recorder:
+    """A ledger sink that keeps every ``(scenario, rep, records)`` it is given."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, scenario, rep, records):
+        self.calls.append((scenario, rep, records))
 
 
 class TestReplicationRng:
@@ -273,17 +301,26 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="tau"):
             run_experiment(scenario(tau=1))
 
-    def test_collectors_default_off(self):
-        result = run_experiment(scenario())
-        assert result.trades is None
-        assert result.belief_snapshots is None
+    def test_result_keeps_no_ledger_and_sinks_get_each_rep_once(self):
+        config = scenario(horizon=10)
+        trades, beliefs = Recorder(), Recorder()
+        result = run_experiment(config, trades=trades, beliefs=beliefs)
+        assert [f.name for f in fields(result)] == ["scenario", "mean_norm_perf", "ci99_half_width"]
+        for sink in (trades, beliefs):
+            assert [(s.cell, rep) for s, rep, _ in sink.calls] == [(config.cell, rep) for rep in range(3)]
+        for _, rep, snapshots in beliefs.calls:
+            expected = run_replication(config, rep, collect_beliefs=True).belief_snapshots
+            assert [period for period, _ in snapshots] == [5, 10]
+            assert snapshots[-1][1][0].p.tolist() == expected[-1][1][0].p.tolist()
 
     def test_trades_tagged_by_rep(self):
-        result = run_experiment(scenario(horizon=40, seed=2), collect_trades=True)
-        assert result.trades
-        reps = {rep for rep, _ in result.trades}
+        sink = Recorder()
+        run_experiment(scenario(horizon=40, seed=2), trades=sink)
+        trades = [(rep, trade) for _, rep, records in sink.calls for trade in records]
+        assert trades
+        reps = {rep for rep, _ in trades}
         assert reps <= {0, 1, 2}
-        for rep, trade in result.trades:
+        for rep, trade in trades:
             assert trade.period % 5 == 0
 
     def test_jobs_do_not_change_results(self):
@@ -376,6 +413,22 @@ class TestRunGrid:
         assert [r.cell for r in results] == ["k2-balanced-utility", "k2-balanced-benchmark"]
         assert [r.scenario.cell_index for r in results] == [0, 1]
 
+    def test_pool_sized_by_total_replications(self, inline_executor):
+        run_grid(expand_grid(scenario(reps=1, horizon=4), structures=["k2"], incentives=["balanced"],
+                             strategies=["utility", "benchmark"]), jobs=2)
+        assert inline_executor == [2]
+
+    def test_results_in_flight_stay_bounded(self, inline_executor, pool_log):
+        cells = expand_grid(scenario(reps=6, horizon=6), structures=["k2"], incentives=["balanced"],
+                            strategies=["utility", "benchmark"])
+        sink = Recorder()
+        run_grid(cells, jobs=2, beliefs=sink)
+        bound = orgsim.simulation.IN_FLIGHT_PER_WORKER * 2
+        assert len(pool_log.in_flight) == 12
+        # The bound exceeds a cell's 6 reps, so reaching it means cell 1 was queued while cell 0 was read.
+        assert max(pool_log.in_flight) == bound
+        assert [(s.cell_index, rep) for s, rep, _ in sink.calls] == [(c, rep) for c in (0, 1) for rep in range(6)]
+
     def test_grid_runs_on_one_pool(self, inline_executor):
         axes = dict(structures=["k2", "k5"], incentives=["balanced"], strategies=["utility", "benchmark"])
         results = run_grid(expand_grid(scenario(reps=3, horizon=6), **axes), jobs=2)
@@ -392,20 +445,34 @@ class TestRunGrid:
 
         def marked(scenario, rep_index, collect_beliefs=False):
             (tmp_path / f"{scenario.cell_index}-{rep_index}").touch()
-            if rep_index == 0:
-                raise InvariantViolation(f"cell {scenario.cell}, rep 0, period 1: forced")
-            time.sleep(0.2)
+            if scenario.cell_index == 1:
+                if rep_index == 0:
+                    raise InvariantViolation(f"cell {scenario.cell}, rep 0, period 1: forced")
+                time.sleep(0.2)
             return real(scenario, rep_index, collect_beliefs)
 
+        class SlowSink(Recorder):
+            """Writes cell 0's last rep only once cell 1's failing replication has started in a worker."""
+
+            def write(self, scenario, rep, records):
+                deadline = time.monotonic() + 10
+                while (scenario.cell_index, rep) == (0, 3) and not (tmp_path / "1-0").exists():
+                    assert time.monotonic() < deadline, "cell 1 never started while cell 0 was written"
+                    time.sleep(0.01)
+                super().write(scenario, rep, records)
+
         monkeypatch.setattr(orgsim.simulation, "run_replication", marked)
+        first, second = expand_grid(scenario(reps=60, horizon=6), structures=["k2"], incentives=["balanced"],
+                                    strategies=["utility", "benchmark"])
+        sink = SlowSink()
         with pytest.raises(InvariantViolation, match="forced"):
-            run_grid(expand_grid(scenario(reps=60, horizon=6), structures=["k2"], incentives=["balanced"],
-                                 strategies=["utility", "benchmark"]), jobs=2)
+            run_grid([replace(first, reps=4), second], jobs=2, trades=sink)
+        assert [(s.cell_index, rep) for s, rep, _ in sink.calls] == [(0, rep) for rep in range(4)]
         started = sorted(path.name for path in tmp_path.iterdir())
-        assert "0-0" in started
-        # Rep 0, what each worker picks up next, and the jobs + 1 calls already
-        # queued for the workers; without cancellation all 60 of the cell would run.
-        assert len(started) <= 8, started
+        assert "1-0" in started
+        # Cell 0's 4 reps, plus the cell 1 reps submitted while they were read
+        # (at most the in-flight bound); without cancellation all 60 of cell 1 would run.
+        assert len(started) <= 4 + orgsim.simulation.IN_FLIGHT_PER_WORKER * 2, started
 
 
 class TestWriters:
@@ -454,36 +521,46 @@ class TestWriters:
         assert cell["dependencies"]["0"] == [1, 2]
 
     def test_trades_csv(self, tmp_path):
-        result = run_experiment(scenario(horizon=40, seed=2), collect_trades=True)
+        config = scenario(horizon=40, seed=2)
         path = tmp_path / "trades.csv"
-        write_trades_csv([result], path)
+        with write_trades_csv(path) as trades:
+            run_experiment(config, trades=trades)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["rep", "period", "decision", "seller", "winner", "winning_bid", "price", "strategy"]
-        assert len(rows) == 1 + len(result.trades)
+        assert len(rows) == 1 + sum(len(run_replication(config, rep).trades) for rep in range(config.reps))
         for row in rows[1:]:
             assert int(row[1]) % 5 == 0
             assert row[7] == "utility"
             assert float(row[6]) <= float(row[5]) or math.isclose(float(row[6]), float(row[5]))
 
     def test_trades_csv_grid_gets_cell_column(self, tmp_path):
-        results = run_grid(expand_grid(scenario(horizon=10, seed=2), structures=["k2"], incentives=["balanced"],
-                                       strategies=["utility", "interdependence"]), collect_trades=True)
         path = tmp_path / "trades.csv"
-        write_trades_csv(results, path)
+        with write_trades_csv(path, grid=True) as trades:
+            run_grid(expand_grid(scenario(horizon=10, seed=2), structures=["k2"], incentives=["balanced"],
+                                 strategies=["utility", "interdependence"]), trades=trades)
         with open(path, newline="") as fh:
             header = next(csv.reader(fh))
         assert header[0] == "cell"
 
-    def test_trades_csv_requires_collection(self, tmp_path):
-        result = run_experiment(scenario())
-        with pytest.raises(ValueError, match="collect_trades"):
-            write_trades_csv([result], tmp_path / "trades.csv")
+    @pytest.mark.parametrize("writer, sink", [(write_trades_csv, "trades"), (write_beliefs_csv, "beliefs")])
+    def test_ledger_appears_only_when_complete(self, tmp_path, writer, sink):
+        path = tmp_path / "ledger.csv"
+        with writer(path) as ledger:
+            run_experiment(scenario(horizon=10), **{sink: ledger})
+            assert not path.exists()
+        complete = path.read_bytes()
+        assert complete.count(b"\n") > 1
+        with pytest.raises(RuntimeError, match="stop"):
+            with writer(path):
+                raise RuntimeError("stop")
+        assert [p.name for p in tmp_path.iterdir()] == ["ledger.csv"]
+        assert path.read_bytes() == complete
 
     def test_beliefs_csv(self, tmp_path):
-        result = run_experiment(scenario(horizon=10), collect_beliefs=True)
         path = tmp_path / "beliefs.csv"
-        write_beliefs_csv([result], path)
+        with write_beliefs_csv(path) as beliefs:
+            run_experiment(scenario(horizon=10), beliefs=beliefs)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["rep", "period", "agent", "i", "j", "p", "q", "belief"]
