@@ -144,10 +144,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from None
 
-    grid = len(cells) > 1
     with ExitStack() as ledgers:
-        trades = ledgers.enter_context(write_trades_csv(out / "trades.csv", grid)) if "trades" in emit else None
-        beliefs = ledgers.enter_context(write_beliefs_csv(out / "beliefs.csv", grid)) if "beliefs" in emit else None
+        trades = ledgers.enter_context(write_trades_csv(out / "trades.csv", cells)) if "trades" in emit else None
+        beliefs = ledgers.enter_context(write_beliefs_csv(out / "beliefs.csv", cells)) if "beliefs" in emit else None
         results = run_grid(cells, jobs=args.jobs, trades=trades, beliefs=beliefs)
 
     written = []

@@ -525,20 +525,6 @@ class LedgerSink(Protocol):
 IN_FLIGHT_PER_WORKER = 4
 
 
-def _require_valid(scenario: ScenarioConfig) -> None:
-    problems = scenario.validate()
-    if problems:
-        raise ConfigError("invalid scenario: " + "; ".join(problems))
-
-
-def _tasks(scenarios: Sequence[ScenarioConfig], want_trades: bool, want_beliefs: bool):
-    """Every (cell, rep) task of a run, in that order; a cell is validated before its first task."""
-    for scenario in scenarios:
-        _require_valid(scenario)
-        for rep in range(scenario.reps):
-            yield scenario, rep, want_trades, want_beliefs
-
-
 def _replication_payload(task: tuple[ScenarioConfig, int, bool, bool]):
     scenario, rep, want_trades, want_beliefs = task
     result = run_replication(scenario, rep, collect_beliefs=want_beliefs)
@@ -558,11 +544,16 @@ def _in_order(executor: ProcessPoolExecutor, tasks, limit: int):
 def _replications(scenarios: Sequence[ScenarioConfig], jobs: int, want_trades: bool, want_beliefs: bool):
     """Yield an iterator over the payloads of every (cell, rep) of ``scenarios``, in that order.
 
-    The run has one pool of ``min(jobs, total reps)`` workers, or none when
-    that is 1: then each payload is computed as it is read. A raising body
-    cancels the submitted work.
+    Every cell is validated before any work starts. The run has one pool of
+    ``min(jobs, total reps)`` workers, or none when that is 1: then each
+    payload is computed as it is read. A raising body cancels the submitted
+    work.
     """
-    tasks = _tasks(scenarios, want_trades, want_beliefs)
+    for scenario in scenarios:
+        problems = scenario.validate()
+        if problems:
+            raise ConfigError("invalid scenario: " + "; ".join(problems))
+    tasks = ((scenario, rep, want_trades, want_beliefs) for scenario in scenarios for rep in range(scenario.reps))
     workers = min(jobs, sum(scenario.reps for scenario in scenarios))
     if workers <= 1:
         yield map(_replication_payload, tasks)
@@ -590,9 +581,8 @@ def run_experiment(
     No more workers start than there are replications. Each replication's
     trades and belief snapshots go to the ``trades`` and ``beliefs`` sinks as
     it arrives, in rep order; neither is kept. ``run_grid`` hands over its
-    run-wide payload stream as ``_payloads``.
+    run-wide payload stream, whose cells it has validated, as ``_payloads``.
     """
-    _require_valid(scenario)
     with nullcontext(_payloads) if _payloads is not None else _replications(
         [scenario], jobs, trades is not None, beliefs is not None
     ) as payloads:
@@ -664,7 +654,9 @@ def write_metadata_json(results: Sequence[ExperimentResult], path: str | Path) -
 class _Ledger:
     """A CSV ledger written one replication at a time.
 
-    Grid runs prefix a ``cell`` column so rows from different cells stay
+    A ledger is opened for the cells of one run; a replication of a cell
+    outside that run raises ``ValueError``. A run of more than one cell
+    prefixes a ``cell`` column so rows from different cells stay
     distinguishable. The header and a row's leading ``cell`` and ``rep``
     fields go through ``csv.writer``, because a ``file:`` stem may need
     quoting; the remaining fields are numbers and a strategy name, which
@@ -674,14 +666,18 @@ class _Ledger:
 
     header: tuple[str, ...] = ()
 
-    def __init__(self, fh: TextIO, grid: bool) -> None:
+    def __init__(self, fh: TextIO, cells: Sequence[ScenarioConfig]) -> None:
         self._fh = fh
-        self._grid = grid
-        csv.writer(fh, lineterminator="\n").writerow(("cell", *self.header) if grid else self.header)
+        self._cells = frozenset(scenario.cell for scenario in cells)
+        self._grid = len(cells) > 1
+        csv.writer(fh, lineterminator="\n").writerow(("cell", *self.header) if self._grid else self.header)
 
     def write(self, scenario: ScenarioConfig, rep: int, records: list) -> None:
+        cell = scenario.cell
+        if cell not in self._cells:
+            raise ValueError(f"ledger opened for cells {sorted(self._cells)} got a replication of cell {cell!r}")
         lead = io.StringIO()
-        csv.writer(lead, lineterminator="\n").writerow([scenario.cell, rep, ""] if self._grid else [rep, ""])
+        csv.writer(lead, lineterminator="\n").writerow([cell, rep, ""] if self._grid else [rep, ""])
         self._fh.write(self._rows(lead.getvalue()[:-1], scenario, records))
 
 
@@ -709,14 +705,16 @@ class _BeliefText(dict):
 class _BeliefsLedger(_Ledger):
     header = ("rep", "period", "agent", "i", "j", "p", "q", "belief")
 
-    def __init__(self, fh: TextIO, grid: bool) -> None:
-        super().__init__(fh, grid)
+    def __init__(self, fh: TextIO, cells: Sequence[ScenarioConfig]) -> None:
+        super().__init__(fh, cells)
         self._text = _BeliefText()
 
     def _rows(self, lead: str, scenario: ScenarioConfig, snapshots: list[tuple[int, list[BeliefCounters]]]) -> str:
         n = scenario.n
         off_diagonal = ~np.eye(n, dtype=bool)  # row-major (i, j) pairs with i != j
         pairs = [f"{i},{j}," for i in range(n) for j in range(n) if i != j]
+        if not pairs:  # n = 1: no off-diagonal counters, so no rows
+            return ""
         text = self._text
         parts = []
         for period, counters_by_agent in snapshots:
@@ -729,7 +727,7 @@ class _BeliefsLedger(_Ledger):
 
 
 @contextmanager
-def _ledger(path: str | Path, kind: type[_Ledger], grid: bool):
+def _ledger(path: str | Path, kind: type[_Ledger], cells: Sequence[ScenarioConfig]):
     """Write ``path`` under a temporary name and move it into place only when the body completes.
 
     A run that fails part way leaves no ledger that looks complete.
@@ -738,20 +736,20 @@ def _ledger(path: str | Path, kind: type[_Ledger], grid: bool):
     partial = path.with_name(path.name + ".partial")
     try:
         with open(partial, "w", encoding="utf-8", newline="") as fh:
-            yield kind(fh, grid)
+            yield kind(fh, cells)
     except BaseException:
         partial.unlink(missing_ok=True)
         raise
     os.replace(partial, path)
 
 
-def write_trades_csv(path: str | Path, grid: bool = False):
-    """Trade ledger at ``path``: a context manager yielding the ``trades`` sink of ``run_experiment`` or
-    ``run_grid``. ``grid`` adds the leading ``cell`` column that multi-cell runs carry."""
-    return _ledger(path, _TradesLedger, grid)
+def write_trades_csv(path: str | Path, cells: Sequence[ScenarioConfig]):
+    """Trade ledger at ``path`` for a run of ``cells``: a context manager yielding the ``trades`` sink of
+    ``run_experiment`` or ``run_grid``. More than one cell adds a leading ``cell`` column."""
+    return _ledger(path, _TradesLedger, cells)
 
 
-def write_beliefs_csv(path: str | Path, grid: bool = False):
-    """Belief counter dump at ``path``: a context manager yielding the ``beliefs`` sink of ``run_experiment``
-    or ``run_grid``. ``grid`` adds the leading ``cell`` column that multi-cell runs carry."""
-    return _ledger(path, _BeliefsLedger, grid)
+def write_beliefs_csv(path: str | Path, cells: Sequence[ScenarioConfig]):
+    """Belief counter dump at ``path`` for a run of ``cells``: a context manager yielding the ``beliefs`` sink
+    of ``run_experiment`` or ``run_grid``. More than one cell adds a leading ``cell`` column."""
+    return _ledger(path, _BeliefsLedger, cells)

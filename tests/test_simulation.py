@@ -1,6 +1,7 @@
 """Replication engine, aggregation, grids, and serialization."""
 
 import csv
+import io
 import json
 import math
 import multiprocessing
@@ -300,6 +301,8 @@ class TestRunExperiment:
     def test_validates_first(self):
         with pytest.raises(ConfigError, match="tau"):
             run_experiment(scenario(tau=1))
+        with pytest.raises(ConfigError, match="reps"):
+            run_experiment(scenario(reps=0))
 
     def test_result_keeps_no_ledger_and_sinks_get_each_rep_once(self):
         config = scenario(horizon=10)
@@ -429,6 +432,14 @@ class TestRunGrid:
         assert max(pool_log.in_flight) == bound
         assert [(s.cell_index, rep) for s, rep, _ in sink.calls] == [(c, rep) for c in (0, 1) for rep in range(6)]
 
+    def test_every_cell_is_validated_before_any_work(self, inline_executor, pool_log):
+        valid, invalid = expand_grid(scenario(horizon=6), structures=["k2"], incentives=["balanced"],
+                                     strategies=["utility", "benchmark"])
+        sink = Recorder()
+        with pytest.raises(ConfigError, match="tau"):
+            run_grid([valid, replace(invalid, tau=1)], jobs=2, trades=sink)
+        assert (inline_executor, pool_log.submitted, sink.calls) == ([], 0, [])
+
     def test_grid_runs_on_one_pool(self, inline_executor):
         axes = dict(structures=["k2", "k5"], incentives=["balanced"], strategies=["utility", "benchmark"])
         results = run_grid(expand_grid(scenario(reps=3, horizon=6), **axes), jobs=2)
@@ -439,6 +450,7 @@ class TestRunGrid:
             assert np.array_equal(parallel.mean_norm_perf, expected.mean_norm_perf)
 
     def test_failure_cancels_queued_replications(self, monkeypatch, tmp_path):
+        """Cell 1 fails while cell 0's rows are still being written; cell 1's queued replications never start."""
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("workers see the patched module global only when forked")
         real = orgsim.simulation.run_replication
@@ -462,6 +474,8 @@ class TestRunGrid:
                 super().write(scenario, rep, records)
 
         monkeypatch.setattr(orgsim.simulation, "run_replication", marked)
+        # Submit all 60 tasks at once, so only cancellation keeps cell 1's queued replications from starting.
+        monkeypatch.setattr(orgsim.simulation, "IN_FLIGHT_PER_WORKER", 30)
         first, second = expand_grid(scenario(reps=60, horizon=6), structures=["k2"], incentives=["balanced"],
                                     strategies=["utility", "benchmark"])
         sink = SlowSink()
@@ -470,9 +484,10 @@ class TestRunGrid:
         assert [(s.cell_index, rep) for s, rep, _ in sink.calls] == [(0, rep) for rep in range(4)]
         started = sorted(path.name for path in tmp_path.iterdir())
         assert "1-0" in started
-        # Cell 0's 4 reps, plus the cell 1 reps submitted while they were read
-        # (at most the in-flight bound); without cancellation all 60 of cell 1 would run.
-        assert len(started) <= 4 + orgsim.simulation.IN_FLIGHT_PER_WORKER * 2, started
+        # Cell 0's 4 reps and cell 1's rep 0, what each worker picks up next, the
+        # jobs + 1 calls already queued for the workers, and a little slack;
+        # without cancellation all 56 queued reps of cell 1 would run.
+        assert len(started) <= 4 + 8, started
 
 
 class TestWriters:
@@ -523,7 +538,7 @@ class TestWriters:
     def test_trades_csv(self, tmp_path):
         config = scenario(horizon=40, seed=2)
         path = tmp_path / "trades.csv"
-        with write_trades_csv(path) as trades:
+        with write_trades_csv(path, [config]) as trades:
             run_experiment(config, trades=trades)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -536,31 +551,44 @@ class TestWriters:
 
     def test_trades_csv_grid_gets_cell_column(self, tmp_path):
         path = tmp_path / "trades.csv"
-        with write_trades_csv(path, grid=True) as trades:
-            run_grid(expand_grid(scenario(horizon=10, seed=2), structures=["k2"], incentives=["balanced"],
-                                 strategies=["utility", "interdependence"]), trades=trades)
+        cells = expand_grid(scenario(horizon=10, seed=2), structures=["k2"], incentives=["balanced"],
+                            strategies=["utility", "interdependence"])
+        with write_trades_csv(path, cells) as trades:
+            run_grid(cells, trades=trades)
         with open(path, newline="") as fh:
             header = next(csv.reader(fh))
         assert header[0] == "cell"
 
+    @pytest.mark.parametrize("writer", [write_trades_csv, write_beliefs_csv])
+    def test_ledger_rejects_a_cell_it_was_not_opened_for(self, tmp_path, writer):
+        first, second = expand_grid(scenario(horizon=10), structures=["k2"], incentives=["balanced"],
+                                    strategies=["utility", "interdependence"])
+        with pytest.raises(ValueError, match="k2-balanced-interdependence"):
+            with writer(tmp_path / "ledger.csv", [first]) as ledger:
+                ledger.write(first, 0, [])
+                ledger.write(second, 0, [])
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("writer, sink", [(write_trades_csv, "trades"), (write_beliefs_csv, "beliefs")])
     def test_ledger_appears_only_when_complete(self, tmp_path, writer, sink):
         path = tmp_path / "ledger.csv"
-        with writer(path) as ledger:
-            run_experiment(scenario(horizon=10), **{sink: ledger})
+        config = scenario(horizon=10)
+        with writer(path, [config]) as ledger:
+            run_experiment(config, **{sink: ledger})
             assert not path.exists()
         complete = path.read_bytes()
         assert complete.count(b"\n") > 1
         with pytest.raises(RuntimeError, match="stop"):
-            with writer(path):
+            with writer(path, [config]):
                 raise RuntimeError("stop")
         assert [p.name for p in tmp_path.iterdir()] == ["ledger.csv"]
         assert path.read_bytes() == complete
 
     def test_beliefs_csv(self, tmp_path):
         path = tmp_path / "beliefs.csv"
-        with write_beliefs_csv(path) as beliefs:
-            run_experiment(scenario(horizon=10), beliefs=beliefs)
+        config = scenario(horizon=10)
+        with write_beliefs_csv(path, [config]) as beliefs:
+            run_experiment(config, beliefs=beliefs)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["rep", "period", "agent", "i", "j", "p", "q", "belief"]
@@ -570,3 +598,38 @@ class TestWriters:
             p, q = int(row[5]), int(row[6])
             assert p >= 1 and q >= 1
             assert float(row[7]) == p / (p + q)
+
+    def test_beliefs_csv_matches_a_row_by_row_writer(self, tmp_path):
+        """Text-built rows equal csv.writer rows, down to n = 1, where an agent has no pair to report."""
+        cells = []
+        for index, n in enumerate((1, 2, 6)):
+            matrix = tmp_path / f"n{n}.txt"
+            matrix.write_text(f"{n}\n" + "".join(" ".join(["1"] * n) + "\n" for _ in range(n)))
+            cells.append(scenario(structure=f"file:{matrix}", n=n, m=1, capacity=n, incentive=INDIVIDUALISTIC,
+                                  tau=2, horizon=6, reps=2, cell_index=index))
+        for run in [[cell] for cell in cells] + [cells]:
+            path = tmp_path / "beliefs.csv"
+            with write_beliefs_csv(path, run) as beliefs:
+                run_grid(run, beliefs=beliefs)
+            assert path.read_text() == row_by_row_beliefs_csv(run)
+        assert row_by_row_beliefs_csv(cells[:1]) == "rep,period,agent,i,j,p,q,belief\n"
+
+
+def row_by_row_beliefs_csv(cells) -> str:
+    """beliefs.csv for ``cells`` built one csv.writer row at a time from fresh replications."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    grid = len(cells) > 1
+    header = ["rep", "period", "agent", "i", "j", "p", "q", "belief"]
+    writer.writerow(["cell", *header] if grid else header)
+    for config in cells:
+        prefix = [config.cell] if grid else []
+        for rep in range(config.reps):
+            for period, counters_by_agent in run_replication(config, rep, collect_beliefs=True).belief_snapshots:
+                for agent_id, counters in enumerate(counters_by_agent):
+                    for i in range(config.n):
+                        for j in range(config.n):
+                            if i != j:
+                                p, q = int(counters.p[i, j]), int(counters.q[i, j])
+                                writer.writerow([*prefix, rep, period, agent_id, i, j, p, q, repr(p / (p + q))])
+    return text.getvalue()
