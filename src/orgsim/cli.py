@@ -133,16 +133,22 @@ def print_summary(results: list[ExperimentResult]) -> None:
         print(row)
 
 
+def output_dir(path: str) -> Path:
+    """Create the output directory ``path`` (and its parents) if needed, before any work starts."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
+    return out
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     cells = load_cells(args)
     emit = parse_emit(args.emit)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory: {exc}") from None
+    out = output_dir(args.out)
 
     with ExitStack() as ledgers:
         trades = ledgers.enter_context(write_trades_csv(out / "trades.csv", cells)) if "trades" in emit else None
@@ -177,6 +183,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     matrix = random_matrix(args.n, args.k, rng)
     landscape = generate_landscape(matrix, rng)
     report = oracle_report(landscape)
+    out = output_dir(args.out) if args.out else None
 
     print(f"n={report['n']} seed={args.seed} k={args.k}")
     for j in range(report["n"]):
@@ -190,9 +197,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     optimum = report["optimum"]
     print(f"optimum config={optimum['config']} performance={optimum['performance']!r}")
 
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         with open(out / "oracle.json", "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")

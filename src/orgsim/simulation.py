@@ -22,12 +22,22 @@ Randomness is split into per-role streams seeded as
 replication is therefore self-contained: results are byte-identical no matter
 how replications are distributed over worker processes.
 
-The period loop is hand-inlined for speed (table lookups on plain lists, no
-array allocation per agent). A proposal's verdict depends only on the
-configuration, the ownership and the incentive weights, so it is cached per
-flipped decision and dropped only when a flip lands or an auction clears. One
-``integers(0, highs)`` call draws the hillclimb positions up to the next
-auction or the horizon, exactly like one scalar draw per agent and period.
+The period loop keeps incremental index state. ``idx[j]`` is decision j's
+current index into its contribution table, and a flip of f XORs one
+precomputed bit into ``idx[j]`` for each dependent j of f, so a proposal reads
+only its dependents' candidate entries and a landed flip refreshes only their
+contributions. A proposal's verdict comes from the local utility change Δ over
+those dependents; when |Δ| is within ``VERDICT_GUARD``, a bound on the rounding
+of the full sums, the two full utilities decide instead, so every verdict is
+the one the full float comparison gives. Performance stays the full
+ascending-j sum. A verdict depends only on the configuration, the ownership
+and the incentive weights, so it is cached per flipped decision and dropped
+only when a flip lands or an auction clears. One ``integers(0, highs)`` call
+draws the hillclimb positions up to the next auction or the horizon, exactly
+like one scalar draw per agent and period. A period that lands no flip with
+every decision's verdict cached is stalled: each cached verdict is "no", so the
+rest of the interval repeats its performance and sizes, and is recorded
+without a pass over the agents (belief snapshots included).
 ``tests/test_simulation.py`` and ``tests/test_properties.py`` pin the loop to
 the op-composed reference replication, to exact float equality.
 
@@ -87,7 +97,7 @@ from .landscape import (
     load_matrix,
 )
 from .learning import BeliefCounters, init_beliefs, update_beliefs
-from .organization import AgentState, IncentiveScheme, initial_allocation, mirrored_allocation
+from .organization import AgentState, IncentiveScheme, agent_utility, initial_allocation, mirrored_allocation
 
 STRATEGY_BENCHMARK = "benchmark"
 STRATEGIES = (STRATEGY_UTILITY, STRATEGY_INTERDEPENDENCE, STRATEGY_BENCHMARK)
@@ -111,6 +121,17 @@ ROLE_NAMES = {
 
 # z-value for the 99 percent confidence interval.
 CI99_Z = 2.576
+
+# A hillclimb verdict is the float comparison of two utilities, each a
+# weighted mean of at most 25 contributions in [0, 1) summed in ascending
+# order. A sequential sum of n such terms is off by at most (n - 1)·u·n ≈ 7e-14,
+# u being the unit roundoff (Higham 2002, Accuracy and Stability of Numerical
+# Algorithms, §4.2), so after the divisions and weights the two utilities are
+# within 1.5e-13 of their exact values together. The local change Δ, summed
+# over the flipped decision's dependents only, is within 1e-13 of its own.
+# When |Δ| exceeds the guard, the sign of Δ is the verdict the full sums give;
+# otherwise the full sums decide.
+VERDICT_GUARD = 1e-12
 
 GRID_STRUCTURES = (STRUCTURE_K2, STRUCTURE_K5)
 GRID_INCENTIVES = ("individualistic", "balanced", "altruistic")
@@ -332,11 +353,12 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
     """Run one replication; see the module docstring for the period semantics."""
     matrix = scenario.matrix
     n, m = scenario.n, scenario.m
-    tau = scenario.tau
+    tau, horizon = scenario.tau, scenario.horizon
     sigma = scenario.sigma
     strategy = scenario.strategy
-    auction_every = scenario.horizon + 1 if strategy == STRATEGY_BENCHMARK else tau  # benchmark: never
-    alpha, beta = scenario.incentive.alpha, scenario.incentive.beta
+    auction_every = horizon + 1 if strategy == STRATEGY_BENCHMARK else tau  # benchmark: never
+    incentive = scenario.incentive
+    alpha, beta = incentive.alpha, incentive.beta
 
     rng_land = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_LANDSCAPE)
     rng_init = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_INIT)
@@ -354,35 +376,39 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
     agents = [AgentState(a, owned_lists[a], caps[a], init_beliefs(n)) for a in range(m)]
     bits = [int(b) for b in rng_init.integers(0, 2, size=n)]
 
-    # Hot-loop views of the landscape: plain lists beat ndarray indexing here.
-    orders = land.orders
+    # Index state: idx[j] indexes tables[j] under the current configuration, and
+    # a flip of f XORs bit into idx[j] for each (j, bit) in masks[f], that is for
+    # every j in dependents[f], ascending.
     tables = [table.tolist() for table in land.tables]
-    dependents = [matrix.dependents(i) for i in range(n)]
-
-    def contribution(j: int) -> float:
+    masks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    idx = []
+    for j, order in enumerate(land.orders):
         index = 0
-        for i in orders[j]:
+        for pos, i in enumerate(order):
+            masks[i].append((j, 1 << (len(order) - 1 - pos)))
             index = (index << 1) | bits[i]
-        return tables[j][index]
-
-    def utility(values: list[float], owned: list[int], aid: int) -> float:
-        own_sum = 0.0
-        for d in owned:
-            own_sum += values[d]
-        res_sum = 0.0
-        for d in range(n):
-            if owner[d] != aid:
-                res_sum += values[d]
-        n_res = n - len(owned)
-        return alpha * (own_sum / len(owned)) + beta * (res_sum / n_res if n_res else 0.0)
+        idx.append(index)
+    contribs = [tables[j][idx[j]] for j in range(n)]
 
     def improves(agent: AgentState, flip: int) -> bool:
-        candidate = contribs.copy()
+        aid = agent.id
+        own_delta = res_delta = 0.0
+        for j, bit in masks[flip]:
+            change = tables[j][idx[j] ^ bit] - contribs[j]
+            if owner[j] == aid:
+                own_delta += change
+            else:
+                res_delta += change
+        n_own = len(agent.owned)
+        delta = alpha * own_delta / n_own + (beta * res_delta / (n - n_own) if n_own < n else 0.0)
+        if abs(delta) > VERDICT_GUARD:
+            return delta > 0.0
+        # Too close to call from the local change: compare the full sums, as hillclimb_step does.
+        status_quo = agent_utility(agent, land, bits, incentive)
         bits[flip] ^= 1
-        for j in dependents[flip]:
-            candidate[j] = contribution(j)
+        challenger = agent_utility(agent, land, bits, incentive)
         bits[flip] ^= 1
-        return utility(candidate, agent.owned, agent.id) > utility(contribs, agent.owned, agent.id)
+        return challenger > status_quo
 
     def total() -> float:
         value = 0.0
@@ -391,7 +417,6 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
         return value / n
 
     owner = [0] * n
-    contribs = [contribution(j) for j in range(n)]
     current_performance = total()
     verdicts: dict[int, bool] = {}
     positions = None
@@ -403,7 +428,9 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
     snapshots: list[tuple[int, list[BeliefCounters]]] = []
     observations = [0] * m
 
-    for t in range(1, scenario.horizon + 1):
+    t = 1
+    while t <= horizon:
+        through = t  # the last period this pass records
         if t % auction_every == 0:
             offers = []
             for agent in agents:
@@ -425,7 +452,7 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
                     for d in agent.owned:
                         owner[d] = agent.id
                 verdicts.clear()
-                last = min(scenario.horizon, (t // auction_every + 1) * auction_every - 1)
+                last = min(horizon, (t // auction_every + 1) * auction_every - 1)
                 positions = iter(rng_hc.integers(0, current_sizes * (last - t + 1)).tolist())
             flips: list[tuple[AgentState, int]] = []
             for agent in agents:
@@ -437,10 +464,12 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
                     flips.append((agent, flip))
 
             if flips:
-                previous = contribs
+                previous = contribs.copy()
                 for _, flip in flips:
                     bits[flip] ^= 1
-                contribs = [contribution(j) for j in range(n)]
+                    for j, bit in masks[flip]:
+                        idx[j] ^= bit
+                        contribs[j] = tables[j][idx[j]]
                 current_performance = total()
                 verdicts.clear()
                 for agent, flip in flips:
@@ -448,12 +477,16 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
                     after = {j: contribs[j] for j in agent.owned}
                     update_beliefs(agent, flip, before, after)
                     observations[agent.id] += len(agent.owned) - 1
+            elif len(verdicts) == n:
+                # Stalled: every proposal is a cached "no", so nothing changes until the interval ends.
+                through = last
 
-        performance.append(current_performance)
-        sizes.append(current_sizes)
-
-        if collect_beliefs and (t % tau == 0 or t == scenario.horizon):
-            snapshots.append((t, [agent.beliefs.copy() for agent in agents]))
+        for s in range(t, through + 1):
+            performance.append(current_performance)
+            sizes.append(current_sizes)
+            if collect_beliefs and (s % tau == 0 or s == horizon):
+                snapshots.append((s, [agent.beliefs.copy() for agent in agents]))
+        t = through + 1
 
     result = ReplicationResult(
         np.array(performance, dtype=np.float64), np.array(sizes), trades, agents, observations, optimum, snapshots

@@ -3,7 +3,8 @@
 ``reference_replication`` re-derives a full replication purely from the public
 ops (hillclimb_step, assemble_configuration, update_beliefs, clear_auction,
 performance), consuming generator draws in the documented order. The engine's
-optimized loop must match it to exact float equality.
+optimized loop must match it to exact float equality; ``assert_matches_reference``
+checks that for one replication.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from orgsim import (
     mirrored_allocation,
     performance,
     replication_rng,
+    run_replication,
     select_offer_interdependence,
     select_offer_utility,
     update_beliefs,
@@ -53,8 +55,10 @@ def k0_landscape(values):
 def reference_replication(scenario: ScenarioConfig, rep_index: int):
     """Slow twin of orgsim.simulation.run_replication, composed from public ops.
 
-    Returns ``(performance, normalized, sizes, trades, agents)``, the arrays
-    shaped like ``ReplicationResult``'s.
+    Returns ``(performance, normalized, sizes, trades, agents, snapshots)``, the
+    arrays shaped like ``ReplicationResult``'s and ``snapshots`` holding the
+    belief counters at ``t % tau == 0`` and at the horizon, like
+    ``belief_snapshots``.
     """
     matrix = scenario.matrix
     rng_land = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_LANDSCAPE)
@@ -76,6 +80,7 @@ def reference_replication(scenario: ScenarioConfig, rep_index: int):
     normalized = []
     sizes = []
     trades = []
+    snapshots = []
     for t in range(1, scenario.horizon + 1):
         if t % scenario.tau == 0 and scenario.strategy != STRATEGY_BENCHMARK:
             offers = []
@@ -106,4 +111,25 @@ def reference_replication(scenario: ScenarioConfig, rep_index: int):
         performance_series.append(perf)
         normalized.append(perf / land.optimum_performance)
         sizes.append([len(a.owned) for a in agents])
-    return np.array(performance_series), np.array(normalized), np.array(sizes), trades, agents
+        if t % scenario.tau == 0 or t == scenario.horizon:
+            snapshots.append((t, [a.beliefs.copy() for a in agents]))
+    return np.array(performance_series), np.array(normalized), np.array(sizes), trades, agents, snapshots
+
+
+def assert_matches_reference(scenario: ScenarioConfig, rep_index: int) -> None:
+    """``run_replication`` with belief snapshots equals ``reference_replication``, float for float."""
+    engine = run_replication(scenario, rep_index, collect_beliefs=True)
+    performance_series, normalized, sizes, trades, agents, snapshots = reference_replication(scenario, rep_index)
+    assert np.array_equal(engine.performance, performance_series)
+    assert np.array_equal(engine.normalized_series, normalized)
+    assert np.array_equal(engine.sizes, sizes)
+    assert engine.trades == trades
+    for mine, theirs in zip(engine.agents, agents, strict=True):
+        assert mine.owned == theirs.owned
+        assert np.array_equal(mine.beliefs.p, theirs.beliefs.p)
+        assert np.array_equal(mine.beliefs.q, theirs.beliefs.q)
+    assert [t for t, _ in engine.belief_snapshots] == [t for t, _ in snapshots]
+    for (_, mine), (_, theirs) in zip(engine.belief_snapshots, snapshots):
+        for counters, expected in zip(mine, theirs, strict=True):
+            assert np.array_equal(counters.p, expected.p)
+            assert np.array_equal(counters.q, expected.q)

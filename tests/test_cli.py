@@ -348,6 +348,15 @@ class TestOracleCommand:
         report = json.loads((out / "oracle.json").read_text())
         assert len(report["configs"]) == 4
 
+    def test_out_on_a_file_fails_before_work(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert main(["oracle", "--n", "2", "--k", "0", "--out", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert "error: cannot create output directory" in captured.err
+        assert captured.out == ""
+        assert taken.read_text() == "not a directory\n"
+
     def test_size_guard(self, capsys):
         code = main(["oracle", "--n", "25"])
         assert code == 2

@@ -32,8 +32,10 @@ from orgsim import (
 )
 from orgsim.cli import main
 from orgsim.simulation import ROLE_HILLCLIMB
-from orgsim.landscape import DECOMPOSABLE_K2, build_stylized_matrix
-from helpers import reference_replication
+from orgsim.landscape import DECOMPOSABLE_K2, Landscape, build_stylized_matrix, global_optimum
+from orgsim.organization import agent_utility
+import helpers
+from helpers import assert_matches_reference
 
 BALANCED = IncentiveScheme.from_name("balanced")
 INDIVIDUALISTIC = IncentiveScheme.from_name("individualistic")
@@ -260,16 +262,44 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c.cell}-seed{c.seed}")
     def test_engine_matches_reference(self, case):
         for rep in range(2):
-            engine = run_replication(case, rep)
-            ref_performance, ref_normalized, ref_sizes, ref_trades, ref_agents = reference_replication(case, rep)
-            assert np.array_equal(engine.performance, ref_performance)
-            assert np.array_equal(engine.normalized_series, ref_normalized)
-            assert np.array_equal(engine.sizes, ref_sizes)
-            assert engine.trades == ref_trades
-            for mine, theirs in zip(engine.agents, ref_agents):
-                assert mine.owned == theirs.owned
-                assert np.array_equal(mine.beliefs.p, theirs.beliefs.p)
-                assert np.array_equal(mine.beliefs.q, theirs.beliefs.q)
+            assert_matches_reference(case, rep)
+
+    @staticmethod
+    def count_full_recomputes(monkeypatch):
+        """Count the engine's full-sum verdicts: two ``agent_utility`` calls each."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return agent_utility(*args)
+
+        monkeypatch.setattr(orgsim.simulation, "agent_utility", counted)
+        return calls
+
+    def test_tied_tables_fall_back_to_full_sums(self, monkeypatch):
+        def tied_landscape(matrix, rng):
+            # Entries in {0.25, 0.5, 0.75}: many flips leave every dependent's contribution unchanged, so Δ is 0.
+            tables = [np.round(rng.random(1 << (matrix.k(j) + 1)) * 2) / 4 + 0.25 for j in range(matrix.n)]
+            land = Landscape(matrix=matrix, tables=tables)
+            land.optimum_config, land.optimum_performance = global_optimum(land)
+            return land
+
+        monkeypatch.setattr(orgsim.simulation, "generate_landscape", tied_landscape)
+        monkeypatch.setattr(helpers, "generate_landscape", tied_landscape)
+        calls = self.count_full_recomputes(monkeypatch)
+        for case in (scenario(), scenario(structure="k5", n=15, m=5, incentive=ALTRUISTIC, seed=12, horizon=60)):
+            for rep in range(2):
+                assert_matches_reference(case, rep)
+        assert calls
+
+    def test_every_verdict_from_full_sums(self, monkeypatch):
+        # |Δ| <= alpha + beta = 1, so a guard of 1.0 sends every verdict to the full sums.
+        monkeypatch.setattr(orgsim.simulation, "VERDICT_GUARD", 1.0)
+        calls = self.count_full_recomputes(monkeypatch)
+        case = scenario(structure="k5", n=15, m=5, incentive=INDIVIDUALISTIC, seed=13, horizon=60)
+        for rep in range(2):
+            assert_matches_reference(case, rep)
+        assert calls
 
 
 class TestAggregation:
