@@ -29,19 +29,21 @@ agents = [
     AgentState(2, [4, 5], capacity=3, beliefs=init_beliefs(6)),
 ]
 
+# the auction ops read this vector: contributions[j] is decision j's current contribution
+contributions = [contribution(land, config, j) for j in range(6)]
 print("current contributions (config all zeros):")
-for j in range(6):
-    print(f"  decision {j}: {contribution(land, config, j):.2f}")
+for j, value in enumerate(contributions):
+    print(f"  decision {j}: {value:.2f}")
 
 rng_tie = np.random.default_rng(5)
-offers = [select_offer_utility(agent, land, config, rng_tie) for agent in agents]
+offers = [select_offer_utility(agent, contributions, rng_tie) for agent in agents]
 print("\noffers (each agent sells its weakest contribution at that value as reserve):")
 for offer in offers:
     print(f"  agent {offer.seller} offers decision {offer.decision}, reserve {offer.min_price:.2f}")
 
 # sigma=0 makes bids equal the contribution each bidder observes
 trades = clear_auction(
-    offers, agents, "utility", land, config,
+    offers, agents, "utility", contributions,
     sigma=0.0, rng_noise=np.random.default_rng(0), rng_tie=rng_tie, period=25,
 )
 

@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolation
-from .landscape import Landscape, contribution
 from .learning import mean_external_belief, mean_internal_belief
 from .organization import AgentState
 
@@ -66,12 +65,12 @@ def _argmin_with_ties(decisions: Sequence[int], values: Sequence[float], rng: np
 
 
 def select_offer_utility(
-    agent: AgentState, landscape: Landscape, config: Sequence[int], rng_tie: np.random.Generator
+    agent: AgentState, contributions: Sequence[float], rng_tie: np.random.Generator
 ) -> Offer | None:
-    """Offer the owned decision with the lowest current contribution, reserve = that contribution."""
+    """Offer the owned decision d with the lowest ``contributions[d]``, reserve = that contribution."""
     if len(agent.owned) < 2:
         return None
-    values = [contribution(landscape, config, d) for d in agent.owned]
+    values = [contributions[d] for d in agent.owned]
     decision, low = _argmin_with_ties(agent.owned, values, rng_tie)
     return Offer(agent.id, decision, low)
 
@@ -88,12 +87,11 @@ def select_offer_interdependence(agent: AgentState, rng_tie: np.random.Generator
 def bid_utility(
     bidder: AgentState,
     offer: Offer,
-    landscape: Landscape,
-    config: Sequence[int],
+    contributions: Sequence[float],
     sigma: float,
     rng_noise: np.random.Generator,
 ) -> Bid | None:
-    """Bid the decision's current contribution plus N(0, sigma) noise; None when at capacity.
+    """Bid ``contributions[offer.decision]`` plus N(0, sigma) noise; None when at capacity.
 
     The noise is unclamped, so bids can leave [0, 1].
     """
@@ -101,7 +99,7 @@ def bid_utility(
         raise ValueError("sellers do not bid on their own offers")
     if len(bidder.owned) >= bidder.capacity:
         return None
-    amount = contribution(landscape, config, offer.decision) + rng_noise.normal(0.0, sigma)
+    amount = contributions[offer.decision] + rng_noise.normal(0.0, sigma)
     return Bid(bidder.id, offer.decision, float(amount))
 
 
@@ -118,8 +116,7 @@ def clear_auction(
     offers: Sequence[Offer],
     agents: Sequence[AgentState],
     strategy: str,
-    landscape: Landscape,
-    config: Sequence[int],
+    contributions: Sequence[float],
     sigma: float,
     rng_noise: np.random.Generator,
     rng_tie: np.random.Generator,
@@ -131,6 +128,8 @@ def clear_auction(
     eligibility (spare capacity) is re-evaluated against the running
     allocation, so a trade earlier in the pass can disqualify or qualify a
     bidder later in the pass. Bids are collected in agent id order.
+    ``contributions[d]`` is decision d's current contribution; only the
+    ``utility`` strategy reads it.
     """
     if strategy not in (STRATEGY_UTILITY, STRATEGY_INTERDEPENDENCE):
         raise ValueError(f"unknown auction strategy {strategy!r}")
@@ -149,7 +148,7 @@ def clear_auction(
             if bidder.id == offer.seller:
                 continue
             if strategy == STRATEGY_UTILITY:
-                bid = bid_utility(bidder, offer, landscape, config, sigma, rng_noise)
+                bid = bid_utility(bidder, offer, contributions, sigma, rng_noise)
             else:
                 bid = bid_interdependence(bidder, offer)
             if bid is not None:

@@ -179,6 +179,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     if args.n > ORACLE_MAX_N:
         raise ConfigError(f"oracle enumeration is limited to n <= {ORACLE_MAX_N}, got n={args.n}")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     matrix = random_matrix(args.n, args.k, rng)
     landscape = generate_landscape(matrix, rng)

@@ -22,6 +22,8 @@ from .errors import ConfigError
 
 DECOMPOSABLE_K2 = "decomposable_k2"
 NONDECOMPOSABLE_K5 = "nondecomposable_k5"
+# Both stylized structures are built from blocks of three decisions.
+BLOCK_SIZE = 3
 
 # Exhaustive optimum search is capped here; 2**25 configurations is the most
 # the chunked scan should ever be asked to sweep.
@@ -67,12 +69,8 @@ class InteractionMatrix:
         """Decisions other than ``j`` that ``j``'s contribution depends on, ascending."""
         return [int(i) for i in np.flatnonzero(self.entries[j]) if i != j]
 
-    def dependents(self, i: int) -> list[int]:
-        """Decisions whose contribution depends on ``i`` (includes ``i`` itself), ascending."""
-        return [int(j) for j in np.flatnonzero(self.entries[:, i])]
 
-
-def build_stylized_matrix(kind: str, n: int, block_size: int = 3) -> InteractionMatrix:
+def build_stylized_matrix(kind: str, n: int) -> InteractionMatrix:
     """Construct one of the two stylized interaction structures.
 
     ``decomposable_k2``: block-diagonal; each decision depends on exactly the
@@ -83,26 +81,24 @@ def build_stylized_matrix(kind: str, n: int, block_size: int = 3) -> Interaction
     offset past collisions with itself, its own block, or already chosen
     dependencies (K=5).
     """
-    if block_size != 3:
-        raise ConfigError(f"stylized structures are defined for block_size=3, got {block_size}")
-    if n < block_size or n % block_size != 0:
-        raise ConfigError(f"n={n} is not a positive multiple of block_size={block_size}")
+    if n < BLOCK_SIZE or n % BLOCK_SIZE != 0:
+        raise ConfigError(f"n={n} is not a positive multiple of the block size {BLOCK_SIZE}")
 
     entries = np.zeros((n, n), dtype=bool)
     for j in range(n):
-        block = j - (j % block_size)
-        entries[j, block:block + block_size] = True
+        block = j - (j % BLOCK_SIZE)
+        entries[j, block:block + BLOCK_SIZE] = True
 
     if kind == DECOMPOSABLE_K2:
         return InteractionMatrix(entries)
     if kind != NONDECOMPOSABLE_K5:
         raise ConfigError(f"unknown stylized structure {kind!r}")
 
-    if n < 2 * block_size:
-        raise ConfigError(f"nondecomposable_k5 needs n >= {2 * block_size}, got {n}")
+    if n < 2 * BLOCK_SIZE:
+        raise ConfigError(f"nondecomposable_k5 needs n >= {2 * BLOCK_SIZE}, got {n}")
     for j in range(n):
-        block = j - (j % block_size)
-        own_block = range(block, block + block_size)
+        block = j - (j % BLOCK_SIZE)
+        own_block = range(block, block + BLOCK_SIZE)
         for offset in (3, 6, 9):
             cand = (j + offset) % n
             # Walk forward past own-block members and duplicates; n >= 6

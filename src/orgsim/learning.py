@@ -17,7 +17,6 @@ dependencies on their own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -49,18 +48,15 @@ def belief(counters: BeliefCounters, i: int, j: int) -> float:
     return p / (p + q)
 
 
-def update_beliefs(agent, flipped: int, before: Mapping[int, float], after: Mapping[int, float]) -> None:
+def update_beliefs(agent, flipped: int, before: list[float], after: list[float]) -> None:
     """Book one own-flip observation round for ``agent``.
 
-    ``before`` and ``after`` map the agent's owned decisions to their
-    contribution values in the previous and the current period. Exactly one
-    counter per owned decision other than ``flipped`` is incremented.
+    ``before[j]`` and ``after[j]`` are decision j's contribution in the
+    previous and the current period; only the agent's owned entries are read.
+    Exactly one counter per owned decision other than ``flipped`` is incremented.
     """
     if flipped not in agent.owned:
         raise ValueError(f"agent {agent.id} does not own decision {flipped}")
-    owned = set(agent.owned)
-    if set(before) != owned or set(after) != owned:
-        raise ValueError("contribution maps must cover exactly the agent's owned decisions")
     counters = agent.beliefs
     for j in agent.owned:
         if j == flipped:

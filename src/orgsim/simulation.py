@@ -435,12 +435,12 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
             offers = []
             for agent in agents:
                 if strategy == STRATEGY_UTILITY:
-                    offer = select_offer_utility(agent, land, bits, rng_tie)
+                    offer = select_offer_utility(agent, contribs, rng_tie)
                 else:
                     offer = select_offer_interdependence(agent, rng_tie)
                 if offer is not None:
                     offers.append(offer)
-            round_trades = clear_auction(offers, agents, strategy, land, bits, sigma, rng_noise, rng_tie, t)
+            round_trades = clear_auction(offers, agents, strategy, contribs, sigma, rng_noise, rng_tie, t)
             trades.extend(round_trades)
             current_sizes = [len(agent.owned) for agent in agents]
             _check_allocation(agents, scenario, rep_index, t)
@@ -473,9 +473,7 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
                 current_performance = total()
                 verdicts.clear()
                 for agent, flip in flips:
-                    before = {j: previous[j] for j in agent.owned}
-                    after = {j: contribs[j] for j in agent.owned}
-                    update_beliefs(agent, flip, before, after)
+                    update_beliefs(agent, flip, previous, contribs)
                     observations[agent.id] += len(agent.owned) - 1
             elif len(verdicts) == n:
                 # Stalled: every proposal is a cached "no", so nothing changes until the interval ends.

@@ -52,6 +52,11 @@ def k0_landscape(values):
     return Landscape(matrix=matrix, tables=tables)
 
 
+def contributions_of(land, config):
+    """Every decision's contribution under ``config``, read through ``landscape.contribution``."""
+    return [contribution(land, config, j) for j in range(land.n)]
+
+
 def reference_replication(scenario: ScenarioConfig, rep_index: int):
     """Slow twin of orgsim.simulation.run_replication, composed from public ops.
 
@@ -83,16 +88,17 @@ def reference_replication(scenario: ScenarioConfig, rep_index: int):
     snapshots = []
     for t in range(1, scenario.horizon + 1):
         if t % scenario.tau == 0 and scenario.strategy != STRATEGY_BENCHMARK:
+            contributions = contributions_of(land, config)
             offers = []
             for agent in agents:
                 if scenario.strategy == STRATEGY_UTILITY:
-                    offer = select_offer_utility(agent, land, config, rng_tie)
+                    offer = select_offer_utility(agent, contributions, rng_tie)
                 else:
                     offer = select_offer_interdependence(agent, rng_tie)
                 if offer is not None:
                     offers.append(offer)
             round_trades = clear_auction(
-                offers, agents, scenario.strategy, land, config, scenario.sigma, rng_noise, rng_tie, t
+                offers, agents, scenario.strategy, contributions, scenario.sigma, rng_noise, rng_tie, t
             )
             trades.extend(round_trades)
         else:
@@ -100,10 +106,9 @@ def reference_replication(scenario: ScenarioConfig, rep_index: int):
             merged = assemble_configuration(
                 [(agent.owned, values) for agent, (values, _) in zip(agents, moves)], scenario.n
             )
+            before, after = contributions_of(land, config), contributions_of(land, merged)
             for agent, (_, flip) in zip(agents, moves):
                 if flip is not None:
-                    before = {j: contribution(land, config, j) for j in agent.owned}
-                    after = {j: contribution(land, merged, j) for j in agent.owned}
                     update_beliefs(agent, flip, before, after)
             config = [int(b) for b in merged]
 

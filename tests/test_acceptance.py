@@ -46,7 +46,7 @@ from orgsim.oracle import (
     brute_performance,
     enumerate_configs,
 )
-from helpers import k0_landscape
+from helpers import contributions_of, k0_landscape
 
 BALANCED = IncentiveScheme.from_name("balanced")
 
@@ -196,9 +196,10 @@ def test_criterion_8_bid_noise_statistics():
     land = k0_landscape([(0.5, 0.5), (0.5, 0.5)])
     bidder = AgentState(1, [0], 10, init_beliefs(2))
     offer = Offer(seller=0, decision=1, min_price=0.0)
+    current = contributions_of(land, [0, 0])
     rng = np.random.default_rng(1234)
     noise = np.array([
-        bid_utility(bidder, offer, land, [0, 0], 0.05, rng).amount - 0.5 for _ in range(10_000)
+        bid_utility(bidder, offer, current, 0.05, rng).amount - 0.5 for _ in range(10_000)
     ])
     assert abs(noise.mean()) <= 0.002
     assert abs(noise.std(ddof=1) - 0.05) <= 0.005

@@ -15,7 +15,7 @@ from orgsim import (
     select_offer_interdependence,
     select_offer_utility,
 )
-from helpers import k0_landscape, make_agent
+from helpers import contributions_of, k0_landscape, make_agent
 
 
 def tie_rng(seed=0):
@@ -26,26 +26,27 @@ class TestSelectOfferUtility:
     def test_offers_weakest_contribution(self):
         land = k0_landscape([(0.8, 0.1), (0.2, 0.9), (0.5, 0.5)])
         agent = make_agent(0, [0, 1, 2], n=3)
-        offer = select_offer_utility(agent, land, [0, 0, 0], tie_rng())
+        offer = select_offer_utility(agent, contributions_of(land, [0, 0, 0]), tie_rng())
         assert offer == Offer(seller=0, decision=1, min_price=0.2)
         assert offer.min_price == contribution(land, [0, 0, 0], 1)
 
     def test_single_decision_no_offer(self):
         land = k0_landscape([(0.8, 0.1)])
         agent = make_agent(0, [0], n=1)
-        assert select_offer_utility(agent, land, [0], tie_rng()) is None
+        assert select_offer_utility(agent, contributions_of(land, [0]), tie_rng()) is None
 
     def test_tie_broken_uniformly(self):
         land = k0_landscape([(0.2, 0.9), (0.2, 0.9), (0.5, 0.5)])
         agent = make_agent(0, [0, 1, 2], n=3)
-        picks = {select_offer_utility(agent, land, [0, 0, 0], tie_rng(s)).decision for s in range(40)}
+        current = contributions_of(land, [0, 0, 0])
+        picks = {select_offer_utility(agent, current, tie_rng(s)).decision for s in range(40)}
         assert picks == {0, 1}
 
     def test_no_draw_without_tie(self):
         land = k0_landscape([(0.8, 0.1), (0.2, 0.9), (0.5, 0.5)])
         agent = make_agent(0, [0, 1, 2], n=3)
         rng = tie_rng(5)
-        select_offer_utility(agent, land, [0, 0, 0], rng)
+        select_offer_utility(agent, contributions_of(land, [0, 0, 0]), rng)
         untouched = tie_rng(5)
         assert rng.integers(1 << 20) == untouched.integers(1 << 20)
 
@@ -77,7 +78,7 @@ class TestBidUtility:
         land = k0_landscape([(0.8, 0.1), (0.35, 0.9)])
         bidder = make_agent(1, [0], capacity=3, n=2)
         offer = Offer(seller=0, decision=1, min_price=0.2)
-        bid = bid_utility(bidder, offer, land, [0, 0], 0.0, np.random.default_rng(0))
+        bid = bid_utility(bidder, offer, contributions_of(land, [0, 0]), 0.0, np.random.default_rng(0))
         assert bid.bidder == 1
         assert bid.amount == 0.35
 
@@ -85,22 +86,23 @@ class TestBidUtility:
         land = k0_landscape([(0.8, 0.1), (0.35, 0.9)])
         bidder = make_agent(1, [0], capacity=1, n=2)
         offer = Offer(seller=0, decision=1, min_price=0.2)
-        assert bid_utility(bidder, offer, land, [0, 0], 0.0, np.random.default_rng(0)) is None
+        assert bid_utility(bidder, offer, contributions_of(land, [0, 0]), 0.0, np.random.default_rng(0)) is None
 
     def test_seller_cannot_bid(self):
         land = k0_landscape([(0.8, 0.1), (0.35, 0.9)])
         seller = make_agent(0, [1, 0], capacity=5, n=2)
         offer = Offer(seller=0, decision=1, min_price=0.2)
         with pytest.raises(ValueError, match="own offers"):
-            bid_utility(seller, offer, land, [0, 0], 0.0, np.random.default_rng(0))
+            bid_utility(seller, offer, contributions_of(land, [0, 0]), 0.0, np.random.default_rng(0))
 
     def test_noise_statistics(self):
         land = k0_landscape([(0.8, 0.1), (0.5, 0.9)])
         bidder = make_agent(1, [0], capacity=3, n=2)
         offer = Offer(seller=0, decision=1, min_price=0.2)
+        current = contributions_of(land, [0, 0])
         rng = np.random.default_rng(123)
         noise = np.array([
-            bid_utility(bidder, offer, land, [0, 0], 0.05, rng).amount - 0.5 for _ in range(4000)
+            bid_utility(bidder, offer, current, 0.05, rng).amount - 0.5 for _ in range(4000)
         ])
         assert abs(noise.mean()) < 0.003
         assert 0.044 < noise.std(ddof=1) < 0.056
@@ -109,7 +111,8 @@ class TestBidUtility:
         land = k0_landscape([(0.02, 0.1), (0.98, 0.9)])
         bidder = make_agent(1, [0], capacity=3, n=2)
         rng = np.random.default_rng(7)
-        low = [bid_utility(bidder, Offer(2, 0, 0.0), land, [0, 0], 0.5, rng).amount for _ in range(200)]
+        current = contributions_of(land, [0, 0])
+        low = [bid_utility(bidder, Offer(2, 0, 0.0), current, 0.5, rng).amount for _ in range(200)]
         assert min(low) < 0.0
         assert max(low) > 1.0
 
@@ -137,7 +140,7 @@ class TestClearAuction:
 
     def run(self, land, agents, config, offers, sigma=0.0, seed=0, period=25):
         return clear_auction(
-            offers, agents, "utility", land, config, sigma,
+            offers, agents, "utility", contributions_of(land, config), sigma,
             np.random.default_rng(seed), np.random.default_rng(seed + 1), period,
         )
 
@@ -149,7 +152,7 @@ class TestClearAuction:
         bidders[2].beliefs.p[0, 4] = 3  # agent 2 values it at (0.75 + 0.5)/2 = 0.625
         offer = Offer(seller=0, decision=0, min_price=0.1)
         land = k0_landscape([(0.1, 0.1)] * 6)
-        trades = clear_auction([offer], bidders, "interdependence", land, [0] * 6, 0.0,
+        trades = clear_auction([offer], bidders, "interdependence", contributions_of(land, [0] * 6), 0.0,
                                np.random.default_rng(0), np.random.default_rng(1), 25)
         assert len(trades) == 1
         trade = trades[0]
@@ -167,7 +170,7 @@ class TestClearAuction:
         bidders[2].beliefs.q[0, 4] = 9   # (0.1 + 0.5)/2 = 0.3
         offer = Offer(seller=0, decision=0, min_price=0.4)
         land = k0_landscape([(0.1, 0.1)] * 6)
-        trades = clear_auction([offer], bidders, "interdependence", land, [0] * 6, 0.0,
+        trades = clear_auction([offer], bidders, "interdependence", contributions_of(land, [0] * 6), 0.0,
                                np.random.default_rng(0), np.random.default_rng(1), 25)
         assert trades[0].price == 0.4  # second bid 0.3 does not beat the reserve
 
@@ -213,7 +216,7 @@ class TestClearAuction:
                 make_agent(1, [2, 3], capacity=2, n=6),
                 make_agent(2, [4, 5], capacity=3, n=6),
             ]
-            trades = clear_auction(offers, agents, "utility", land, [0] * 6, 0.0,
+            trades = clear_auction(offers, agents, "utility", contributions_of(land, [0] * 6), 0.0,
                                    np.random.default_rng(seed), np.random.default_rng(seed * 7 + 1), 25)
             assert len(trades) == 2
             assert sorted(d for a in agents for d in a.owned) == list(range(6))
@@ -231,13 +234,13 @@ class TestClearAuction:
         land = k0_landscape([(0.5, 0.1)] * 4)
         agents = [make_agent(0, [0], capacity=2, n=4), make_agent(1, [1, 2, 3], capacity=4, n=4)]
         with pytest.raises(InvariantViolation, match="below one"):
-            clear_auction([Offer(0, 0, 0.0)], agents, "utility", land, [0] * 4, 0.0,
+            clear_auction([Offer(0, 0, 0.0)], agents, "utility", contributions_of(land, [0] * 4), 0.0,
                           np.random.default_rng(0), np.random.default_rng(1), 25)
 
     def test_unknown_strategy(self):
         land, agents, config = self.setup_three_agents([(0.5, 0.1)] * 6)
         with pytest.raises(ValueError, match="strategy"):
-            clear_auction([], agents, "benchmark", land, config, 0.0,
+            clear_auction([], agents, "benchmark", contributions_of(land, config), 0.0,
                           np.random.default_rng(0), np.random.default_rng(1), 25)
 
     def test_mutually_full_agents_cannot_trade(self):
@@ -247,7 +250,7 @@ class TestClearAuction:
         offers = [Offer(0, 0, 0.1), Offer(1, 2, 0.1)]
         for seed in range(10):
             agents = [make_agent(0, [0, 1], capacity=2, n=4), make_agent(1, [2, 3], capacity=2, n=4)]
-            trades = clear_auction(offers, agents, "utility", land, [0] * 4, 0.0,
+            trades = clear_auction(offers, agents, "utility", contributions_of(land, [0] * 4), 0.0,
                                    np.random.default_rng(seed), np.random.default_rng(seed + 50), 25)
             assert trades == []
             assert agents[0].owned == [0, 1]

@@ -362,6 +362,14 @@ class TestOracleCommand:
         assert code == 2
         assert "n <= 4" in capsys.readouterr().err
 
+    def test_negative_seed_fails_before_work(self, tmp_path, capsys):
+        out = tmp_path / "oracle_out"
+        assert main(["oracle", "--seed", "-1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "error: seed must be nonnegative, got -1" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestParserSurface:
     def test_version_flag(self, capsys):

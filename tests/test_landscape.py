@@ -63,8 +63,6 @@ class TestInteractionMatrix:
         assert matrix.dependencies(2) == [0, 1]
         assert matrix.dependencies(3) == []
         assert matrix.k(2) == 2
-        assert matrix.dependents(0) == [0, 2]
-        assert matrix.dependents(3) == [3]
 
 
 class TestStylizedStructures:
@@ -121,10 +119,6 @@ class TestStylizedStructures:
     def test_rejects_bad_requests(self, kind, n):
         with pytest.raises(ConfigError):
             build_stylized_matrix(kind, n)
-
-    def test_rejects_bad_block_size(self):
-        with pytest.raises(ConfigError, match="block_size"):
-            build_stylized_matrix(DECOMPOSABLE_K2, 15, block_size=5)
 
 
 class TestRandomMatrix:

@@ -82,12 +82,17 @@ class TestUpdateBeliefs:
         with pytest.raises(ValueError, match="does not own"):
             update_beliefs(agent, 5, {0: 0.1, 3: 0.2}, {0: 0.1, 3: 0.2})
 
-    def test_rejects_wrong_coverage(self):
-        agent = make_agent([0, 3])
-        with pytest.raises(ValueError, match="exactly"):
-            update_beliefs(agent, 0, {0: 0.1}, {0: 0.1, 3: 0.2})
-        with pytest.raises(ValueError, match="exactly"):
-            update_beliefs(agent, 0, {0: 0.1, 3: 0.2}, {0: 0.1, 3: 0.2, 5: 0.9})
+    def test_reads_only_owned_entries_of_full_vectors(self):
+        agent = make_agent([1, 4], n=6)
+        before = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        after = [0.9, 0.7, 0.8, 0.1, 0.5, 0.2]  # decisions 0, 1, 2, 3 and 5 change
+        update_beliefs(agent, 1, before, after)
+        counters = agent.beliefs
+        assert counters.q[1, 4] == 2 and counters.p[1, 4] == 1  # the owned other decision kept its value
+        # neither the flipped decision nor decisions outside the portfolio book anything
+        for j in (0, 1, 2, 3, 5):
+            assert counters.p[1, j] == 1 and counters.q[1, j] == 1
+        assert (counters.p + counters.q).sum() == 2 * 36 + 1
 
     def test_counters_accumulate(self):
         agent = make_agent([0, 1])
