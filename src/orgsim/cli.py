@@ -90,6 +90,12 @@ def load_cells(args: argparse.Namespace) -> list[ScenarioConfig]:
         if value is not None:
             merged[key] = value
     if getattr(args, "preset", None) == "paper-grid":
+        paper = {"structures": list(GRID_STRUCTURES), "incentives": list(GRID_INCENTIVES),
+                 "strategies": list(GRID_STRATEGIES)}
+        # The preset replaces the file's grid, so a file grid other than the paper's would be dropped.
+        if grid is not None and {**paper, **grid} != paper:
+            raise ConfigError(f"{args.scenario}: the file's grid {grid} differs from --preset paper-grid's "
+                              f"{paper}; remove one")
         grid = {}
 
     if grid is None:

@@ -29,10 +29,6 @@ BLOCK_SIZE = 3
 # the chunked scan should ever be asked to sweep.
 ENUMERATION_LIMIT = 25
 _SCAN_CHUNK = 1 << 18
-# Byte budget of the process-local gather-index cache of global_optimum: a
-# matrix with tables of at most 256 entries costs n * 2**n bytes, so n <= 18 fits.
-INDEX_CACHE_BYTES = 8 << 20
-_index_cache: dict[tuple, list[np.ndarray]] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,12 +248,12 @@ def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
     """Exhaustively locate the best configuration.
 
     Enumerates all ``2**n`` configurations with decision 0 as the highest-order
-    bit. Each configuration's total is gathered from a per-decision table
-    index, ``totals += tables[j][index[j]]`` for ascending ``j`` starting from
-    ``0.0``; the index depends only on the interaction matrix, so it is built
-    once per matrix and kept in a process-local cache of at most
-    ``INDEX_CACHE_BYTES`` in total. Indexes too large for the budget are
-    computed chunk by chunk on every call and summed by the same loop. The
+    bit. Each table is viewed as a cube with a length-2 axis per decision in
+    its order, transposed into ascending decision order, and a length-1 axis
+    for every other decision; the views are added by broadcasting, for
+    ascending ``j``, into zeroed totals, so each configuration's total is
+    summed in the order :func:`performance` uses. The scan runs in chunks of
+    ``_SCAN_CHUNK`` configurations, each with the leading decisions fixed. The
     first maximum wins, so ties resolve to the lexicographically smallest
     configuration. The winning performance is recomputed through
     :func:`performance` to keep the cached optimum bit-identical to the scalar
@@ -267,64 +263,22 @@ def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
     if n > ENUMERATION_LIMIT:
         raise ConfigError(f"exhaustive optimum supports n <= {ENUMERATION_LIMIT}, got {n}")
 
-    tables = landscape.tables
-    cached = _cached_index(landscape)
+    views = []
+    for table, order in zip(landscape.tables, landscape.orders):
+        cube = table.reshape((2,) * len(order)).transpose(np.argsort(order))
+        views.append(cube.reshape([2 if i in order else 1 for i in range(n)]))
+    fixed = max(n - (_SCAN_CHUNK.bit_length() - 1), 0)
     best_code = -1
     best_total = -np.inf
-    for lo in range(0, 1 << n, _SCAN_CHUNK):
-        hi = min(lo + _SCAN_CHUNK, 1 << n)
-        if cached is None:
-            index = _gather_index(landscape.orders, n, lo, hi, np.intp)
-        else:
-            index = [column[lo:hi] for column in cached]
-        totals = np.zeros(hi - lo, dtype=np.float64)
-        # Ascending j accumulation mirrors the summation order in performance().
-        for j in range(n):
-            totals += tables[j][index[j]]
+    for prefix in range(1 << fixed):
+        bits = [(prefix >> (fixed - 1 - i)) & 1 for i in range(fixed)]
+        totals = np.zeros((2,) * (n - fixed), dtype=np.float64)
+        for view in views:
+            totals += view[tuple(bit if size == 2 else 0 for bit, size in zip(bits, view.shape))]
         pos = int(np.argmax(totals))
-        if totals[pos] > best_total:
-            best_total = float(totals[pos])
-            best_code = lo + pos
+        if totals.flat[pos] > best_total:
+            best_total = float(totals.flat[pos])
+            best_code = (prefix << (n - fixed)) | pos
 
     config = np.array([(best_code >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.int8)
     return config, performance(landscape, config)
-
-
-def _gather_index(orders: list[tuple[int, ...]], n: int, lo: int, hi: int, dtype) -> list[np.ndarray]:
-    """Table index of every decision for the configuration codes ``lo..hi-1``."""
-    codes = np.arange(lo, hi, dtype=np.int64)
-    index = []
-    for order in orders:
-        column = np.zeros(hi - lo, dtype=np.int64)
-        for i in order:
-            column <<= 1
-            column |= (codes >> (n - 1 - i)) & 1
-        index.append(column.astype(dtype, copy=False))
-    return index
-
-
-def _cached_index(landscape: Landscape) -> list[np.ndarray] | None:
-    """The full gather index of the landscape's matrix, or None above the budget.
-
-    Keyed by the matrix content, so every landscape drawn on the same
-    structure reuses one index. The oldest entries are evicted to keep the
-    cache's total size within ``INDEX_CACHE_BYTES``.
-    """
-    entries = landscape.matrix.entries
-    key = (entries.shape, entries.tobytes())
-    index = _index_cache.get(key)
-    if index is None:
-        n = landscape.n
-        dtype = np.min_scalar_type((1 << max(map(len, landscape.orders))) - 1)
-        size = n * (1 << n) * dtype.itemsize
-        if size > INDEX_CACHE_BYTES:
-            return None
-        while _index_cache and _index_cache_bytes() + size > INDEX_CACHE_BYTES:
-            del _index_cache[next(iter(_index_cache))]
-        index = _index_cache[key] = _gather_index(landscape.orders, n, 0, 1 << n, dtype)
-    return index
-
-
-def _index_cache_bytes() -> int:
-    """Total size of the gather indexes currently cached in this process."""
-    return sum(column.nbytes for index in _index_cache.values() for column in index)

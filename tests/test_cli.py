@@ -169,14 +169,18 @@ class TestRun:
 
     def test_paper_grid_preset(self, tmp_path):
         out = tmp_path / "out"
-        code = main(["run", "--preset", "paper-grid", "--n", "6", "--m", "2", "--tau", "5",
-                     "--horizon", "6", "--reps", "1", "--out", str(out)])
-        assert code == 0
+        flags = ["--n", "6", "--m", "2", "--tau", "5", "--horizon", "6", "--reps", "1"]
+        assert main(["run", "--preset", "paper-grid", *flags, "--out", str(out)]) == 0
         meta = json.loads((out / "metadata.json").read_text())
         assert len(meta["cells"]) == 18
         assert [cell["cell_index"] for cell in meta["cells"]] == list(range(18))
         rows = read_rows(out / "results.csv")
         assert len(rows) == 1 + 18 * 6
+        # a file grid equal to the paper's loses nothing to the preset, so it is accepted
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"grid": {"structures": ["k2", "k5"]}}))
+        assert main(["run", str(path), "--preset", "paper-grid", *flags, "--out", str(tmp_path / "same")]) == 0
+        assert (tmp_path / "same" / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
 
     def test_deterministic_across_runs_and_jobs(self, tmp_path):
         args = ["run", write_scenario(tmp_path, horizon=15), "--emit", "csv,json"]
@@ -234,6 +238,12 @@ class TestRun:
         for command in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
             assert main(command) == 2
             assert "a grid run sets structure, incentive per cell" in capsys.readouterr().err
+        path.write_text(json.dumps({"grid": {"structures": ["k2"], "incentives": ["balanced"],
+                                             "strategies": ["utility"]}, "n": 6, "m": 2, "reps": 2}))
+        assert main(["run", str(path), "--preset", "paper-grid", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "the file's grid {'structures': ['k2'], 'incentives': ['balanced'], 'strategies': ['utility']}" in err
+        assert "differs from --preset paper-grid's {'structures': ['k2', 'k5']" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", [1, 2])

@@ -320,95 +320,65 @@ class TestOracleAgreement:
             assert argmins == [j for j in range(4) if values[j] == low]
 
 
-@pytest.fixture
-def index_cache(monkeypatch):
-    """A fresh, empty gather-index cache for the test."""
-    cache = {}
-    monkeypatch.setattr(landscape_module, "_index_cache", cache)
-    return cache
+def assert_scan_matches_brute(land, monkeypatch):
+    """global_optimum at the default chunk and at 8-configuration chunks equals brute_optimum exactly."""
+    brute_config, brute_perf = brute_optimum(land)
+    for chunk in (landscape_module._SCAN_CHUNK, 1 << 3):
+        with monkeypatch.context() as patch:
+            patch.setattr(landscape_module, "_SCAN_CHUNK", chunk)
+            config, perf = global_optimum(land)
+        assert np.array_equal(config, brute_config)
+        assert perf == brute_perf
 
 
-def uncached_optimum(land, monkeypatch):
-    """global_optimum with a zero byte budget: every chunk's index is computed on the fly."""
-    with monkeypatch.context() as patch:
-        cache = {}
-        patch.setattr(landscape_module, "_index_cache", cache)
-        patch.setattr(landscape_module, "INDEX_CACHE_BYTES", 0)
-        result = global_optimum(land)
-        assert cache == {}
-    return result
+class TestScanAgainstOracle:
+    """The exhaustive scan against brute_optimum above the oracle's printable size."""
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    @pytest.mark.parametrize("kind", [DECOMPOSABLE_K2, NONDECOMPOSABLE_K5])
+    def test_stylized(self, kind, n, monkeypatch):
+        land = generate_landscape(build_stylized_matrix(kind, n), np.random.default_rng(200 + n))
+        assert_scan_matches_brute(land, monkeypatch)
+
+    def test_random_matrices(self, monkeypatch):
+        rng = np.random.default_rng(201)
+        cases = [(n, k) for n in range(1, 11) for k in sorted({0, n // 2, n - 1})]
+        for n, k in cases + [(11, int(rng.integers(0, 11))), (12, int(rng.integers(0, 12)))]:
+            assert_scan_matches_brute(generate_landscape(random_matrix(n, k, rng), rng), monkeypatch)
+
+    def test_forced_ties(self, monkeypatch):
+        rng = np.random.default_rng(202)
+        constant = random_matrix(10, 3, rng)
+        assert_scan_matches_brute(Landscape(matrix=constant, tables=[np.full(16, 0.25)] * 10), monkeypatch)
+        for decimals, n in ((0, 11), (1, 10)):
+            matrix = random_matrix(n, 2, rng)
+            tables = [np.round(rng.random(8), decimals) for _ in range(n)]
+            assert_scan_matches_brute(Landscape(matrix=matrix, tables=tables), monkeypatch)
 
 
 class TestGatherIndex:
-    """The cached per-matrix gather index against the chunked on-the-fly path."""
+    """The scan across chunk boundaries at n = 19, against the same scan in one chunk, and its matrix left as drawn."""
 
-    @pytest.mark.parametrize("kind", [DECOMPOSABLE_K2, NONDECOMPOSABLE_K5])
-    def test_uncached_matches_cached(self, kind, monkeypatch, index_cache):
-        rng = np.random.default_rng(41)
-        matrix = build_stylized_matrix(kind, 15)
-        for _ in range(20):
-            land = generate_landscape(matrix, rng)
-            config, perf = uncached_optimum(land, monkeypatch)
-            assert np.array_equal(config, land.optimum_config)
-            assert perf == land.optimum_performance
-        assert len(index_cache) == 1
-
-    def test_uncached_matches_cached_over_two_chunks(self, monkeypatch, index_cache):
+    def test_uncached_matches_cached_over_two_chunks(self, monkeypatch):
         assert 1 << 19 == 2 * landscape_module._SCAN_CHUNK
-        monkeypatch.setattr(landscape_module, "INDEX_CACHE_BYTES", 16 << 20)
         rng = np.random.default_rng(43)
         land = generate_landscape(random_matrix(19, 3, rng), rng)
-        assert len(index_cache) == 1
-        config, perf = uncached_optimum(land, monkeypatch)
+        monkeypatch.setattr(landscape_module, "_SCAN_CHUNK", 1 << 19)
+        config, perf = global_optimum(land)
         assert np.array_equal(config, land.optimum_config)
         assert perf == land.optimum_performance
 
-    def test_tie_crosses_chunk_boundary_to_all_zeros(self, monkeypatch, index_cache):
-        monkeypatch.setattr(landscape_module, "INDEX_CACHE_BYTES", 16 << 20)
+    def test_tie_crosses_chunk_boundary_to_all_zeros(self, monkeypatch):
         matrix = random_matrix(19, 2, np.random.default_rng(44))
         land = Landscape(matrix=matrix, tables=[np.full(8, 0.5) for _ in range(19)])
-        for config, perf in (global_optimum(land), uncached_optimum(land, monkeypatch)):
+        for chunk in (landscape_module._SCAN_CHUNK, 1 << 19):
+            monkeypatch.setattr(landscape_module, "_SCAN_CHUNK", chunk)
+            config, perf = global_optimum(land)
             assert np.array_equal(config, np.zeros(19, dtype=np.int8))
             assert perf == 0.5
-        assert len(index_cache) == 1
 
-    def test_scan_leaves_matrix_pickle_unchanged(self, index_cache):
+    def test_scan_leaves_matrix_pickle_unchanged(self):
         matrix = build_stylized_matrix(NONDECOMPOSABLE_K5, 15)
         before = len(pickle.dumps(matrix))
         generate_landscape(matrix, np.random.default_rng(5))
-        assert len(index_cache) == 1
         assert len(pickle.dumps(matrix)) == before
-
-    def test_one_index_per_matrix(self, monkeypatch, index_cache):
-        builds = []
-        build = landscape_module._gather_index
-        monkeypatch.setattr(landscape_module, "_gather_index", lambda *args: builds.append(args) or build(*args))
-        rng = np.random.default_rng(6)
-        k2 = build_stylized_matrix(DECOMPOSABLE_K2, 15)
-        k5 = build_stylized_matrix(NONDECOMPOSABLE_K5, 15)
-        # an equal matrix in a new object (as a worker unpickles it) shares the index
-        for matrix in (k2, k5, InteractionMatrix(k2.entries.copy()), k5):
-            for _ in range(3):
-                generate_landscape(matrix, rng)
-        assert len(builds) == 2
-        assert len(index_cache) == 2
-
-    def test_cache_bytes_stay_within_budget(self, monkeypatch, index_cache):
-        one_index = 15 * (1 << 15)
-        monkeypatch.setattr(landscape_module, "INDEX_CACHE_BYTES", one_index + 12 * (1 << 12))
-        rng = np.random.default_rng(7)
-        matrices = [
-            build_stylized_matrix(DECOMPOSABLE_K2, 12),
-            build_stylized_matrix(DECOMPOSABLE_K2, 15),
-            build_stylized_matrix(NONDECOMPOSABLE_K5, 15),
-            random_matrix(15, 4, rng),
-            random_matrix(18, 2, rng),
-        ]
-        for matrix in matrices * 2:
-            land = generate_landscape(matrix, rng)
-            assert landscape_module._index_cache_bytes() <= landscape_module.INDEX_CACHE_BYTES
-            config, perf = uncached_optimum(land, monkeypatch)
-            assert np.array_equal(config, land.optimum_config)
-            assert perf == land.optimum_performance
-        # the n=18 index alone is over the budget and was never cached
-        assert all(key[0] != (18, 18) for key in index_cache)
