@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from contextlib import ExitStack
@@ -154,6 +155,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     emit = parse_emit(args.emit)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    cpus = os.cpu_count()
+    if cpus is not None and args.jobs > cpus:
+        raise ConfigError(f"--jobs must be at most the CPU count {cpus}, got {args.jobs}")
     out = output_dir(args.out)
 
     with ExitStack() as ledgers:

@@ -29,6 +29,8 @@ BLOCK_SIZE = 3
 # the chunked scan should ever be asked to sweep.
 ENUMERATION_LIMIT = 25
 _SCAN_CHUNK = 1 << 18
+# Decisions the scan lays out as one contiguous axis, so numpy adds 256 totals per inner loop.
+_SCAN_TAIL = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,9 +40,15 @@ class InteractionMatrix:
     ``entries[j, i]`` is True when the contribution of decision ``j`` depends
     on decision ``i``. The diagonal is always True: every contribution depends
     on its own decision.
+
+    ``orders[j]`` is decision ``j``'s table index order, derived once from
+    ``entries``: ``(j, dep_0, dep_1, ...)`` with the dependencies ascending, so
+    the own decision is the highest-order bit. Every landscape drawn on the
+    matrix reads these tuples.
     """
 
     entries: np.ndarray
+    orders: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=bool)
@@ -52,6 +60,9 @@ class InteractionMatrix:
             missing = int(np.flatnonzero(~entries.diagonal())[0])
             raise ConfigError(f"diagonal must be all ones; decision {missing} does not depend on itself")
         object.__setattr__(self, "entries", entries)
+        rows = entries.tolist()
+        orders = tuple((j, *(i for i, dep in enumerate(row) if dep and i != j)) for j, row in enumerate(rows))
+        object.__setattr__(self, "orders", orders)
 
     @property
     def n(self) -> int:
@@ -59,11 +70,11 @@ class InteractionMatrix:
 
     def k(self, j: int) -> int:
         """Number of foreign dependencies of decision ``j``."""
-        return int(self.entries[j].sum()) - 1
+        return len(self.orders[j]) - 1
 
     def dependencies(self, j: int) -> list[int]:
         """Decisions other than ``j`` that ``j``'s contribution depends on, ascending."""
-        return [int(i) for i in np.flatnonzero(self.entries[j]) if i != j]
+        return list(self.orders[j][1:])
 
 
 def build_stylized_matrix(kind: str, n: int) -> InteractionMatrix:
@@ -170,27 +181,26 @@ class Landscape:
     tables: list[np.ndarray]
     optimum_config: np.ndarray | None = None
     optimum_performance: float | None = None
-    # index order per decision: (j, dep_0, dep_1, ...) with deps ascending
-    orders: list[tuple[int, ...]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.matrix.n
         if len(self.tables) != n:
             raise ConfigError(f"expected {n} contribution tables, got {len(self.tables)}")
-        orders = []
-        for j in range(n):
-            deps = self.matrix.dependencies(j)
-            expected = 1 << (len(deps) + 1)
+        for j, order in enumerate(self.matrix.orders):
+            expected = 1 << len(order)
             if len(self.tables[j]) != expected:
                 raise ConfigError(
                     f"table for decision {j} must have {expected} entries, got {len(self.tables[j])}"
                 )
-            orders.append((j, *deps))
-        self.orders = orders
 
     @property
     def n(self) -> int:
         return self.matrix.n
+
+    @property
+    def orders(self) -> tuple[tuple[int, ...], ...]:
+        """Table index order per decision, as :attr:`InteractionMatrix.orders`."""
+        return self.matrix.orders
 
     @property
     def optimum(self) -> tuple[np.ndarray, float]:
@@ -205,7 +215,7 @@ def generate_landscape(matrix: InteractionMatrix, rng: np.random.Generator) -> L
     Tables are drawn in ascending decision order so a given generator state
     always yields the same landscape.
     """
-    tables = [rng.random(1 << (matrix.k(j) + 1)) for j in range(matrix.n)]
+    tables = [rng.random(1 << len(order)) for order in matrix.orders]
     land = Landscape(matrix=matrix, tables=tables)
     config, perf = global_optimum(land)
     land.optimum_config = config
@@ -250,10 +260,16 @@ def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
     Enumerates all ``2**n`` configurations with decision 0 as the highest-order
     bit. Each table is viewed as a cube with a length-2 axis per decision in
     its order, transposed into ascending decision order, and a length-1 axis
-    for every other decision; the views are added by broadcasting, for
-    ascending ``j``, into zeroed totals, so each configuration's total is
-    summed in the order :func:`performance` uses. The scan runs in chunks of
-    ``_SCAN_CHUNK`` configurations, each with the leading decisions fixed. The
+    for every other decision. The scan runs in chunks of ``_SCAN_CHUNK``
+    configurations, each with the leading decisions fixed. Within a chunk the
+    last ``_SCAN_TAIL`` decisions form one contiguous axis of ``2**_SCAN_TAIL``
+    totals, so numpy's inner loop runs over that many elements rather than over
+    one length-2 axis: after a view's fixed decisions are indexed, its tail
+    axes are broadcast to full length and copied into that layout, and the
+    copy is added into the chunk's totals and dropped. No copy is larger than
+    the chunk or outlives its addition, so memory stays bounded at any ``n``.
+    The views are added for ascending ``j`` into zeroed totals, so each
+    configuration's total is summed in the order :func:`performance` uses. The
     first maximum wins, so ties resolve to the lexicographically smallest
     configuration. The winning performance is recomputed through
     :func:`performance` to keep the cached optimum bit-identical to the scalar
@@ -265,16 +281,23 @@ def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
 
     views = []
     for table, order in zip(landscape.tables, landscape.orders):
-        cube = table.reshape((2,) * len(order)).transpose(np.argsort(order))
+        cube = table.reshape((2,) * len(order)).transpose(sorted(range(len(order)), key=order.__getitem__))
         views.append(cube.reshape([2 if i in order else 1 for i in range(n)]))
     fixed = max(n - (_SCAN_CHUNK.bit_length() - 1), 0)
+    tail = min(n - fixed, _SCAN_TAIL)
+    free = n - tail - fixed
     best_code = -1
     best_total = -np.inf
     for prefix in range(1 << fixed):
         bits = [(prefix >> (fixed - 1 - i)) & 1 for i in range(fixed)]
-        totals = np.zeros((2,) * (n - fixed), dtype=np.float64)
+        totals = np.zeros((2,) * free + (1 << tail,), dtype=np.float64)
         for view in views:
-            totals += view[tuple(bit if size == 2 else 0 for bit, size in zip(bits, view.shape))]
+            part = view[tuple(bit if size == 2 else 0 for bit, size in zip(bits, view.shape))]
+            lead = part.shape[:free]
+            flat = np.empty(lead + (1 << tail,), dtype=np.float64)
+            np.copyto(flat.reshape(lead + (2,) * tail), part)
+            totals += flat
+            del flat
         pos = int(np.argmax(totals))
         if totals.flat[pos] > best_total:
             best_total = float(totals.flat[pos])

@@ -203,6 +203,17 @@ class TestRun:
         assert "error: cannot create output directory" in capsys.readouterr().err
         assert taken.read_text() == "not a directory\n"
 
+    def test_jobs_above_cpu_count_fails_before_work(self, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("run_grid called despite --jobs above the CPU count")
+
+        monkeypatch.setattr("orgsim.cli.os.cpu_count", lambda: 2)
+        monkeypatch.setattr("orgsim.cli.run_grid", never)
+        out = tmp_path / "out"
+        assert main(["run", write_scenario(tmp_path), "--jobs", "3", "--out", str(out)]) == 2
+        assert "error: --jobs must be at most the CPU count 2, got 3" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid, file_dirs", [
         ({"structures": ["k2"], "incentives": ["balanced", "alpha=0.5"], "strategies": ["utility"]}, None),
         ({"structures": ["k2"], "incentives": ["balanced"], "strategies": ["utility", "benchmark", "utility"]}, None),
@@ -287,7 +298,7 @@ class TestRun:
             finally:
                 tracemalloc.stop()
 
-        peak(1)  # fills the process-local optimum index cache, which later runs reuse
+        peak(1)  # a first run pays one-off set-up that later runs do not
         small, large = peak(3), peak(30)
         assert large <= 1.1 * small, (small, large)
 

@@ -1,6 +1,7 @@
 """Task environment tests: structure builders, table lookups, exact optima."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,7 @@ class TestInteractionMatrix:
         assert matrix.dependencies(2) == [0, 1]
         assert matrix.dependencies(3) == []
         assert matrix.k(2) == 2
+        assert matrix.orders == ((0, 2), (1,), (2, 0, 1), (3,))
 
 
 class TestStylizedStructures:
@@ -321,14 +323,17 @@ class TestOracleAgreement:
 
 
 def assert_scan_matches_brute(land, monkeypatch):
-    """global_optimum at the default chunk and at 8-configuration chunks equals brute_optimum exactly."""
+    """global_optimum equals brute_optimum exactly at the default and 8-configuration chunks, each with
+    the default contiguous tail and tails of 1 and 3 decisions."""
     brute_config, brute_perf = brute_optimum(land)
     for chunk in (landscape_module._SCAN_CHUNK, 1 << 3):
-        with monkeypatch.context() as patch:
-            patch.setattr(landscape_module, "_SCAN_CHUNK", chunk)
-            config, perf = global_optimum(land)
-        assert np.array_equal(config, brute_config)
-        assert perf == brute_perf
+        for tail in (landscape_module._SCAN_TAIL, 1, 3):
+            with monkeypatch.context() as patch:
+                patch.setattr(landscape_module, "_SCAN_CHUNK", chunk)
+                patch.setattr(landscape_module, "_SCAN_TAIL", tail)
+                config, perf = global_optimum(land)
+            assert np.array_equal(config, brute_config)
+            assert perf == brute_perf
 
 
 class TestScanAgainstOracle:
@@ -356,10 +361,10 @@ class TestScanAgainstOracle:
             assert_scan_matches_brute(Landscape(matrix=matrix, tables=tables), monkeypatch)
 
 
-class TestGatherIndex:
+class TestChunkBoundaries:
     """The scan across chunk boundaries at n = 19, against the same scan in one chunk, and its matrix left as drawn."""
 
-    def test_uncached_matches_cached_over_two_chunks(self, monkeypatch):
+    def test_two_chunks_match_one_chunk(self, monkeypatch):
         assert 1 << 19 == 2 * landscape_module._SCAN_CHUNK
         rng = np.random.default_rng(43)
         land = generate_landscape(random_matrix(19, 3, rng), rng)
@@ -372,13 +377,43 @@ class TestGatherIndex:
         matrix = random_matrix(19, 2, np.random.default_rng(44))
         land = Landscape(matrix=matrix, tables=[np.full(8, 0.5) for _ in range(19)])
         for chunk in (landscape_module._SCAN_CHUNK, 1 << 19):
-            monkeypatch.setattr(landscape_module, "_SCAN_CHUNK", chunk)
-            config, perf = global_optimum(land)
-            assert np.array_equal(config, np.zeros(19, dtype=np.int8))
-            assert perf == 0.5
+            for tail in (landscape_module._SCAN_TAIL, 1):
+                monkeypatch.setattr(landscape_module, "_SCAN_CHUNK", chunk)
+                monkeypatch.setattr(landscape_module, "_SCAN_TAIL", tail)
+                config, perf = global_optimum(land)
+                assert np.array_equal(config, np.zeros(19, dtype=np.int8))
+                assert perf == 0.5
 
     def test_scan_leaves_matrix_pickle_unchanged(self):
         matrix = build_stylized_matrix(NONDECOMPOSABLE_K5, 15)
         before = len(pickle.dumps(matrix))
         generate_landscape(matrix, np.random.default_rng(5))
         assert len(pickle.dumps(matrix)) == before
+
+
+class TestScanMemory:
+    def test_peak_stays_within_three_chunks(self):
+        """A wide table whose decisions span every chunk's fixed prefix and its tail is copied one chunk at a
+        time: copying it whole, 2^13 entries spread over 2^20 configurations, would take 8 MiB."""
+        n = 20
+        entries = np.eye(n, dtype=bool)
+        entries[0, :12] = entries[0, 19] = True
+        for j in range(1, n):
+            entries[j, (j + 1) % n] = True
+        matrix = InteractionMatrix(entries)
+        rng = np.random.default_rng(45)
+        land = Landscape(matrix=matrix, tables=[rng.random(1 << len(order)) for order in matrix.orders])
+        tracemalloc.start()
+        try:
+            global_optimum(land)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * landscape_module._SCAN_CHUNK * 8
+
+    def test_landscapes_share_matrix_orders(self):
+        matrix = build_stylized_matrix(NONDECOMPOSABLE_K5, 9)
+        rng = np.random.default_rng(46)
+        first, second = generate_landscape(matrix, rng), generate_landscape(matrix, rng)
+        assert first.orders is matrix.orders
+        assert second.orders is matrix.orders
