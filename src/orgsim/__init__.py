@@ -67,6 +67,7 @@ from .simulation import (
     ROLE_TIEBREAK,
     STRATEGIES,
     STRATEGY_BENCHMARK,
+    BeliefSnapshots,
     ExperimentResult,
     LedgerSink,
     ReplicationResult,

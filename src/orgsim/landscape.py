@@ -267,8 +267,9 @@ def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
     one length-2 axis: after a view's fixed decisions are indexed, its tail
     axes are broadcast to full length and copied into that layout, and the
     copy is added into the chunk's totals and dropped. No copy is larger than
-    the chunk or outlives its addition, so memory stays bounded at any ``n``.
-    The views are added for ascending ``j`` into zeroed totals, so each
+    the chunk or outlives its addition, and one totals array serves every
+    chunk, zeroed at its start, so memory stays bounded at any ``n``. The
+    views are added for ascending ``j`` into zeroed totals, so each
     configuration's total is summed in the order :func:`performance` uses. The
     first maximum wins, so ties resolve to the lexicographically smallest
     configuration. The winning performance is recomputed through
@@ -288,9 +289,10 @@ def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
     free = n - tail - fixed
     best_code = -1
     best_total = -np.inf
+    totals = np.empty((2,) * free + (1 << tail,), dtype=np.float64)
     for prefix in range(1 << fixed):
         bits = [(prefix >> (fixed - 1 - i)) & 1 for i in range(fixed)]
-        totals = np.zeros((2,) * free + (1 << tail,), dtype=np.float64)
+        totals.fill(0.0)
         for view in views:
             part = view[tuple(bit if size == 2 else 0 for bit, size in zip(bits, view.shape))]
             lead = part.shape[:free]

@@ -41,6 +41,12 @@ without a pass over the agents (belief snapshots included).
 ``tests/test_simulation.py`` and ``tests/test_properties.py`` pin the loop to
 the op-composed reference replication, to exact float equality.
 
+Belief snapshots, when collected, are taken at every period ``s`` with
+``s % tau == 0`` and at the horizon. The periods are known up front, so a
+replication preallocates one ``BeliefSnapshots``: two int64 arrays ``p`` and
+``q`` of shape ``(S, m, n, n)``, and copies agent a's counters into
+``p[k, a]`` and ``q[k, a]`` at the k-th snapshot period.
+
 The scenario schema lives here and nowhere else: ``ScenarioConfig`` holds the
 fields, ``ScenarioConfig.from_dict`` the keys a scenario file or the flags may
 set and their value types, ``ScenarioConfig.to_dict`` the per-cell record of
@@ -55,7 +61,9 @@ with at most ``IN_FLIGHT_PER_WORKER`` results per worker submitted and unread.
 Each replication's trades and belief snapshots go to the caller's ledger sinks
 (``write_trades_csv``, ``write_beliefs_csv``) as it arrives, so a run keeps
 only each cell's ``[reps, horizon]`` performance series, and its memory does
-not grow with the ledgers.
+not grow with the ledgers. The beliefs ledger compares every agent's counters
+with its previous snapshot in one array expression, and an agent whose
+counters did not change reuses that snapshot's row text.
 """
 
 from __future__ import annotations
@@ -64,11 +72,12 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 from itertools import islice, product
 from pathlib import Path
@@ -96,7 +105,7 @@ from .landscape import (
     generate_landscape,
     load_matrix,
 )
-from .learning import BeliefCounters, init_beliefs, update_beliefs
+from .learning import init_beliefs, update_beliefs
 from .organization import AgentState, IncentiveScheme, agent_utility, initial_allocation, mirrored_allocation
 
 STRATEGY_BENCHMARK = "benchmark"
@@ -330,11 +339,26 @@ def expand_grid(
     ]
 
 
+@dataclass(frozen=True, eq=False)
+class BeliefSnapshots:
+    """Every agent's belief counters at each snapshot period.
+
+    ``p[k, a]`` and ``q[k, a]`` are agent a's ``(n, n)`` counter matrices at the
+    end of period ``periods[k]``; both arrays are int64 of shape ``(S, m, n, n)``
+    and are copies, not views of the agents' counters. Without collected
+    beliefs ``periods`` is empty and ``S = 0``.
+    """
+
+    periods: tuple[int, ...]
+    p: np.ndarray
+    q: np.ndarray
+
+
 @dataclass(eq=False)
 class ReplicationResult:
     """One replication's trajectory: ``performance`` holds one value per period
     (period t at index t - 1) and ``sizes[t - 1, a]`` is agent a's portfolio size
-    at the end of period t."""
+    at the end of period t. ``belief_snapshots`` is empty unless the run collected beliefs."""
 
     performance: np.ndarray
     sizes: np.ndarray
@@ -342,7 +366,7 @@ class ReplicationResult:
     agents: list[AgentState]
     observation_counts: list[int]
     optimum_performance: float
-    belief_snapshots: list[tuple[int, list[BeliefCounters]]] = field(default_factory=list)
+    belief_snapshots: BeliefSnapshots
 
     @property
     def normalized_series(self) -> np.ndarray:
@@ -425,8 +449,11 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
     sizes: list[list[int]] = []
     current_sizes = [len(agent.owned) for agent in agents]
     trades: list[TradeRecord] = []
-    snapshots: list[tuple[int, list[BeliefCounters]]] = []
     observations = [0] * m
+    periods = tuple(s for s in range(1, horizon + 1) if s % tau == 0 or s == horizon) if collect_beliefs else ()
+    shape = (len(periods), m, n, n)
+    snapshots = BeliefSnapshots(periods, np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64))
+    taken = 0  # snapshots filled so far
 
     t = 1
     while t <= horizon:
@@ -479,11 +506,13 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
                 # Stalled: every proposal is a cached "no", so nothing changes until the interval ends.
                 through = last
 
-        for s in range(t, through + 1):
-            performance.append(current_performance)
-            sizes.append(current_sizes)
-            if collect_beliefs and (s % tau == 0 or s == horizon):
-                snapshots.append((s, [agent.beliefs.copy() for agent in agents]))
+        performance.extend([current_performance] * (through - t + 1))
+        sizes.extend([current_sizes] * (through - t + 1))
+        while taken < len(periods) and periods[taken] <= through:
+            for agent in agents:
+                snapshots.p[taken, agent.id] = agent.beliefs.p
+                snapshots.q[taken, agent.id] = agent.beliefs.q
+            taken += 1
         t = through + 1
 
     result = ReplicationResult(
@@ -545,9 +574,10 @@ def aggregate_norm_series(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class LedgerSink(Protocol):
-    """Receives each replication's ``trades`` or ``belief_snapshots`` (``records``), in (cell, rep) order."""
+    """Receives each replication's ``records``, in (cell, rep) order: its ``trades`` list, or its
+    ``belief_snapshots``, one ``BeliefSnapshots`` with counter arrays of shape ``(S, m, n, n)``."""
 
-    def write(self, scenario: ScenarioConfig, rep: int, records: list) -> None: ...
+    def write(self, scenario: ScenarioConfig, rep: int, records: list[TradeRecord] | BeliefSnapshots) -> None: ...
 
 
 # Replication results a pool may hold submitted but not yet read, per worker:
@@ -703,7 +733,7 @@ class _Ledger:
         self._grid = len(cells) > 1
         csv.writer(fh, lineterminator="\n").writerow(("cell", *self.header) if self._grid else self.header)
 
-    def write(self, scenario: ScenarioConfig, rep: int, records: list) -> None:
+    def write(self, scenario: ScenarioConfig, rep: int, records: list[TradeRecord] | BeliefSnapshots) -> None:
         cell = scenario.cell
         if cell not in self._cells:
             raise ValueError(f"ledger opened for cells {sorted(self._cells)} got a replication of cell {cell!r}")
@@ -734,26 +764,46 @@ class _BeliefText(dict):
 
 
 class _BeliefsLedger(_Ledger):
+    """Rows ``period,agent,i,j,p,q,belief`` for each snapshot, agent and off-diagonal pair, in that order.
+
+    A row body ``i,j,p,q,belief`` depends only on the pair and on the key
+    ``p << 32 | q``, so an agent whose keys equal those of its previous
+    snapshot in the replication reuses that snapshot's bodies; only the
+    ``period,agent,`` head of its rows is new.
+    """
+
     header = ("rep", "period", "agent", "i", "j", "p", "q", "belief")
 
     def __init__(self, fh: TextIO, cells: Sequence[ScenarioConfig]) -> None:
         super().__init__(fh, cells)
         self._text = _BeliefText()
+        self._layouts: dict[int, tuple[np.ndarray, list[str]]] = {}
 
-    def _rows(self, lead: str, scenario: ScenarioConfig, snapshots: list[tuple[int, list[BeliefCounters]]]) -> str:
-        n = scenario.n
-        off_diagonal = ~np.eye(n, dtype=bool)  # row-major (i, j) pairs with i != j
-        pairs = [f"{i},{j}," for i in range(n) for j in range(n) if i != j]
+    def _layout(self, n: int) -> tuple[np.ndarray, list[str]]:
+        """The mask of an ``(n, n)`` matrix's off-diagonal (i, j) pairs and their ``"i,j,"`` text, row-major."""
+        if n not in self._layouts:
+            pairs = [f"{i},{j}," for i in range(n) for j in range(n) if i != j]
+            self._layouts[n] = (~np.eye(n, dtype=bool), pairs)
+        return self._layouts[n]
+
+    def _rows(self, lead: str, scenario: ScenarioConfig, snapshots: BeliefSnapshots) -> str:
+        m = scenario.m
+        off_diagonal, pairs = self._layout(scenario.n)
         if not pairs:  # n = 1: no off-diagonal counters, so no rows
             return ""
+        keys = ((snapshots.p << 32) | snapshots.q)[:, :, off_diagonal]  # [k, a, pair]
+        changed = np.ones(keys.shape[:2], dtype=bool)  # [k, a]: agent a's keys differ from its snapshot k - 1
+        changed[1:] = (keys[1:] != keys[:-1]).any(axis=2)
         text = self._text
+        bodies: list[list[str]] = [[] for _ in range(m)]
         parts = []
-        for period, counters_by_agent in snapshots:
-            for agent_id, counters in enumerate(counters_by_agent):
+        for k, (period, fresh) in enumerate(zip(snapshots.periods, changed.tolist())):
+            for agent_id, new in enumerate(fresh):
+                if new:
+                    bodies[agent_id] = list(map(operator.add, pairs, map(text.__getitem__, keys[k, agent_id].tolist())))
                 head = f"{lead}{period},{agent_id},"
-                keys = ((counters.p[off_diagonal] << 32) | counters.q[off_diagonal]).tolist()
                 # Every row ends in a newline, so joining on head starts each later row with it.
-                parts.append(head + head.join([pair + text[key] for pair, key in zip(pairs, keys)]))
+                parts.append(head + head.join(bodies[agent_id]))
         return "".join(parts)
 
 

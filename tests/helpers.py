@@ -62,8 +62,9 @@ def reference_replication(scenario: ScenarioConfig, rep_index: int):
 
     Returns ``(performance, normalized, sizes, trades, agents, snapshots)``, the
     arrays shaped like ``ReplicationResult``'s and ``snapshots`` holding the
-    belief counters at ``t % tau == 0`` and at the horizon, like
-    ``belief_snapshots``.
+    belief counters at ``t % tau == 0`` and at the horizon as ``(t, [counters
+    per agent])`` pairs, which ``assert_matches_reference`` compares with the
+    periods and ``p[k, a]``, ``q[k, a]`` of ``belief_snapshots``.
     """
     matrix = scenario.matrix
     rng_land = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_LANDSCAPE)
@@ -133,8 +134,10 @@ def assert_matches_reference(scenario: ScenarioConfig, rep_index: int) -> None:
         assert mine.owned == theirs.owned
         assert np.array_equal(mine.beliefs.p, theirs.beliefs.p)
         assert np.array_equal(mine.beliefs.q, theirs.beliefs.q)
-    assert [t for t, _ in engine.belief_snapshots] == [t for t, _ in snapshots]
-    for (_, mine), (_, theirs) in zip(engine.belief_snapshots, snapshots):
-        for counters, expected in zip(mine, theirs, strict=True):
-            assert np.array_equal(counters.p, expected.p)
-            assert np.array_equal(counters.q, expected.q)
+    taken = engine.belief_snapshots
+    assert taken.periods == tuple(t for t, _ in snapshots)
+    assert taken.p.shape == taken.q.shape == (len(snapshots), scenario.m, scenario.n, scenario.n)
+    for k, (_, theirs) in enumerate(snapshots):
+        for a, expected in enumerate(theirs):
+            assert np.array_equal(taken.p[k, a], expected.p)
+            assert np.array_equal(taken.q[k, a], expected.q)

@@ -178,9 +178,10 @@ def test_criterion_6_altruistic_k5_auction_value(desk_grid):
     assert gap <= interdependence.final_half_width + benchmark.final_half_width
 
 
-def test_criterion_7_deterministic_output_bytes(tmp_path):
+def test_criterion_7_deterministic_output_bytes(tmp_path, monkeypatch):
     """The full grid, run twice through the CLI with different worker counts,
     produces byte-identical CSV and metadata."""
+    monkeypatch.setattr("orgsim.cli.os.cpu_count", lambda: 2)  # --jobs 2 is rejected on a 1-CPU host
     common = ["run", "--preset", "paper-grid", "--reps", "5", "--horizon", "150", "--seed", "0"]
     out_serial = tmp_path / "serial"
     out_parallel = tmp_path / "parallel"

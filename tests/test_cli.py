@@ -182,7 +182,8 @@ class TestRun:
         assert main(["run", str(path), "--preset", "paper-grid", *flags, "--out", str(tmp_path / "same")]) == 0
         assert (tmp_path / "same" / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
 
-    def test_deterministic_across_runs_and_jobs(self, tmp_path):
+    def test_deterministic_across_runs_and_jobs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("orgsim.cli.os.cpu_count", lambda: 2)  # --jobs 2 is rejected on a 1-CPU host
         args = ["run", write_scenario(tmp_path, horizon=15), "--emit", "csv,json"]
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(out_a)]) == 0

@@ -411,6 +411,19 @@ class TestScanMemory:
             tracemalloc.stop()
         assert peak <= 3 * landscape_module._SCAN_CHUNK * 8
 
+    def test_one_totals_array_serves_every_chunk(self):
+        """Narrow tables leave the chunk's totals as the scan's one large array: a second one, bound while the
+        previous chunk's is still alive, would double the peak."""
+        rng = np.random.default_rng(47)
+        land = generate_landscape(random_matrix(20, 2, rng), rng)
+        tracemalloc.start()
+        try:
+            global_optimum(land)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * landscape_module._SCAN_CHUNK * 8
+
     def test_landscapes_share_matrix_orders(self):
         matrix = build_stylized_matrix(NONDECOMPOSABLE_K5, 9)
         rng = np.random.default_rng(46)

@@ -9,6 +9,7 @@ database), so the suite stays deterministic from run to run.
 import json
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -154,7 +155,8 @@ def grid_files(draw):
 @given(payload=grid_files())
 def test_jobs_do_not_change_output_bytes(payload):
     names = ("results.csv", "metadata.json", "trades.csv", "beliefs.csv")
-    with tempfile.TemporaryDirectory() as tmp:
+    # --jobs 2 is rejected on a 1-CPU host; a function-scoped fixture would not reset between examples.
+    with tempfile.TemporaryDirectory() as tmp, patch("orgsim.cli.os.cpu_count", return_value=2):
         root = Path(tmp)
         path = root / "grid.json"
         path.write_text(json.dumps(payload))

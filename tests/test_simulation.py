@@ -31,7 +31,7 @@ from orgsim import (
     write_trades_csv,
 )
 from orgsim.cli import main
-from orgsim.simulation import ROLE_HILLCLIMB
+from orgsim.simulation import ROLE_HILLCLIMB, BeliefSnapshots
 from orgsim.landscape import DECOMPOSABLE_K2, Landscape, build_stylized_matrix, global_optimum
 from orgsim.organization import agent_utility
 import helpers
@@ -238,11 +238,33 @@ class TestRunReplication:
             assert booked == result.observation_counts[agent.id]
 
     def test_belief_snapshots_opt_in(self):
-        bare = run_replication(scenario(), 0)
-        assert bare.belief_snapshots == []
+        bare = run_replication(scenario(), 0).belief_snapshots
+        assert bare.periods == ()
+        assert bare.p.shape == bare.q.shape == (0, 2, 6, 6)
         result = run_replication(scenario(horizon=10), 0, collect_beliefs=True)
-        assert [period for period, _ in result.belief_snapshots] == [5, 10]
-        assert len(result.belief_snapshots[0][1]) == 2
+        assert result.belief_snapshots.periods == (5, 10)
+        assert result.belief_snapshots.p.shape == (2, 2, 6, 6)
+
+    def test_belief_snapshots_at_tau_multiples_and_the_horizon(self):
+        config = scenario(horizon=12, strategy="interdependence", seed=4)
+        result = run_replication(config, 0, collect_beliefs=True)
+        snapshots = result.belief_snapshots
+        assert list(snapshots.periods) == [5, 10, 12]
+        assert snapshots.p.shape == snapshots.q.shape == (3, config.m, config.n, config.n)
+        assert snapshots.p.dtype == snapshots.q.dtype == np.int64
+        for a, agent in enumerate(result.agents):
+            assert np.array_equal(snapshots.p[-1, a], agent.beliefs.p)
+            assert np.array_equal(snapshots.q[-1, a], agent.beliefs.q)
+
+    def test_belief_snapshots_are_copies(self):
+        result = run_replication(scenario(horizon=12), 0, collect_beliefs=True)
+        snapshots = result.belief_snapshots
+        before_p, before_q = snapshots.p.copy(), snapshots.q.copy()
+        for agent in result.agents:
+            agent.beliefs.p += 7
+            agent.beliefs.q[:] = 1
+        assert np.array_equal(snapshots.p, before_p)
+        assert np.array_equal(snapshots.q, before_q)
 
 
 class TestReferenceEquivalence:
@@ -343,8 +365,9 @@ class TestRunExperiment:
             assert [(s.cell, rep) for s, rep, _ in sink.calls] == [(config.cell, rep) for rep in range(3)]
         for _, rep, snapshots in beliefs.calls:
             expected = run_replication(config, rep, collect_beliefs=True).belief_snapshots
-            assert [period for period, _ in snapshots] == [5, 10]
-            assert snapshots[-1][1][0].p.tolist() == expected[-1][1][0].p.tolist()
+            assert snapshots.periods == expected.periods == (5, 10)
+            assert np.array_equal(snapshots.p, expected.p)
+            assert np.array_equal(snapshots.q, expected.q)
 
     def test_trades_tagged_by_rep(self):
         sink = Recorder()
@@ -593,10 +616,12 @@ class TestWriters:
     def test_ledger_rejects_a_cell_it_was_not_opened_for(self, tmp_path, writer):
         first, second = expand_grid(scenario(horizon=10), structures=["k2"], incentives=["balanced"],
                                     strategies=["utility", "interdependence"])
+        # No trades, or the empty belief snapshots of a run that did not collect them.
+        empty = run_replication(first, 0).belief_snapshots if writer is write_beliefs_csv else []
         with pytest.raises(ValueError, match="k2-balanced-interdependence"):
             with writer(tmp_path / "ledger.csv", [first]) as ledger:
-                ledger.write(first, 0, [])
-                ledger.write(second, 0, [])
+                ledger.write(first, 0, empty)
+                ledger.write(second, 0, empty)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("writer, sink", [(write_trades_csv, "trades"), (write_beliefs_csv, "beliefs")])
@@ -644,6 +669,25 @@ class TestWriters:
             assert path.read_text() == row_by_row_beliefs_csv(run)
         assert row_by_row_beliefs_csv(cells[:1]) == "rep,period,agent,i,j,p,q,belief\n"
 
+    def test_unchanged_agent_blocks_reuse_rows_exactly(self, tmp_path):
+        """Agent 0 never changes and agent 1 goes A, B, A: each block equals rows written from scratch."""
+        config = scenario(n=3, m=2)
+        p = np.ones((3, 2, 3, 3), dtype=np.int64)
+        q = np.ones_like(p)
+        p[:, 0] = [[1, 4, 2], [3, 1, 5], [2, 2, 1]]
+        q[1, 1, 0, 2] = 6
+        snapshots = BeliefSnapshots((5, 10, 12), p, q)
+        path = tmp_path / "beliefs.csv"
+        with write_beliefs_csv(path, [config]) as beliefs:
+            beliefs.write(config, 0, snapshots)
+            beliefs.write(config, 1, snapshots)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["rep", "period", "agent", "i", "j", "p", "q", "belief"])
+        for rep in (0, 1):
+            write_snapshot_rows(writer, [], rep, snapshots)
+        assert path.read_text() == expected.getvalue()
+
 
 def row_by_row_beliefs_csv(cells) -> str:
     """beliefs.csv for ``cells`` built one csv.writer row at a time from fresh replications."""
@@ -655,11 +699,18 @@ def row_by_row_beliefs_csv(cells) -> str:
     for config in cells:
         prefix = [config.cell] if grid else []
         for rep in range(config.reps):
-            for period, counters_by_agent in run_replication(config, rep, collect_beliefs=True).belief_snapshots:
-                for agent_id, counters in enumerate(counters_by_agent):
-                    for i in range(config.n):
-                        for j in range(config.n):
-                            if i != j:
-                                p, q = int(counters.p[i, j]), int(counters.q[i, j])
-                                writer.writerow([*prefix, rep, period, agent_id, i, j, p, q, repr(p / (p + q))])
+            snapshots = run_replication(config, rep, collect_beliefs=True).belief_snapshots
+            write_snapshot_rows(writer, prefix, rep, snapshots)
     return text.getvalue()
+
+
+def write_snapshot_rows(writer, prefix, rep, snapshots) -> None:
+    """One csv.writer row per snapshot, agent and off-diagonal (i, j), read entry by entry."""
+    _, m, n, _ = snapshots.p.shape
+    for k, period in enumerate(snapshots.periods):
+        for agent_id in range(m):
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        p, q = int(snapshots.p[k, agent_id, i, j]), int(snapshots.q[k, agent_id, i, j])
+                        writer.writerow([*prefix, rep, period, agent_id, i, j, p, q, repr(p / (p + q))])
