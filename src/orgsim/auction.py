@@ -93,7 +93,10 @@ def bid_utility(
 ) -> Bid | None:
     """Bid ``contributions[offer.decision]`` plus N(0, sigma) noise; None when at capacity.
 
-    The noise is unclamped, so bids can leave [0, 1].
+    The noise is unclamped, so bids can leave [0, 1]. It is one scalar
+    ``normal(0.0, sigma)`` draw, drawn only when the bidder has spare
+    capacity; ``clear_auction`` draws an offer's bids in one call that gives
+    the same values.
     """
     if bidder.id == offer.seller:
         raise ValueError("sellers do not bid on their own offers")
@@ -127,9 +130,15 @@ def clear_auction(
     Offers are processed sequentially in a uniformly random order; bidder
     eligibility (spare capacity) is re-evaluated against the running
     allocation, so a trade earlier in the pass can disqualify or qualify a
-    bidder later in the pass. Bids are collected in agent id order.
-    ``contributions[d]`` is decision d's current contribution; only the
+    bidder later in the pass. Bids are collected in agent id order, with the
+    amounts ``bid_utility`` or ``bid_interdependence`` would give, but as plain
+    floats. ``contributions[d]`` is decision d's current contribution; only the
     ``utility`` strategy reads it.
+
+    The ``utility`` noise is drawn one offer per call: ``normal(0.0, sigma, k)``
+    for an offer's k eligible bidders, none when k is 0. That equals one scalar
+    ``normal(0.0, sigma)`` per eligible bidder in id order, as ``bid_utility``
+    draws it, and leaves the generator in the same state.
     """
     if strategy not in (STRATEGY_UTILITY, STRATEGY_INTERDEPENDENCE):
         raise ValueError(f"unknown auction strategy {strategy!r}")
@@ -143,28 +152,23 @@ def clear_auction(
                 f"period {period}: offered decision {offer.decision} left agent {offer.seller} before clearing"
             )
 
-        bids: list[Bid] = []
-        for bidder in agents:
-            if bidder.id == offer.seller:
-                continue
-            if strategy == STRATEGY_UTILITY:
-                bid = bid_utility(bidder, offer, contributions, sigma, rng_noise)
-            else:
-                bid = bid_interdependence(bidder, offer)
-            if bid is not None:
-                bids.append(bid)
-        if not bids:
+        bidders = [b for b in agents if b.id != offer.seller and len(b.owned) < b.capacity]
+        if not bidders:
             continue
+        if strategy == STRATEGY_UTILITY:
+            amounts = (contributions[offer.decision] + rng_noise.normal(0.0, sigma, len(bidders))).tolist()
+        else:
+            amounts = [mean_external_belief(b, offer.decision) for b in bidders]
 
-        amounts = sorted((b.amount for b in bids), reverse=True)
-        high = amounts[0]
-        top = [b for b in bids if b.amount == high]
-        winner_bid = top[0] if len(top) == 1 else top[int(rng_tie.integers(len(top)))]
+        ranked = sorted(amounts, reverse=True)
+        high = ranked[0]
+        top = [i for i, amount in enumerate(amounts) if amount == high]
+        pick = top[0] if len(top) == 1 else top[int(rng_tie.integers(len(top)))]
         if high < offer.min_price:
             continue
-        price = amounts[1] if len(amounts) > 1 and amounts[1] > offer.min_price else offer.min_price
+        price = ranked[1] if len(ranked) > 1 and ranked[1] > offer.min_price else offer.min_price
 
-        winner = agents[winner_bid.bidder]
+        winner = bidders[pick]
         if len(winner.owned) >= winner.capacity:
             raise InvariantViolation(f"period {period}: winner {winner.id} would exceed capacity {winner.capacity}")
         if len(seller.owned) < 2:
@@ -172,5 +176,5 @@ def clear_auction(
         seller.owned.remove(offer.decision)
         winner.owned.append(offer.decision)
         winner.owned.sort()
-        trades.append(TradeRecord(period, offer.decision, seller.id, winner.id, winner_bid.amount, price))
+        trades.append(TradeRecord(period, offer.decision, seller.id, winner.id, amounts[pick], price))
     return trades

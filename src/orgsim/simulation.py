@@ -11,7 +11,11 @@ configuration carries over unchanged, so performance repeats the previous
 period's value exactly.
 
 A replication returns its trajectory as arrays: ``performance`` (one value per
-period) and ``sizes`` (each agent's portfolio size per period). Performance is
+period) and ``sizes`` (each agent's portfolio size per period). The loop holds
+the trajectory as runs, since performance changes only when flips land and
+sizes change only at auctions: each landed flip opens a performance run and
+each auction a sizes run, every pass adds its length to the open runs, and
+``np.repeat`` expands both once at the end. Performance is
 reported normalized by the landscape's exhaustive optimum, so values live in
 (0, 1] and 1.0 means the global optimum was found. Experiments aggregate
 ``reps`` independent replications into a per-period mean and a 99 percent
@@ -441,13 +445,12 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
         return value / n
 
     owner = [0] * n
-    current_performance = total()
     verdicts: dict[int, bool] = {}
     positions = None
 
-    performance: list[float] = []
-    sizes: list[list[int]] = []
-    current_sizes = [len(agent.owned) for agent in agents]
+    # The trajectory as runs: perf_values[i] holds for perf_runs[i] periods, size_rows[i] for size_runs[i].
+    perf_values, perf_runs = [total()], [0]
+    size_rows, size_runs = [[len(agent.owned) for agent in agents]], [0]
     trades: list[TradeRecord] = []
     observations = [0] * m
     periods = tuple(s for s in range(1, horizon + 1) if s % tau == 0 or s == horizon) if collect_beliefs else ()
@@ -469,7 +472,8 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
                     offers.append(offer)
             round_trades = clear_auction(offers, agents, strategy, contribs, sigma, rng_noise, rng_tie, t)
             trades.extend(round_trades)
-            current_sizes = [len(agent.owned) for agent in agents]
+            size_rows.append([len(agent.owned) for agent in agents])
+            size_runs.append(0)
             _check_allocation(agents, scenario, rep_index, t)
             positions = None
         else:
@@ -480,7 +484,7 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
                         owner[d] = agent.id
                 verdicts.clear()
                 last = min(horizon, (t // auction_every + 1) * auction_every - 1)
-                positions = iter(rng_hc.integers(0, current_sizes * (last - t + 1)).tolist())
+                positions = iter(rng_hc.integers(0, size_rows[-1] * (last - t + 1)).tolist())
             flips: list[tuple[AgentState, int]] = []
             for agent in agents:
                 flip = agent.owned[next(positions)]
@@ -497,7 +501,8 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
                     for j, bit in masks[flip]:
                         idx[j] ^= bit
                         contribs[j] = tables[j][idx[j]]
-                current_performance = total()
+                perf_values.append(total())
+                perf_runs.append(0)
                 verdicts.clear()
                 for agent, flip in flips:
                     update_beliefs(agent, flip, previous, contribs)
@@ -506,8 +511,8 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
                 # Stalled: every proposal is a cached "no", so nothing changes until the interval ends.
                 through = last
 
-        performance.extend([current_performance] * (through - t + 1))
-        sizes.extend([current_sizes] * (through - t + 1))
+        perf_runs[-1] += through - t + 1
+        size_runs[-1] += through - t + 1
         while taken < len(periods) and periods[taken] <= through:
             for agent in agents:
                 snapshots.p[taken, agent.id] = agent.beliefs.p
@@ -515,9 +520,9 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
             taken += 1
         t = through + 1
 
-    result = ReplicationResult(
-        np.array(performance, dtype=np.float64), np.array(sizes), trades, agents, observations, optimum, snapshots
-    )
+    performance = np.repeat(np.array(perf_values, dtype=np.float64), perf_runs)
+    sizes = np.repeat(np.array(size_rows, dtype=np.int64), size_runs, axis=0)
+    result = ReplicationResult(performance, sizes, trades, agents, observations, optimum, snapshots)
     norm = result.normalized_series
     bad = np.flatnonzero(~((norm > 0.0) & (norm <= 1.0)))
     if bad.size:

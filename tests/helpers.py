@@ -1,11 +1,15 @@
 """Shared fixtures-in-code for the test suite.
 
 ``reference_replication`` re-derives a full replication purely from the public
-ops (hillclimb_step, assemble_configuration, update_beliefs, clear_auction,
-performance), consuming generator draws in the documented order. The engine's
+ops (hillclimb_step, assemble_configuration, update_beliefs, the single-bid ops,
+performance), consuming generator draws in the documented order. Its auction
+rounds go through ``reference_clear_auction``, which composes a round bid by
+bid, so a fault inside ``clear_auction`` shows as a difference. The engine's
 optimized loop must match it to exact float equality; ``assert_matches_reference``
 checks that for one replication.
 """
+
+from bisect import insort
 
 import numpy as np
 
@@ -14,8 +18,10 @@ from orgsim import (
     InteractionMatrix,
     Landscape,
     ScenarioConfig,
+    TradeRecord,
     assemble_configuration,
-    clear_auction,
+    bid_interdependence,
+    bid_utility,
     contribution,
     hillclimb_step,
     init_beliefs,
@@ -55,6 +61,44 @@ def k0_landscape(values):
 def contributions_of(land, config):
     """Every decision's contribution under ``config``, read through ``landscape.contribution``."""
     return [contribution(land, config, j) for j in range(land.n)]
+
+
+def reference_clear_auction(offers, agents, strategy, contributions, sigma, rng_noise, rng_tie, period):
+    """Slow twin of ``orgsim.auction.clear_auction``, one ``Bid`` per eligible bidder.
+
+    Offers clear in ``rng_tie.permutation`` order against the running
+    allocation. Each offer collects ``bid_utility`` or ``bid_interdependence``
+    from every other agent in id order, skipping the ``None`` of a full one. The
+    highest bid wins, a tie drawn with ``rng_tie.integers`` before the reserve
+    check; the sale happens when that bid reaches the reserve, at the best of
+    the other bids when it strictly exceeds the reserve, else at the reserve.
+    """
+    trades = []
+    for position in rng_tie.permutation(len(offers)):
+        offer = offers[int(position)]
+        bids = []
+        for bidder in agents:
+            if bidder.id == offer.seller:
+                continue
+            if strategy == STRATEGY_UTILITY:
+                bid = bid_utility(bidder, offer, contributions, sigma, rng_noise)
+            else:
+                bid = bid_interdependence(bidder, offer)
+            if bid is not None:
+                bids.append(bid)
+        if not bids:
+            continue
+        high = max(bid.amount for bid in bids)
+        top = [bid for bid in bids if bid.amount == high]
+        best = top[int(rng_tie.integers(len(top)))] if len(top) > 1 else top[0]
+        if best.amount < offer.min_price:
+            continue
+        rest = [bid.amount for bid in bids if bid is not best]
+        price = max(rest) if rest and max(rest) > offer.min_price else offer.min_price
+        agents[offer.seller].owned.remove(offer.decision)
+        insort(agents[best.bidder].owned, offer.decision)
+        trades.append(TradeRecord(period, offer.decision, offer.seller, best.bidder, best.amount, price))
+    return trades
 
 
 def reference_replication(scenario: ScenarioConfig, rep_index: int):
@@ -98,7 +142,7 @@ def reference_replication(scenario: ScenarioConfig, rep_index: int):
                     offer = select_offer_interdependence(agent, rng_tie)
                 if offer is not None:
                     offers.append(offer)
-            round_trades = clear_auction(
+            round_trades = reference_clear_auction(
                 offers, agents, scenario.strategy, contributions, scenario.sigma, rng_noise, rng_tie, t
             )
             trades.extend(round_trades)

@@ -1,5 +1,7 @@
 """Offer selection, bidding, and sequential second-price clearing."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,12 @@ from orgsim import (
     contribution,
     mean_external_belief,
     mean_internal_belief,
+    replication_rng,
     select_offer_interdependence,
     select_offer_utility,
 )
-from helpers import contributions_of, k0_landscape, make_agent
+from orgsim.simulation import ROLE_NOISE
+from helpers import contributions_of, k0_landscape, make_agent, reference_clear_auction
 
 
 def tie_rng(seed=0):
@@ -255,3 +259,96 @@ class TestClearAuction:
             assert trades == []
             assert agents[0].owned == [0, 1]
             assert agents[1].owned == [2, 3]
+
+
+class TestNoiseBatching:
+    @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.3, 2.0])
+    def test_one_call_per_offer_draws_like_scalar_draws(self, sigma):
+        """``clear_auction`` draws an offer's bid noise with one ``normal(0.0, sigma, k)``
+        call; it must give the k scalar ``normal(0.0, sigma)`` draws ``bid_utility``
+        makes, bit for bit, and leave the stream where they leave it (numpy 2.4.6
+        behaviour)."""
+        for seed in range(8):
+            batch = replication_rng(seed, 1, 2, ROLE_NOISE)
+            scalar = replication_rng(seed, 1, 2, ROLE_NOISE)
+            for k in (0, 1, 2, 3, 4, 3, 0, 1):
+                drawn = 0.25 + batch.normal(0.0, sigma, k)
+                expected = np.array([0.25 + scalar.normal(0.0, sigma) for _ in range(k)], dtype=np.float64)
+                assert drawn.tobytes() == expected.tobytes()
+                assert batch.bit_generator.state == scalar.bit_generator.state
+            assert batch.normal() == scalar.normal()
+
+
+class CountingTies:
+    """Forwards ``permutation`` and ``integers`` to a generator and counts the ``integers`` calls."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = 0
+
+    def permutation(self, count):
+        return self.rng.permutation(count)
+
+    def integers(self, *args):
+        self.draws += 1
+        return self.rng.integers(*args)
+
+
+def random_round(seed, strategy):
+    """Agents, offers and contributions for one round, drawn so that bids tie, bidders are full
+    and sellers regain capacity: contributions, counters and reserves take few values."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 6))
+    n = int(rng.integers(m + 1, 3 * m + 2))
+    owner = np.concatenate([np.arange(m), rng.integers(0, m, n - m)])
+    rng.shuffle(owner)
+    agents = []
+    for a in range(m):
+        owned = np.flatnonzero(owner == a).tolist()
+        agent = make_agent(a, owned, capacity=len(owned) + int(rng.integers(0, 3)), n=n)
+        agent.beliefs.p += rng.integers(0, 3, (n, n))
+        agent.beliefs.q += rng.integers(0, 3, (n, n))
+        agents.append(agent)
+    contributions = (rng.integers(1, 6, n) / 5).tolist()
+    offers = []
+    for agent in agents:
+        if strategy == "utility":
+            offer = select_offer_utility(agent, contributions, rng)
+        else:
+            offer = select_offer_interdependence(agent, rng)
+        if offer is not None and rng.random() < 0.5:
+            offer = Offer(offer.seller, offer.decision, float(rng.integers(0, 4) / 5))
+        if offer is not None:
+            offers.append(offer)
+    return agents, offers, contributions
+
+
+class TestClearAuctionMatchesReference:
+    """``clear_auction`` against the bid-by-bid reference: trades, owned lists and both streams."""
+
+    @pytest.mark.parametrize("strategy, sigma", [
+        ("utility", 0.0), ("utility", 0.1), ("interdependence", 0.0),
+    ])
+    def test_random_rounds(self, strategy, sigma):
+        tie_draws = blocked = gained = 0
+        for seed in range(300):
+            agents, offers, contributions = random_round(seed, strategy)
+            mine, theirs = copy.deepcopy(agents), copy.deepcopy(agents)
+            noise, ties = np.random.default_rng(seed + 1000), CountingTies(np.random.default_rng(seed + 2000))
+            ref_noise, ref_ties = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 2000)
+            trades = clear_auction(offers, mine, strategy, contributions, sigma, noise, ties, 9)
+            expected = reference_clear_auction(offers, theirs, strategy, contributions, sigma, ref_noise, ref_ties, 9)
+            assert trades == expected
+            assert [a.owned for a in mine] == [a.owned for a in theirs]
+            assert noise.bit_generator.state == ref_noise.bit_generator.state
+            assert ties.rng.bit_generator.state == ref_ties.bit_generator.state
+
+            # A full agent that sells nothing bids on no offer; one that wins after selling regained capacity.
+            full = {a.id for a in agents if len(a.owned) == a.capacity}
+            tie_draws += ties.draws
+            blocked += bool(offers) and bool(full - {o.seller for o in offers})
+            gained += any(trade.winner in full for trade in trades)
+        if sigma == 0.0:
+            assert tie_draws > 0
+        assert blocked > 0
+        assert gained > 0

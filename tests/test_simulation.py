@@ -298,6 +298,25 @@ class TestReferenceEquivalence:
         monkeypatch.setattr(orgsim.simulation, "agent_utility", counted)
         return calls
 
+    @pytest.mark.parametrize("case", [
+        scenario(horizon=5, tau=5, seed=14),
+        scenario(horizon=10, tau=5, strategy="interdependence", seed=15),
+        scenario(horizon=4, tau=5, seed=16),
+        scenario(horizon=1, tau=5, seed=17),
+        scenario(horizon=1, tau=1, seed=18),
+        scenario(horizon=30, strategy="benchmark", seed=19),
+    ], ids=["auction-at-horizon", "two-rounds-last-at-horizon", "horizon-below-tau", "one-period",
+            "every-period-an-auction", "benchmark"])
+    def test_trajectory_edges(self, case):
+        """The trajectory's runs expand to one row per period, with the dtypes of a per-period list."""
+        for rep in range(2):
+            result = run_replication(case, rep)
+            assert result.performance.shape == (case.horizon,)
+            assert result.performance.dtype == np.float64
+            assert result.sizes.shape == (case.horizon, case.m)
+            assert result.sizes.dtype == np.int64
+            assert_matches_reference(case, rep)
+
     def test_tied_tables_fall_back_to_full_sums(self, monkeypatch):
         def tied_landscape(matrix, rng):
             # Entries in {0.25, 0.5, 0.75}: many flips leave every dependent's contribution unchanged, so Δ is 0.
