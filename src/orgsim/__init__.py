@@ -36,17 +36,15 @@ from .organization import (
     Allocation,
     IncentiveScheme,
     agent_utility,
-    assemble_configuration,
+    flip_improves,
     hillclimb_step,
     initial_allocation,
     mirrored_allocation,
-    propose_neighbor,
     utility,
 )
 from .auction import (
     STRATEGY_INTERDEPENDENCE,
     STRATEGY_UTILITY,
-    Bid,
     Offer,
     TradeRecord,
     bid_interdependence,

@@ -40,13 +40,6 @@ class Offer:
 
 
 @dataclass(frozen=True)
-class Bid:
-    bidder: int
-    decision: int
-    amount: float
-
-
-@dataclass(frozen=True)
 class TradeRecord:
     period: int
     decision: int
@@ -90,8 +83,8 @@ def bid_utility(
     contributions: Sequence[float],
     sigma: float,
     rng_noise: np.random.Generator,
-) -> Bid | None:
-    """Bid ``contributions[offer.decision]`` plus N(0, sigma) noise; None when at capacity.
+) -> float | None:
+    """The bid amount ``contributions[offer.decision]`` plus N(0, sigma) noise; None when at capacity.
 
     The noise is unclamped, so bids can leave [0, 1]. It is one scalar
     ``normal(0.0, sigma)`` draw, drawn only when the bidder has spare
@@ -102,17 +95,19 @@ def bid_utility(
         raise ValueError("sellers do not bid on their own offers")
     if len(bidder.owned) >= bidder.capacity:
         return None
-    amount = contributions[offer.decision] + rng_noise.normal(0.0, sigma)
-    return Bid(bidder.id, offer.decision, float(amount))
+    return float(contributions[offer.decision] + rng_noise.normal(0.0, sigma))
 
 
-def bid_interdependence(bidder: AgentState, offer: Offer) -> Bid | None:
-    """Bid the mean believed interaction of the offered decision with the bidder's portfolio."""
+def bid_interdependence(bidder: AgentState, offer: Offer) -> float | None:
+    """The bid amount: the mean believed interaction of the offered decision with the bidder's portfolio.
+
+    None when the bidder is at capacity.
+    """
     if bidder.id == offer.seller:
         raise ValueError("sellers do not bid on their own offers")
     if len(bidder.owned) >= bidder.capacity:
         return None
-    return Bid(bidder.id, offer.decision, mean_external_belief(bidder, offer.decision))
+    return mean_external_belief(bidder, offer.decision)
 
 
 def clear_auction(
@@ -131,8 +126,8 @@ def clear_auction(
     eligibility (spare capacity) is re-evaluated against the running
     allocation, so a trade earlier in the pass can disqualify or qualify a
     bidder later in the pass. Bids are collected in agent id order, with the
-    amounts ``bid_utility`` or ``bid_interdependence`` would give, but as plain
-    floats. ``contributions[d]`` is decision d's current contribution; only the
+    amounts ``bid_utility`` or ``bid_interdependence`` would give.
+    ``contributions[d]`` is decision d's current contribution; only the
     ``utility`` strategy reads it.
 
     The ``utility`` noise is drawn one offer per call: ``normal(0.0, sigma, k)``
@@ -169,8 +164,6 @@ def clear_auction(
         price = ranked[1] if len(ranked) > 1 and ranked[1] > offer.min_price else offer.min_price
 
         winner = bidders[pick]
-        if len(winner.owned) >= winner.capacity:
-            raise InvariantViolation(f"period {period}: winner {winner.id} would exceed capacity {winner.capacity}")
         if len(seller.owned) < 2:
             raise InvariantViolation(f"period {period}: seller {seller.id} would drop below one decision")
         seller.owned.remove(offer.decision)

@@ -3,14 +3,13 @@
 Each of ``m`` agents owns a disjoint subset of the ``n`` decisions. Every
 period an agent evaluates exactly one random single-flip neighbor within its
 own decisions against the status quo, holding everyone else's decisions fixed
-at the previous period, and keeps the status quo on ties. Moves are assembled
-synchronously.
+at the previous period, and keeps the status quo on ties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -137,13 +136,17 @@ def agent_utility(agent: AgentState, landscape: Landscape, config: Sequence[int]
     return utility(scheme, own_perf, residual_perf)
 
 
-def propose_neighbor(agent: AgentState, config: Sequence[int], rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """Flip one uniformly drawn owned decision; exactly one generator draw."""
-    pos = int(rng.integers(len(agent.owned)))
-    flip = agent.owned[pos]
-    candidate = np.array(config, dtype=np.int8)
+def flip_improves(
+    agent: AgentState, landscape: Landscape, config: Sequence[int], scheme: IncentiveScheme, flip: int
+) -> bool:
+    """Whether flipping decision ``flip`` strictly raises ``agent``'s utility under ``config``.
+
+    Both utilities are full sums through ``agent_utility``; a tie keeps the
+    status quo.
+    """
+    candidate = list(config)
     candidate[flip] ^= 1
-    return candidate, flip
+    return agent_utility(agent, landscape, candidate, scheme) > agent_utility(agent, landscape, config, scheme)
 
 
 def hillclimb_step(
@@ -152,39 +155,12 @@ def hillclimb_step(
     config: Sequence[int],
     scheme: IncentiveScheme,
     rng: np.random.Generator,
-) -> tuple[list[int], int | None]:
+) -> int | None:
     """One synchronous-period move for ``agent`` against the previous configuration.
 
-    Returns the agent's chosen values for its owned decisions (ascending) and
-    the flipped decision, or None when the status quo is kept. The candidate
-    must be strictly better; ties keep the status quo.
+    Draws one owned decision uniformly, with exactly one generator draw, and
+    returns it when flipping it strictly improves the agent's utility
+    (``flip_improves``), else None: ties keep the status quo.
     """
-    candidate, flip = propose_neighbor(agent, config, rng)
-    status_quo = agent_utility(agent, landscape, config, scheme)
-    challenger = agent_utility(agent, landscape, candidate, scheme)
-    if status_quo >= challenger:
-        return [int(config[d]) for d in agent.owned], None
-    return [int(candidate[d]) for d in agent.owned], flip
-
-
-def assemble_configuration(pieces: Iterable[tuple[Sequence[int], Sequence[int]]], n: int) -> np.ndarray:
-    """Combine per-agent (owned indices, chosen values) pieces into one configuration.
-
-    Validates that the pieces partition range(n): every decision set exactly once.
-    """
-    out = np.full(n, -1, dtype=np.int8)
-    for indices, values in pieces:
-        if len(indices) != len(values):
-            raise ValueError(f"piece has {len(indices)} indices but {len(values)} values")
-        for d, v in zip(indices, values):
-            if not 0 <= d < n:
-                raise ValueError(f"decision index {d} out of range for n={n}")
-            if out[d] != -1:
-                raise ValueError(f"decision {d} assigned by more than one agent")
-            if v not in (0, 1):
-                raise ValueError(f"decision {d} got non-binary value {v!r}")
-            out[d] = v
-    missing = np.flatnonzero(out == -1)
-    if missing.size:
-        raise ValueError(f"decisions {[int(d) for d in missing]} not assigned by any agent")
-    return out
+    flip = agent.owned[int(rng.integers(len(agent.owned)))]
+    return flip if flip_improves(agent, landscape, config, scheme, flip) else None

@@ -32,8 +32,8 @@ precomputed bit into ``idx[j]`` for each dependent j of f, so a proposal reads
 only its dependents' candidate entries and a landed flip refreshes only their
 contributions. A proposal's verdict comes from the local utility change Δ over
 those dependents; when |Δ| is within ``VERDICT_GUARD``, a bound on the rounding
-of the full sums, the two full utilities decide instead, so every verdict is
-the one the full float comparison gives. Performance stays the full
+of the full sums, ``flip_improves`` compares the two full utilities instead, so
+every verdict is the one ``hillclimb_step`` gives. Performance stays the full
 ascending-j sum. A verdict depends only on the configuration, the ownership
 and the incentive weights, so it is cached per flipped decision and dropped
 only when a flip lands or an auction clears. One ``integers(0, highs)`` call
@@ -110,7 +110,14 @@ from .landscape import (
     load_matrix,
 )
 from .learning import init_beliefs, update_beliefs
-from .organization import AgentState, IncentiveScheme, agent_utility, initial_allocation, mirrored_allocation
+from .organization import (
+    INCENTIVE_PRESETS,
+    AgentState,
+    IncentiveScheme,
+    flip_improves,
+    initial_allocation,
+    mirrored_allocation,
+)
 
 STRATEGY_BENCHMARK = "benchmark"
 STRATEGIES = (STRATEGY_UTILITY, STRATEGY_INTERDEPENDENCE, STRATEGY_BENCHMARK)
@@ -147,8 +154,8 @@ CI99_Z = 2.576
 VERDICT_GUARD = 1e-12
 
 GRID_STRUCTURES = (STRUCTURE_K2, STRUCTURE_K5)
-GRID_INCENTIVES = ("individualistic", "balanced", "altruistic")
-GRID_STRATEGIES = (STRATEGY_UTILITY, STRATEGY_INTERDEPENDENCE, STRATEGY_BENCHMARK)
+GRID_INCENTIVES = tuple(INCENTIVE_PRESETS)
+GRID_STRATEGIES = STRATEGIES
 
 
 def replication_rng(master_seed: int, cell_index: int, rep_index: int, role: int) -> np.random.Generator:
@@ -431,12 +438,8 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
         delta = alpha * own_delta / n_own + (beta * res_delta / (n - n_own) if n_own < n else 0.0)
         if abs(delta) > VERDICT_GUARD:
             return delta > 0.0
-        # Too close to call from the local change: compare the full sums, as hillclimb_step does.
-        status_quo = agent_utility(agent, land, bits, incentive)
-        bits[flip] ^= 1
-        challenger = agent_utility(agent, land, bits, incentive)
-        bits[flip] ^= 1
-        return challenger > status_quo
+        # Too close to call from the local change: the full sums decide.
+        return flip_improves(agent, land, bits, incentive, flip)
 
     def total() -> float:
         value = 0.0
@@ -470,7 +473,10 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
                     offer = select_offer_interdependence(agent, rng_tie)
                 if offer is not None:
                     offers.append(offer)
-            round_trades = clear_auction(offers, agents, strategy, contribs, sigma, rng_noise, rng_tie, t)
+            try:
+                round_trades = clear_auction(offers, agents, strategy, contribs, sigma, rng_noise, rng_tie, t)
+            except InvariantViolation as exc:  # its message starts at "period t: "
+                raise InvariantViolation(f"cell {scenario.cell}, rep {rep_index}, {exc}") from exc
             trades.extend(round_trades)
             size_rows.append([len(agent.owned) for agent in agents])
             size_runs.append(0)

@@ -1,12 +1,13 @@
 """Shared fixtures-in-code for the test suite.
 
 ``reference_replication`` re-derives a full replication purely from the public
-ops (hillclimb_step, assemble_configuration, update_beliefs, the single-bid ops,
-performance), consuming generator draws in the documented order. Its auction
-rounds go through ``reference_clear_auction``, which composes a round bid by
-bid, so a fault inside ``clear_auction`` shows as a difference. The engine's
-optimized loop must match it to exact float equality; ``assert_matches_reference``
-checks that for one replication.
+ops (hillclimb_step, update_beliefs, the single-bid ops, performance),
+consuming generator draws in the documented order. Each period it applies the
+flips ``hillclimb_step`` returns to a copy of the previous configuration. Its
+auction rounds go through ``reference_clear_auction``, which composes a round
+bid by bid, so a fault inside ``clear_auction`` shows as a difference. The
+engine's optimized loop must match it to exact float equality;
+``assert_matches_reference`` checks that for one replication.
 """
 
 from bisect import insort
@@ -19,7 +20,6 @@ from orgsim import (
     Landscape,
     ScenarioConfig,
     TradeRecord,
-    assemble_configuration,
     bid_interdependence,
     bid_utility,
     contribution,
@@ -64,14 +64,15 @@ def contributions_of(land, config):
 
 
 def reference_clear_auction(offers, agents, strategy, contributions, sigma, rng_noise, rng_tie, period):
-    """Slow twin of ``orgsim.auction.clear_auction``, one ``Bid`` per eligible bidder.
+    """Slow twin of ``orgsim.auction.clear_auction``, one bid op call per other agent.
 
     Offers clear in ``rng_tie.permutation`` order against the running
-    allocation. Each offer collects ``bid_utility`` or ``bid_interdependence``
-    from every other agent in id order, skipping the ``None`` of a full one. The
-    highest bid wins, a tie drawn with ``rng_tie.integers`` before the reserve
-    check; the sale happens when that bid reaches the reserve, at the best of
-    the other bids when it strictly exceeds the reserve, else at the reserve.
+    allocation. Each offer collects ``(amount, bidder)`` pairs from
+    ``bid_utility`` or ``bid_interdependence`` for every other agent in id
+    order, skipping the ``None`` of a full one. The highest amount wins, a tie
+    drawn with ``rng_tie.integers`` before the reserve check; the sale happens
+    when that amount reaches the reserve, at the best of the other amounts when
+    it strictly exceeds the reserve, else at the reserve.
     """
     trades = []
     for position in rng_tie.permutation(len(offers)):
@@ -81,23 +82,24 @@ def reference_clear_auction(offers, agents, strategy, contributions, sigma, rng_
             if bidder.id == offer.seller:
                 continue
             if strategy == STRATEGY_UTILITY:
-                bid = bid_utility(bidder, offer, contributions, sigma, rng_noise)
+                amount = bid_utility(bidder, offer, contributions, sigma, rng_noise)
             else:
-                bid = bid_interdependence(bidder, offer)
-            if bid is not None:
-                bids.append(bid)
+                amount = bid_interdependence(bidder, offer)
+            if amount is not None:
+                bids.append((amount, bidder.id))
         if not bids:
             continue
-        high = max(bid.amount for bid in bids)
-        top = [bid for bid in bids if bid.amount == high]
+        high = max(amount for amount, _ in bids)
+        top = [bid for bid in bids if bid[0] == high]
         best = top[int(rng_tie.integers(len(top)))] if len(top) > 1 else top[0]
-        if best.amount < offer.min_price:
+        amount, winner = best
+        if amount < offer.min_price:
             continue
-        rest = [bid.amount for bid in bids if bid is not best]
+        rest = [other for other, bidder in bids if bidder != winner]
         price = max(rest) if rest and max(rest) > offer.min_price else offer.min_price
         agents[offer.seller].owned.remove(offer.decision)
-        insort(agents[best.bidder].owned, offer.decision)
-        trades.append(TradeRecord(period, offer.decision, offer.seller, best.bidder, best.amount, price))
+        insort(agents[winner].owned, offer.decision)
+        trades.append(TradeRecord(period, offer.decision, offer.seller, winner, amount, price))
     return trades
 
 
@@ -147,15 +149,16 @@ def reference_replication(scenario: ScenarioConfig, rep_index: int):
             )
             trades.extend(round_trades)
         else:
-            moves = [hillclimb_step(agent, land, config, scenario.incentive, rng_hc) for agent in agents]
-            merged = assemble_configuration(
-                [(agent.owned, values) for agent, (values, _) in zip(agents, moves)], scenario.n
-            )
+            flips = [hillclimb_step(agent, land, config, scenario.incentive, rng_hc) for agent in agents]
+            merged = list(config)
+            for flip in flips:
+                if flip is not None:
+                    merged[flip] ^= 1
             before, after = contributions_of(land, config), contributions_of(land, merged)
-            for agent, (_, flip) in zip(agents, moves):
+            for agent, flip in zip(agents, flips):
                 if flip is not None:
                     update_beliefs(agent, flip, before, after)
-            config = [int(b) for b in merged]
+            config = merged
 
         perf = performance(land, config)
         performance_series.append(perf)

@@ -200,7 +200,7 @@ def test_criterion_8_bid_noise_statistics():
     current = contributions_of(land, [0, 0])
     rng = np.random.default_rng(1234)
     noise = np.array([
-        bid_utility(bidder, offer, current, 0.05, rng).amount - 0.5 for _ in range(10_000)
+        bid_utility(bidder, offer, current, 0.05, rng) - 0.5 for _ in range(10_000)
     ])
     assert abs(noise.mean()) <= 0.002
     assert abs(noise.std(ddof=1) - 0.05) <= 0.005

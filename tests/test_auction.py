@@ -82,9 +82,7 @@ class TestBidUtility:
         land = k0_landscape([(0.8, 0.1), (0.35, 0.9)])
         bidder = make_agent(1, [0], capacity=3, n=2)
         offer = Offer(seller=0, decision=1, min_price=0.2)
-        bid = bid_utility(bidder, offer, contributions_of(land, [0, 0]), 0.0, np.random.default_rng(0))
-        assert bid.bidder == 1
-        assert bid.amount == 0.35
+        assert bid_utility(bidder, offer, contributions_of(land, [0, 0]), 0.0, np.random.default_rng(0)) == 0.35
 
     def test_capacity_blocks_bid(self):
         land = k0_landscape([(0.8, 0.1), (0.35, 0.9)])
@@ -106,7 +104,7 @@ class TestBidUtility:
         current = contributions_of(land, [0, 0])
         rng = np.random.default_rng(123)
         noise = np.array([
-            bid_utility(bidder, offer, current, 0.05, rng).amount - 0.5 for _ in range(4000)
+            bid_utility(bidder, offer, current, 0.05, rng) - 0.5 for _ in range(4000)
         ])
         assert abs(noise.mean()) < 0.003
         assert 0.044 < noise.std(ddof=1) < 0.056
@@ -116,7 +114,7 @@ class TestBidUtility:
         bidder = make_agent(1, [0], capacity=3, n=2)
         rng = np.random.default_rng(7)
         current = contributions_of(land, [0, 0])
-        low = [bid_utility(bidder, Offer(2, 0, 0.0), current, 0.5, rng).amount for _ in range(200)]
+        low = [bid_utility(bidder, Offer(2, 0, 0.0), current, 0.5, rng) for _ in range(200)]
         assert min(low) < 0.0
         assert max(low) > 1.0
 
@@ -126,9 +124,9 @@ class TestBidInterdependence:
         bidder = make_agent(1, [2, 3], capacity=5, n=6)
         bidder.beliefs.p[0, 2] = 4  # belief 0.8
         offer = Offer(seller=0, decision=0, min_price=0.1)
-        bid = bid_interdependence(bidder, offer)
-        assert bid.amount == mean_external_belief(bidder, 0)
-        assert bid.amount == (0.8 + 0.5) / 2
+        amount = bid_interdependence(bidder, offer)
+        assert amount == mean_external_belief(bidder, 0)
+        assert amount == (0.8 + 0.5) / 2
 
     def test_capacity_blocks_bid(self):
         bidder = make_agent(1, [2, 3], capacity=2, n=6)

@@ -16,10 +16,12 @@ from orgsim.errors import InvariantViolation
 from orgsim.landscape import DECOMPOSABLE_K2, build_stylized_matrix
 
 
+SCENARIO = dict(structure="k2", incentive="balanced", strategy="utility",
+                n=6, m=2, tau=5, horizon=12, reps=2, capacity=5, seed=3)
+
+
 def write_scenario(tmp_path, name="scenario.json", **values):
-    payload = dict(structure="k2", incentive="balanced", strategy="utility",
-                   n=6, m=2, tau=5, horizon=12, reps=2, capacity=5, seed=3)
-    payload.update(values)
+    payload = dict(SCENARIO, **values)
     for key in [k for k, v in payload.items() if v is None]:
         del payload[key]
     path = tmp_path / name
@@ -215,6 +217,19 @@ class TestRun:
         assert "error: --jobs must be at most the CPU count 2, got 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_jobs_below_one_fails_before_work(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("orgsim.cli.run_grid", None)
+        out = tmp_path / "out"
+        assert main(["run", write_scenario(tmp_path), "--jobs", "0", "--out", str(out)]) == 2
+        assert "error: --jobs must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, capacity", [(["--capacity", "5,4"], 5), ([], [5, 4])], ids=["flag", "file"])
+    def test_per_agent_capacities(self, tmp_path, flags, capacity):
+        out = tmp_path / "out"
+        assert main(["run", write_scenario(tmp_path, capacity=capacity), *flags, "--out", str(out)]) == 0
+        assert json.loads((out / "metadata.json").read_text())["cells"][0]["capacity"] == [5, 4]
+
     @pytest.mark.parametrize("grid, file_dirs", [
         ({"structures": ["k2"], "incentives": ["balanced", "alpha=0.5"], "strategies": ["utility"]}, None),
         ({"structures": ["k2"], "incentives": ["balanced"], "strategies": ["utility", "benchmark", "utility"]}, None),
@@ -337,6 +352,27 @@ class TestValidate:
         assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
         assert "n <= 25, got n=27" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("payload, message", [
+        ([SCENARIO], "scenario file must hold a JSON object"),
+        ({"grid": ["k2"]}, "grid must be an object with ['incentives', 'strategies', 'structures']"),
+        ({"grid": {"axes": ["k2"]}}, "unknown grid keys ['axes']"),
+        ({"grid": {"structures": []}}, "grid structures must be a non-empty list of strings"),
+        ({"grid": {"strategies": ["utility", 3]}}, "grid strategies must be a non-empty list of strings"),
+        (dict(SCENARIO, structure=2), "structure must be a string, got 2"),
+        (dict(SCENARIO, sigma="0.1"), "sigma must be a number, got '0.1'"),
+        (dict(SCENARIO, horizon=12.0), "horizon must be an integer, got 12.0"),
+        (dict(SCENARIO, capacity="5,x"), "cannot parse capacity '5,x'"),
+        (dict(SCENARIO, capacity=" , "), "cannot parse capacity ' , '"),
+        (dict(SCENARIO, capacity=True), "capacity must be an integer or list of integers, got True"),
+        (dict(SCENARIO, capacity=[5, True]), "capacity list must hold integers, got [5, True]"),
+        (dict(SCENARIO, capacity=5.5), "capacity must be an integer or list of integers, got 5.5"),
+    ])
+    def test_malformed_file_exits_2(self, tmp_path, capsys, payload, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["validate", str(tmp_path / "nope.json")])

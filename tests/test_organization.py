@@ -10,14 +10,13 @@ from orgsim import (
     InteractionMatrix,
     Landscape,
     agent_utility,
-    assemble_configuration,
     contribution,
+    flip_improves,
     hillclimb_step,
     init_beliefs,
     initial_allocation,
     mirrored_allocation,
     performance,
-    propose_neighbor,
     utility,
 )
 from orgsim.landscape import DECOMPOSABLE_K2, build_stylized_matrix, generate_landscape
@@ -138,61 +137,25 @@ class TestUtility:
         assert agent_utility(agent, land, [1, 1], scheme) == 1.0 * performance(land, [1, 1])
 
 
-class TestProposeNeighbor:
-    def test_flips_exactly_one_owned_bit(self):
-        rng = np.random.default_rng(2)
-        agent = make_agent(0, [1, 4, 6])
-        config = [0, 1, 0, 1, 1, 0, 0, 1]
-        for _ in range(50):
-            candidate, flip = propose_neighbor(agent, config, rng)
-            assert flip in agent.owned
-            diff = [d for d in range(8) if candidate[d] != config[d]]
-            assert diff == [flip]
-
-    def test_uniform_over_owned(self):
-        rng = np.random.default_rng(3)
-        agent = make_agent(0, [0, 2, 5])
-        counts = {0: 0, 2: 0, 5: 0}
-        for _ in range(3000):
-            _, flip = propose_neighbor(agent, [0] * 8, rng)
-            counts[flip] += 1
-        for count in counts.values():
-            assert 850 <= count <= 1150
-
-    def test_consumes_exactly_one_draw(self):
-        agent = make_agent(0, [0, 2, 5])
-        rng_a = np.random.default_rng(9)
-        propose_neighbor(agent, [0] * 8, rng_a)
-        rng_b = np.random.default_rng(9)
-        rng_b.integers(len(agent.owned))
-        assert rng_a.integers(1 << 20) == rng_b.integers(1 << 20)
-
-
 class TestHillclimbStep:
     def test_adopts_strict_improvement(self):
         land = k0_landscape([(0.2, 0.9)])
         agent = make_agent(0, [0], capacity=1, n=1)
         scheme = IncentiveScheme(1.0, 0.0)
-        values, flip = hillclimb_step(agent, land, [0], scheme, np.random.default_rng(0))
-        assert flip == 0
-        assert values == [1]
+        assert hillclimb_step(agent, land, [0], scheme, np.random.default_rng(0)) == 0
 
     def test_keeps_status_quo_when_worse(self):
         land = k0_landscape([(0.2, 0.9)])
         agent = make_agent(0, [0], capacity=1, n=1)
         scheme = IncentiveScheme(1.0, 0.0)
-        values, flip = hillclimb_step(agent, land, [1], scheme, np.random.default_rng(0))
-        assert flip is None
-        assert values == [1]
+        assert hillclimb_step(agent, land, [1], scheme, np.random.default_rng(0)) is None
 
     def test_tie_keeps_status_quo(self):
         land = k0_landscape([(0.5, 0.5), (0.3, 0.4)])
         agent = make_agent(0, [0], capacity=1, n=2)
         scheme = IncentiveScheme(1.0, 0.0)
         for seed in range(5):
-            values, flip = hillclimb_step(agent, land, [0, 1], scheme, np.random.default_rng(seed))
-            assert flip is None
-            assert values == [0]
+            assert hillclimb_step(agent, land, [0, 1], scheme, np.random.default_rng(seed)) is None
 
     def test_weighting_can_flip_the_decision(self):
         # flipping decision 0 helps the residual but hurts the agent's own set;
@@ -203,46 +166,66 @@ class TestHillclimbStep:
         agent = make_agent(0, [0], capacity=1, n=2)
         config = [0, 1]
 
-        values, flip = hillclimb_step(agent, land, config, IncentiveScheme(1.0, 0.0), np.random.default_rng(0))
-        assert flip is None
-        values, flip = hillclimb_step(agent, land, config, IncentiveScheme(0.25, 0.75), np.random.default_rng(0))
-        assert flip == 0
-        assert values == [1]
+        assert hillclimb_step(agent, land, config, IncentiveScheme(1.0, 0.0), np.random.default_rng(0)) is None
+        assert hillclimb_step(agent, land, config, IncentiveScheme(0.25, 0.75), np.random.default_rng(0)) == 0
 
     def test_residual_frozen_at_previous_config(self):
         land = k0_landscape([(0.1, 0.2), (0.9, 0.1)])
         agent = make_agent(0, [0], capacity=1, n=2)
         scheme = IncentiveScheme(0.5, 0.5)
         # candidate only changes the own bit; residual contribution stays 0.9
-        values, flip = hillclimb_step(agent, land, [0, 0], scheme, np.random.default_rng(1))
-        assert flip == 0
+        assert hillclimb_step(agent, land, [0, 0], scheme, np.random.default_rng(1)) == 0
         expected_gain = 0.5 * (0.2 - 0.1)
         before = agent_utility(agent, land, [0, 0], scheme)
         after = agent_utility(agent, land, [1, 0], scheme)
         assert after - before == pytest.approx(expected_gain)
 
+    def test_uniform_over_owned(self):
+        # every flip from all zeros improves, so each step returns the decision it drew
+        land = k0_landscape([(0.1, 0.9)] * 8)
+        agent = make_agent(0, [0, 2, 5])
+        scheme = IncentiveScheme(1.0, 0.0)
+        rng = np.random.default_rng(3)
+        counts = {0: 0, 2: 0, 5: 0}
+        for _ in range(3000):
+            counts[hillclimb_step(agent, land, [0] * 8, scheme, rng)] += 1
+        for count in counts.values():
+            assert 850 <= count <= 1150
 
-class TestAssembleConfiguration:
-    def test_combines_pieces(self):
-        config = assemble_configuration([([0, 2], [1, 0]), ([1, 3], [0, 1])], 4)
-        assert config.tolist() == [1, 0, 0, 1]
+    def test_consumes_exactly_one_draw(self):
+        land = k0_landscape([(0.1, 0.9)] * 8)
+        agent = make_agent(0, [0, 2, 5])
+        for config in ([0] * 8, [1] * 8):  # the flip is adopted, then declined
+            rng_a = np.random.default_rng(9)
+            hillclimb_step(agent, land, config, IncentiveScheme(1.0, 0.0), rng_a)
+            rng_b = np.random.default_rng(9)
+            rng_b.integers(len(agent.owned))
+            assert rng_a.integers(1 << 20) == rng_b.integers(1 << 20)
 
-    @pytest.mark.parametrize("pieces, fragment", [
-        ([([0, 1], [1, 1]), ([1, 2], [0, 0])], "more than one"),
-        ([([0], [1])], "not assigned"),
-        ([([0, 1], [1])], "indices"),
-        ([([0, 9], [1, 1])], "out of range"),
-        ([([0, 1], [1, 2])], "non-binary"),
+
+class TestFlipImproves:
+    @pytest.mark.parametrize("config, flip, expected", [
+        ([0, 1], 0, True),  # 0.2 -> 0.9
+        ([1, 1], 0, False),  # 0.9 -> 0.2
+        ([0, 0], 1, False),  # 0.4 -> 0.4: a tie keeps the status quo
     ])
-    def test_rejects_bad_partition(self, pieces, fragment):
-        with pytest.raises(ValueError, match=fragment):
-            assemble_configuration(pieces, 3)
+    def test_strict_improvement_of_full_utilities(self, config, flip, expected):
+        land = k0_landscape([(0.2, 0.9), (0.4, 0.4)])
+        agent = make_agent(0, [0, 1], capacity=2, n=2)
+        scheme = IncentiveScheme(1.0, 0.0)
+        assert flip_improves(agent, land, config, scheme, flip) is expected
+
+    def test_leaves_config_unchanged(self):
+        land = k0_landscape([(0.2, 0.9), (0.4, 0.4)])
+        agent = make_agent(0, [0], capacity=1, n=2)
+        config = [0, 1]
+        flip_improves(agent, land, config, IncentiveScheme(0.5, 0.5), 0)
+        assert config == [0, 1]
 
 
 class TestSynchronousSemantics:
     def test_agents_do_not_see_each_others_moves(self):
-        # both agents flip toward the same better joint state simultaneously;
-        # each evaluated against the old configuration
+        # each agent is evaluated against the old configuration
         rng = np.random.default_rng(0)
         matrix = build_stylized_matrix(DECOMPOSABLE_K2, 6)
         land = generate_landscape(matrix, rng)
@@ -250,12 +233,7 @@ class TestSynchronousSemantics:
         scheme = IncentiveScheme.from_name("balanced")
         config = [0, 1, 0, 1, 0, 1]
 
-        moves = [hillclimb_step(agent, land, config, scheme, np.random.default_rng(7)) for agent in agents]
-        merged = assemble_configuration(
-            [(agent.owned, values) for agent, (values, _) in zip(agents, moves)], 6
-        )
-        for agent, (values, flip) in zip(agents, moves):
-            if flip is None:
-                assert [merged[d] for d in agent.owned] == [config[d] for d in agent.owned]
-            else:
-                assert merged[flip] == 1 - config[flip]
+        flips = [hillclimb_step(agent, land, config, scheme, np.random.default_rng(7)) for agent in agents]
+        assert config == [0, 1, 0, 1, 0, 1]  # a step leaves the configuration the next agent reads
+        for agent, flip in zip(agents, flips):
+            assert flip is None or flip in agent.owned

@@ -18,6 +18,7 @@ from orgsim import (
     ConfigError,
     IncentiveScheme,
     InvariantViolation,
+    Offer,
     ScenarioConfig,
     aggregate_norm_series,
     expand_grid,
@@ -33,7 +34,7 @@ from orgsim import (
 from orgsim.cli import main
 from orgsim.simulation import ROLE_HILLCLIMB, BeliefSnapshots
 from orgsim.landscape import DECOMPOSABLE_K2, Landscape, build_stylized_matrix, global_optimum
-from orgsim.organization import agent_utility
+from orgsim.organization import flip_improves
 import helpers
 from helpers import assert_matches_reference
 
@@ -288,14 +289,14 @@ class TestReferenceEquivalence:
 
     @staticmethod
     def count_full_recomputes(monkeypatch):
-        """Count the engine's full-sum verdicts: two ``agent_utility`` calls each."""
+        """Count the engine's full-sum verdicts: one ``flip_improves`` call each."""
         calls = []
 
         def counted(*args):
             calls.append(args)
-            return agent_utility(*args)
+            return flip_improves(*args)
 
-        monkeypatch.setattr(orgsim.simulation, "agent_utility", counted)
+        monkeypatch.setattr(orgsim.simulation, "flip_improves", counted)
         return calls
 
     @pytest.mark.parametrize("case", [
@@ -418,6 +419,37 @@ class TestRunExperiment:
         monkeypatch.setattr(orgsim.simulation, "generate_landscape", deflated)
         with pytest.raises(InvariantViolation, match=r"cell k2-balanced-utility, rep 0, period 1: normalized"):
             run_experiment(scenario(reps=2), jobs=jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_auction_invariant_violation_names_cell_rep_and_period(self, monkeypatch, jobs):
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched module global only when forked")
+
+        def stray_offer(agent, contributions, rng_tie):
+            # The first decision the seller does not own.
+            return Offer(agent.id, min(set(range(len(contributions))) - set(agent.owned)), 0.0)
+
+        monkeypatch.setattr(orgsim.simulation, "select_offer_utility", stray_offer)
+        with pytest.raises(InvariantViolation, match=r"^cell k2-balanced-utility, rep 0, period 5: offered decision"):
+            run_experiment(scenario(reps=2), jobs=jobs)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda agents: agents[0].owned.pop(), "owned sets do not partition the decisions"),
+        # Agent 0 takes all six decisions, over its capacity of 5.
+        (lambda agents: (agents[0].owned.extend(agents[1].owned), agents[1].owned.clear()),
+         "agent 0 holds 6 decisions"),
+    ], ids=["partition", "capacity"])
+    def test_allocation_check_names_cell_rep_and_period(self, monkeypatch, corrupt, message):
+        real = orgsim.simulation.clear_auction
+
+        def corrupting(offers, agents, *args):
+            trades = real(offers, agents, *args)
+            corrupt(agents)
+            return trades
+
+        monkeypatch.setattr(orgsim.simulation, "clear_auction", corrupting)
+        with pytest.raises(InvariantViolation, match=rf"^cell k2-balanced-utility, rep 0, period 5: {message}$"):
+            run_replication(scenario(), 0)
 
     @pytest.mark.parametrize("jobs, reps, workers", [(5000, 2, 2), (2, 3, 2)])
     def test_never_starts_more_workers_than_replications(self, inline_executor, jobs, reps, workers):
