@@ -137,6 +137,38 @@ class TestUtility:
         assert agent_utility(agent, land, [1, 1], scheme) == 1.0 * performance(land, [1, 1])
 
 
+class TestProposeNeighbor:
+    """The neighbour hillclimb_step draws: one owned decision, uniformly."""
+
+    def test_flips_exactly_one_owned_bit(self):
+        config = [0, 1, 0, 1, 1, 0, 0, 1]
+        # every flip away from config improves, so each step returns the decision it drew
+        land = k0_landscape([(0.1, 0.9) if bit == 0 else (0.9, 0.1) for bit in config])
+        agent = make_agent(0, [1, 4, 6])
+        scheme = IncentiveScheme(1.0, 0.0)
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            flip = hillclimb_step(agent, land, config, scheme, rng)
+            assert flip in agent.owned
+            candidate = list(config)
+            candidate[flip] ^= 1
+            diff = [d for d in range(8) if candidate[d] != config[d]]
+            assert diff == [flip]
+        assert config == [0, 1, 0, 1, 1, 0, 0, 1]
+
+    def test_uniform_over_owned(self):
+        # every flip from all zeros improves, so each step returns the decision it drew
+        land = k0_landscape([(0.1, 0.9)] * 8)
+        agent = make_agent(0, [0, 2, 5])
+        scheme = IncentiveScheme(1.0, 0.0)
+        rng = np.random.default_rng(3)
+        counts = {0: 0, 2: 0, 5: 0}
+        for _ in range(3000):
+            counts[hillclimb_step(agent, land, [0] * 8, scheme, rng)] += 1
+        for count in counts.values():
+            assert 850 <= count <= 1150
+
+
 class TestHillclimbStep:
     def test_adopts_strict_improvement(self):
         land = k0_landscape([(0.2, 0.9)])
@@ -179,18 +211,6 @@ class TestHillclimbStep:
         before = agent_utility(agent, land, [0, 0], scheme)
         after = agent_utility(agent, land, [1, 0], scheme)
         assert after - before == pytest.approx(expected_gain)
-
-    def test_uniform_over_owned(self):
-        # every flip from all zeros improves, so each step returns the decision it drew
-        land = k0_landscape([(0.1, 0.9)] * 8)
-        agent = make_agent(0, [0, 2, 5])
-        scheme = IncentiveScheme(1.0, 0.0)
-        rng = np.random.default_rng(3)
-        counts = {0: 0, 2: 0, 5: 0}
-        for _ in range(3000):
-            counts[hillclimb_step(agent, land, [0] * 8, scheme, rng)] += 1
-        for count in counts.values():
-            assert 850 <= count <= 1150
 
     def test_consumes_exactly_one_draw(self):
         land = k0_landscape([(0.1, 0.9)] * 8)
