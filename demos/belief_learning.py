@@ -8,8 +8,6 @@ initial allocation, portfolios hold genuinely unrelated decision pairs, so
 both honest learning and false inference are visible.
 """
 
-import numpy as np
-
 from orgsim import IncentiveScheme, ScenarioConfig, belief, run_replication
 
 scenario = ScenarioConfig(

@@ -24,6 +24,9 @@ from collections import Counter
 from contextlib import ExitStack
 from pathlib import Path
 
+# orgsim does no BLAS work, and an idle BLAS thread pool costs CPU at import; a user's setting is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__

@@ -72,6 +72,7 @@ counters did not change reuses that snapshot's row text.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -79,7 +80,6 @@ import math
 import operator
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
@@ -104,7 +104,6 @@ from .landscape import (
     ENUMERATION_LIMIT,
     NONDECOMPOSABLE_K5,
     InteractionMatrix,
-    Landscape,
     build_stylized_matrix,
     generate_landscape,
     load_matrix,
@@ -296,6 +295,9 @@ class ScenarioConfig:
         if self.m == 1 and self.incentive.alpha != 1.0:
             problems.append("a single agent has no residual; alpha must be 1.0 when m=1")
 
+        if self.n > ENUMERATION_LIMIT and self.structure in (STRUCTURE_K2, STRUCTURE_K5):
+            # n is already rejected; a stylized matrix of that size costs O(n²) to build.
+            return problems
         try:
             matrix = self.matrix
         except ConfigError as exc:
@@ -603,7 +605,7 @@ def _replication_payload(task: tuple[ScenarioConfig, int, bool, bool]):
     return result.normalized_series, result.trades if want_trades else None, result.belief_snapshots
 
 
-def _in_order(executor: ProcessPoolExecutor, tasks, limit: int):
+def _in_order(executor: concurrent.futures.Executor, tasks, limit: int):
     """Yield each task's payload in task order, with at most ``limit`` submitted and not yet read."""
     pending = deque(executor.submit(_replication_payload, task) for task in islice(tasks, limit))
     while pending:
@@ -630,7 +632,7 @@ def _replications(scenarios: Sequence[ScenarioConfig], jobs: int, want_trades: b
     if workers <= 1:
         yield map(_replication_payload, tasks)
         return
-    with ProcessPoolExecutor(max_workers=workers) as executor:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as executor:
         try:
             yield _in_order(executor, tasks, IN_FLIGHT_PER_WORKER * workers)
         except BaseException:

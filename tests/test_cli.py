@@ -7,7 +7,6 @@ import multiprocessing
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import orgsim.simulation

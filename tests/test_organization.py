@@ -4,34 +4,20 @@ import numpy as np
 import pytest
 
 from orgsim import (
-    AgentState,
     ConfigError,
     IncentiveScheme,
     InteractionMatrix,
     Landscape,
     agent_utility,
-    contribution,
     flip_improves,
     hillclimb_step,
-    init_beliefs,
     initial_allocation,
     mirrored_allocation,
     performance,
     utility,
 )
 from orgsim.landscape import DECOMPOSABLE_K2, build_stylized_matrix, generate_landscape
-
-
-def make_agent(aid, owned, capacity=10, n=8):
-    return AgentState(aid, list(owned), capacity, init_beliefs(n))
-
-
-def k0_landscape(values):
-    """Independent decisions with explicit (off, on) contribution pairs."""
-    n = len(values)
-    matrix = InteractionMatrix(np.eye(n, dtype=bool))
-    tables = [np.array(pair, dtype=np.float64) for pair in values]
-    return Landscape(matrix=matrix, tables=tables)
+from helpers import k0_landscape, make_agent
 
 
 class TestIncentiveScheme:

@@ -1,5 +1,6 @@
 """Replication engine, aggregation, grids, and serialization."""
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -90,6 +91,9 @@ class TestScenarioConfig:
         ({"structure": "k2", "n": 8, "m": 2}, "multiple"),
         ({"structure": "file:/nonexistent/m.txt"}, "cannot|scenario|file|No such"),
         ({"n": 27, "m": 3, "capacity": 9}, "exhaustive optimum supports n <= 25, got n=27"),
+        # Past the enumeration limit only a k2 or k5 matrix goes unbuilt.
+        ({"structure": "k9", "n": 3000, "capacity": 1500}, "unknown structure"),
+        ({"structure": "file:/nonexistent/m.txt", "n": 3000, "capacity": 1500}, "cannot|scenario|file|No such"),
         ({"sigma": float("nan")}, "sigma must be finite"),
         ({"sigma": float("inf")}, "sigma must be finite"),
     ])
@@ -101,6 +105,15 @@ class TestScenarioConfig:
     def test_validate_collects_multiple(self):
         problems = scenario(tau=1, sigma=-1.0, horizon=0).validate()
         assert len(problems) >= 3
+
+    @pytest.mark.parametrize("structure", ["k2", "k5"])
+    def test_validate_rejects_large_n_before_building_a_matrix(self, monkeypatch, structure):
+        def build(*args):
+            raise AssertionError("validate built a stylized matrix")
+
+        monkeypatch.setattr(orgsim.simulation, "build_stylized_matrix", build)
+        problems = scenario(structure=structure, n=3000, capacity=1500).validate()
+        assert problems == ["exhaustive optimum supports n <= 25, got n=3000"]
 
     def test_single_agent_needs_alpha_one(self):
         config = scenario(m=1, capacity=6, incentive=BALANCED)
@@ -156,7 +169,7 @@ def inline_executor(monkeypatch, pool_log):
             pool_log.in_flight.append(pool_log.submitted - pool_log.read)
             return InlineFuture(fn(*args))
 
-    monkeypatch.setattr(orgsim.simulation, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     return pool_log.started
 
 
@@ -438,7 +451,10 @@ class TestRunExperiment:
         # Agent 0 takes all six decisions, over its capacity of 5.
         (lambda agents: (agents[0].owned.extend(agents[1].owned), agents[1].owned.clear()),
          "agent 0 holds 6 decisions"),
-    ], ids=["partition", "capacity"])
+        # Agent 0 hands all its decisions to agent 1 and holds none.
+        (lambda agents: (agents[1].owned.extend(agents[0].owned), agents[0].owned.clear()),
+         "agent 0 holds 0 decisions"),
+    ], ids=["partition", "capacity", "empty"])
     def test_allocation_check_names_cell_rep_and_period(self, monkeypatch, corrupt, message):
         real = orgsim.simulation.clear_auction
 
