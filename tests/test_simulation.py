@@ -91,11 +91,11 @@ class TestScenarioConfig:
         ({"structure": "k2", "n": 8, "m": 2}, "multiple"),
         ({"structure": "file:/nonexistent/m.txt"}, "cannot|scenario|file|No such"),
         ({"n": 27, "m": 3, "capacity": 9}, "exhaustive optimum supports n <= 25, got n=27"),
+        ({"sigma": float("nan")}, "sigma must be finite"),
+        ({"sigma": float("inf")}, "sigma must be finite"),
         # Past the enumeration limit only a k2 or k5 matrix goes unbuilt.
         ({"structure": "k9", "n": 3000, "capacity": 1500}, "unknown structure"),
         ({"structure": "file:/nonexistent/m.txt", "n": 3000, "capacity": 1500}, "cannot|scenario|file|No such"),
-        ({"sigma": float("nan")}, "sigma must be finite"),
-        ({"sigma": float("inf")}, "sigma must be finite"),
     ])
     def test_validate_flags_problems(self, overrides, fragment):
         problems = scenario(**overrides).validate()
