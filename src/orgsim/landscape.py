@@ -9,6 +9,15 @@ the decisions that ``j``'s contribution depends on (diagonal always set).
 Table indexing convention: the own decision is the highest-order bit, the
 remaining dependencies follow in ascending decision index. A decision with
 ``k`` dependencies therefore has a table of length ``2**(k+1)``.
+
+The global optimum is exact. A matrix whose decisions split into several
+connected components of at most ``_SCAN_TAIL`` decisions, like the
+block-diagonal ``decomposable_k2``, is solved component by component: each
+component's configurations are scored with one gather from the concatenated
+tables, and when each component has exactly one configuration within ``GAP``
+of its maximum, their union is the optimum. Any other matrix or landscape (a
+near-tie, a large component, a single component as in ``nondecomposable_k5``)
+goes through the exhaustive scan of all ``2**n`` configurations.
 """
 
 from __future__ import annotations
@@ -30,7 +39,17 @@ BLOCK_SIZE = 3
 ENUMERATION_LIMIT = 25
 _SCAN_CHUNK = 1 << 18
 # Decisions the scan lays out as one contiguous axis, so numpy adds 256 totals per inner loop.
+# Also the most decisions a component may have for the optimum to be found component by component.
 _SCAN_TAIL = 8
+
+# A sum of at most 25 terms, each at most 1 in magnitude, added one after the
+# other in any fixed order is within (n - 1)·u·n ≈ 7e-14 of its exact value,
+# u being the unit roundoff (Higham 2002, Accuracy and Stability of Numerical
+# Algorithms, §4.2). Two such sums whose computed values differ by more than
+# GAP therefore compare the same way as their exact values, and as any other
+# computed sums of the same terms. The engine's hillclimb verdict guard and
+# the optimum by components both rest on this bound.
+GAP = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,10 +64,23 @@ class InteractionMatrix:
     ``entries``: ``(j, dep_0, dep_1, ...)`` with the dependencies ascending, so
     the own decision is the highest-order bit. Every landscape drawn on the
     matrix reads these tuples.
+
+    ``components`` are the connected components of ``entries | entries.T``,
+    each ascending, in the order of their first decisions. When there are
+    several and none has more than ``_SCAN_TAIL`` decisions, ``gathers`` holds
+    one ``(members, index)`` pair per component size: ``members[c]`` lists the
+    decisions of the c-th component of that size, and ``index[c, r, code]`` is
+    the position of member r's contribution, under the component configuration
+    ``code`` (first member as the highest-order bit), in the tables
+    concatenated in decision order. Otherwise ``gathers`` is empty and
+    :func:`global_optimum` scans. Both are derived here, so they travel with a
+    pickled matrix.
     """
 
     entries: np.ndarray
     orders: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    components: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    gathers: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         entries = np.asarray(self.entries, dtype=bool)
@@ -63,6 +95,10 @@ class InteractionMatrix:
         rows = entries.tolist()
         orders = tuple((j, *(i for i, dep in enumerate(row) if dep and i != j)) for j, row in enumerate(rows))
         object.__setattr__(self, "orders", orders)
+        components = _components(orders)
+        object.__setattr__(self, "components", components)
+        decomposes = len(components) > 1 and all(len(members) <= _SCAN_TAIL for members in components)
+        object.__setattr__(self, "gathers", _gathers(orders, components) if decomposes else ())
 
     @property
     def n(self) -> int:
@@ -75,6 +111,56 @@ class InteractionMatrix:
     def dependencies(self, j: int) -> list[int]:
         """Decisions other than ``j`` that ``j``'s contribution depends on, ascending."""
         return list(self.orders[j][1:])
+
+
+def _components(orders: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the dependency graph read in either direction, each ascending."""
+    linked = [set(order) for order in orders]
+    for j, order in enumerate(orders):
+        for i in order:
+            linked[i].add(j)
+    seen = [False] * len(orders)
+    components = []
+    for start, done in enumerate(seen):
+        if done:
+            continue
+        seen[start] = True
+        stack, members = [start], []
+        while stack:
+            j = stack.pop()
+            members.append(j)
+            for i in linked[j]:
+                if not seen[i]:
+                    seen[i] = True
+                    stack.append(i)
+        components.append(tuple(sorted(members)))
+    return tuple(components)
+
+
+def _gathers(
+    orders: tuple[tuple[int, ...], ...], components: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The ``(members, index)`` pairs of :attr:`InteractionMatrix.gathers`, one per component size.
+
+    A member's table index is a weighted sum of its component code's bits:
+    ``weights[c, r, q]`` is the place value of member q in member r's table.
+    """
+    offsets = np.cumsum([0] + [1 << len(order) for order in orders])
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for members in components:
+        groups.setdefault(len(members), []).append(members)
+    gathers = []
+    for size, group in groups.items():
+        weights = np.zeros((len(group), size, size), dtype=np.intp)
+        for c, members in enumerate(group):
+            rank = {d: q for q, d in enumerate(members)}
+            for r, j in enumerate(members):
+                for pos, i in enumerate(orders[j]):
+                    weights[c, r, rank[i]] = 1 << (len(orders[j]) - 1 - pos)
+        bits = (np.arange(1 << size) >> np.arange(size - 1, -1, -1)[:, None]) & 1  # [member, code]
+        members = np.array(group, dtype=np.intp)
+        gathers.append((members, offsets[members][..., None] + weights @ bits))
+    return tuple(gathers)
 
 
 def build_stylized_matrix(kind: str, n: int) -> InteractionMatrix:
@@ -255,7 +341,60 @@ def performance(landscape: Landscape, config: Sequence[int], subset: Iterable[in
 
 
 def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
-    """Exhaustively locate the best configuration.
+    """Locate the best configuration exactly.
+
+    The optimum is the first maximum, with decision 0 as the highest-order bit,
+    of every configuration's total summed for ascending ``j``, as :func:`_scan`
+    computes them, so ties resolve to the lexicographically smallest
+    configuration. A matrix with :attr:`InteractionMatrix.gathers` is solved
+    component by component (:func:`_optimum_by_components`) unless a near-tie
+    or an out-of-range contribution leaves that undecided; every other case
+    goes through the exhaustive scan, which is the one fallback. The winning
+    performance is recomputed through :func:`performance` to keep the cached
+    optimum bit-identical to the scalar path used during simulation.
+    """
+    n = landscape.n
+    if n > ENUMERATION_LIMIT:
+        raise ConfigError(f"exhaustive optimum supports n <= {ENUMERATION_LIMIT}, got {n}")
+    config = _optimum_by_components(landscape)
+    if config is None:
+        config = _scan(landscape)
+    return config, performance(landscape, config)
+
+
+def _optimum_by_components(landscape: Landscape) -> np.ndarray | None:
+    """The union of each component's best configuration, or None when it may not be the scan's answer.
+
+    A configuration's total is the sum of its component scores. One gather from
+    the concatenated tables per component size gives each component's
+    contributions under each of its configurations, summed into its scores.
+    When every component has exactly one configuration within ``GAP`` of its
+    best score, and no contribution exceeds 1 in magnitude, any other
+    configuration loses more than ``GAP`` in some component's score and gains
+    at most two rounding bounds in the others. Its exact total is then lower
+    by more than ``GAP`` less two bounds, and its computed ascending-``j``
+    total by more than ``GAP`` less four: the union is the scan's unique
+    maximum. Otherwise there is no answer here.
+    """
+    gathers = landscape.matrix.gathers
+    if not gathers:
+        return None
+    flat = np.concatenate(landscape.tables)
+    if not np.abs(flat).max() <= 1.0:  # also rejects NaN
+        return None
+    config = np.empty(landscape.n, dtype=np.int8)
+    for members, index in gathers:
+        scores = flat[index].sum(axis=1)  # [component, code]
+        best = scores.max(axis=1)
+        if np.count_nonzero(scores >= (best - GAP)[:, None]) != len(scores):
+            return None
+        codes = scores.argmax(axis=1)
+        config[members] = (codes[:, None] >> np.arange(members.shape[1] - 1, -1, -1)) & 1
+    return config
+
+
+def _scan(landscape: Landscape) -> np.ndarray:
+    """The first maximum of all ``2**n`` configurations' totals, by exhaustive scan.
 
     Enumerates all ``2**n`` configurations with decision 0 as the highest-order
     bit. Each table is viewed as a cube with a length-2 axis per decision in
@@ -270,16 +409,9 @@ def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
     the chunk or outlives its addition, and one totals array serves every
     chunk, zeroed at its start, so memory stays bounded at any ``n``. The
     views are added for ascending ``j`` into zeroed totals, so each
-    configuration's total is summed in the order :func:`performance` uses. The
-    first maximum wins, so ties resolve to the lexicographically smallest
-    configuration. The winning performance is recomputed through
-    :func:`performance` to keep the cached optimum bit-identical to the scalar
-    path used during simulation.
+    configuration's total is summed in the order :func:`performance` uses.
     """
     n = landscape.n
-    if n > ENUMERATION_LIMIT:
-        raise ConfigError(f"exhaustive optimum supports n <= {ENUMERATION_LIMIT}, got {n}")
-
     views = []
     for table, order in zip(landscape.tables, landscape.orders):
         cube = table.reshape((2,) * len(order)).transpose(sorted(range(len(order)), key=order.__getitem__))
@@ -306,4 +438,4 @@ def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
             best_code = (prefix << (n - fixed)) | pos
 
     config = np.array([(best_code >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.int8)
-    return config, performance(landscape, config)
+    return config

@@ -72,7 +72,6 @@ counters did not change reuses that snapshot's row text.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import json
@@ -102,6 +101,7 @@ from .errors import ConfigError, InvariantViolation
 from .landscape import (
     DECOMPOSABLE_K2,
     ENUMERATION_LIMIT,
+    GAP,
     NONDECOMPOSABLE_K5,
     InteractionMatrix,
     build_stylized_matrix,
@@ -143,14 +143,12 @@ CI99_Z = 2.576
 
 # A hillclimb verdict is the float comparison of two utilities, each a
 # weighted mean of at most 25 contributions in [0, 1) summed in ascending
-# order. A sequential sum of n such terms is off by at most (n - 1)·u·n ≈ 7e-14,
-# u being the unit roundoff (Higham 2002, Accuracy and Stability of Numerical
-# Algorithms, §4.2), so after the divisions and weights the two utilities are
-# within 1.5e-13 of their exact values together. The local change Δ, summed
-# over the flipped decision's dependents only, is within 1e-13 of its own.
-# When |Δ| exceeds the guard, the sign of Δ is the verdict the full sums give;
-# otherwise the full sums decide.
-VERDICT_GUARD = 1e-12
+# order. By the rounding bound behind GAP the two utilities are, after the
+# divisions and weights, within 1.5e-13 of their exact values together. The
+# local change Δ, summed over the flipped decision's dependents only, is
+# within 1e-13 of its own. When |Δ| exceeds the guard, the sign of Δ is the
+# verdict the full sums give; otherwise the full sums decide.
+VERDICT_GUARD = GAP
 
 GRID_STRUCTURES = (STRUCTURE_K2, STRUCTURE_K5)
 GRID_INCENTIVES = tuple(INCENTIVE_PRESETS)
@@ -400,8 +398,9 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
     rng_land = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_LANDSCAPE)
     rng_init = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_INIT)
     rng_hc = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_HILLCLIMB)
-    rng_noise = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_NOISE)
-    rng_tie = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_TIEBREAK)
+    if auction_every <= horizon:  # the auction streams are built only when an auction period comes
+        rng_noise = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_NOISE)
+        rng_tie = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_TIEBREAK)
 
     land = generate_landscape(matrix, rng_land)
     optimum = land.optimum_performance
@@ -605,8 +604,9 @@ def _replication_payload(task: tuple[ScenarioConfig, int, bool, bool]):
     return result.normalized_series, result.trades if want_trades else None, result.belief_snapshots
 
 
-def _in_order(executor: concurrent.futures.Executor, tasks, limit: int):
-    """Yield each task's payload in task order, with at most ``limit`` submitted and not yet read."""
+def _in_order(executor, tasks, limit: int):
+    """Yield each task's payload from a ``concurrent.futures`` executor in task order, with at most ``limit``
+    submitted and not yet read."""
     pending = deque(executor.submit(_replication_payload, task) for task in islice(tasks, limit))
     while pending:
         payload = pending.popleft().result()
@@ -632,6 +632,8 @@ def _replications(scenarios: Sequence[ScenarioConfig], jobs: int, want_trades: b
     if workers <= 1:
         yield map(_replication_payload, tasks)
         return
+    import concurrent.futures  # only a run that opens a pool pays for the import
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as executor:
         try:
             yield _in_order(executor, tasks, IN_FLIGHT_PER_WORKER * workers)

@@ -253,9 +253,10 @@ class TestGlobalOptimum:
             generate_landscape(matrix, np.random.default_rng(0))
 
     def test_constant_tables_tie_to_first_config(self):
-        # every configuration scores the same; the scan must keep all zeros
+        # every configuration scores the same, so every component is tied; the scan must keep all zeros
         matrix = identity_matrix(4)
         land = Landscape(matrix=matrix, tables=[np.full(2, 0.5) for _ in range(4)])
+        assert landscape_module._optimum_by_components(land) is None
         config, perf = global_optimum(land)
         assert np.array_equal(config, np.zeros(4, dtype=np.int8))
         assert perf == 0.5
@@ -323,17 +324,21 @@ class TestOracleAgreement:
 
 
 def assert_scan_matches_brute(land, monkeypatch):
-    """global_optimum equals brute_optimum exactly at the default and 8-configuration chunks, each with
-    the default contiguous tail and tails of 1 and 3 decisions."""
+    """global_optimum equals brute_optimum exactly, and so does the exhaustive scan itself, called directly so
+    that a decomposable matrix reaches it too, at the default and 8-configuration chunks, each with the default
+    contiguous tail and tails of 1 and 3 decisions."""
     brute_config, brute_perf = brute_optimum(land)
+    config, perf = global_optimum(land)
+    assert np.array_equal(config, brute_config)
+    assert perf == brute_perf
     for chunk in (landscape_module._SCAN_CHUNK, 1 << 3):
         for tail in (landscape_module._SCAN_TAIL, 1, 3):
             with monkeypatch.context() as patch:
                 patch.setattr(landscape_module, "_SCAN_CHUNK", chunk)
                 patch.setattr(landscape_module, "_SCAN_TAIL", tail)
-                config, perf = global_optimum(land)
+                config = landscape_module._scan(land)
+            assert config.dtype == np.int8
             assert np.array_equal(config, brute_config)
-            assert perf == brute_perf
 
 
 class TestScanAgainstOracle:
@@ -359,6 +364,112 @@ class TestScanAgainstOracle:
             matrix = random_matrix(n, 2, rng)
             tables = [np.round(rng.random(8), decimals) for _ in range(n)]
             assert_scan_matches_brute(Landscape(matrix=matrix, tables=tables), monkeypatch)
+
+
+def block_matrix(sizes, rng):
+    """Block-diagonal structure with blocks of the given sizes: a chain keeps each block one component, and
+    random links inside the block vary the tables' widths."""
+    n = sum(sizes)
+    entries = np.eye(n, dtype=bool)
+    start = 0
+    for size in sizes:
+        block = slice(start, start + size)
+        entries[block, block] |= rng.random((size, size)) < 0.4
+        for j in range(start, start + size - 1):
+            reader, read = (j, j + 1) if rng.random() < 0.5 else (j + 1, j)
+            entries[reader, read] = True
+        start += size
+    return InteractionMatrix(entries)
+
+
+def scan_forbidden(monkeypatch):
+    def scan(land):
+        raise AssertionError("the exhaustive scan ran")
+
+    monkeypatch.setattr(landscape_module, "_scan", scan)
+
+
+class TestOptimumByComponents:
+    """The optimum found component by component, against brute_optimum, and every case that falls back to the
+    scan."""
+
+    def test_stylized_components(self):
+        k2 = build_stylized_matrix(DECOMPOSABLE_K2, 15)
+        assert k2.components == tuple(tuple(range(b, b + 3)) for b in range(0, 15, 3))
+        [(members, index)] = k2.gathers
+        assert members.tolist() == [list(c) for c in k2.components]
+        assert index.shape == (5, 3, 8)
+        # decision 4 reads (4, 3, 5); component code 0b110 sets decisions 3 and 4, so its index is 0b110
+        assert index[1, 1, 0b110] == 4 * 8 + 0b110
+        k5 = build_stylized_matrix(NONDECOMPOSABLE_K5, 15)
+        assert k5.components == (tuple(range(15)),)
+        assert k5.gathers == ()
+
+    def test_components_read_links_in_either_direction(self):
+        entries = np.eye(5, dtype=bool)
+        entries[0, 3] = entries[4, 1] = True
+        matrix = InteractionMatrix(entries)
+        assert matrix.components == ((0, 3), (1, 4), (2,))
+        assert [members.tolist() for members, _ in matrix.gathers] == [[[0, 3], [1, 4]], [[2]]]
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_k2_answers_without_the_scan(self, n, monkeypatch):
+        rng = np.random.default_rng(300 + n)
+        for _ in range(3):
+            land = generate_landscape(build_stylized_matrix(DECOMPOSABLE_K2, n), rng)
+            brute_config, brute_perf = brute_optimum(land)
+            with monkeypatch.context() as patch:
+                scan_forbidden(patch)
+                config, perf = global_optimum(land)
+            assert config.dtype == np.int8
+            assert np.array_equal(config, brute_config)
+            assert perf == brute_perf
+
+    @pytest.mark.parametrize("n", [6, 9, 12, 15])
+    def test_k5_never_decomposes(self, n):
+        matrix = build_stylized_matrix(NONDECOMPOSABLE_K5, n)
+        assert len(matrix.components) == 1
+        land = generate_landscape(matrix, np.random.default_rng(n))
+        assert landscape_module._optimum_by_components(land) is None
+
+    def test_mixed_blocks_match_brute(self, monkeypatch):
+        rng = np.random.default_rng(303)
+        for sizes in [(1, 2, 3, 4), (5, 1, 2, 3), (2, 8, 1), (4, 4, 4)]:
+            matrix = block_matrix(sizes, rng)
+            assert [len(c) for c in matrix.components] == list(sizes)
+            land = generate_landscape(matrix, rng)
+            brute_config, brute_perf = brute_optimum(land)
+            with monkeypatch.context() as patch:
+                scan_forbidden(patch)
+                config, perf = global_optimum(land)
+            assert np.array_equal(config, brute_config)
+            assert perf == brute_perf
+
+    def test_block_larger_than_the_tail_scans(self, monkeypatch):
+        rng = np.random.default_rng(304)
+        matrix = block_matrix((landscape_module._SCAN_TAIL + 1, 2, 1), rng)
+        assert len(matrix.components) == 3
+        assert matrix.gathers == ()
+        assert_scan_matches_brute(generate_landscape(matrix, rng), monkeypatch)
+
+    def test_one_ulp_apart_falls_back_to_the_first_maximum(self):
+        # Decision 0's component scores 0.5 and the next double up; added to 0.75 + 0.25 both round to 1.5,
+        # so the full sums tie and the first maximum keeps decision 0 at 0, against the component's argmax.
+        tables = [np.array([0.5, np.nextafter(0.5, 1.0)]), np.array([0.75, 0.25]), np.array([0.0, 0.25])]
+        land = Landscape(matrix=identity_matrix(3), tables=tables)
+        assert landscape_module._optimum_by_components(land) is None
+        brute_config, brute_perf = brute_optimum(land)
+        assert brute_config.tolist() == [0, 0, 1]
+        config, perf = global_optimum(land)
+        assert np.array_equal(config, brute_config)
+        assert perf == brute_perf
+
+    def test_contributions_beyond_the_bound_fall_back(self, monkeypatch):
+        land = generate_landscape(build_stylized_matrix(DECOMPOSABLE_K2, 6), np.random.default_rng(305))
+        scaled = Landscape(matrix=land.matrix, tables=[4.0 * table for table in land.tables])
+        assert landscape_module._optimum_by_components(land) is not None
+        assert landscape_module._optimum_by_components(scaled) is None
+        assert_scan_matches_brute(scaled, monkeypatch)
 
 
 class TestChunkBoundaries:

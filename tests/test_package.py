@@ -110,7 +110,7 @@ class TestCliFixedCost:
         loaded = run_script(tmp_path, """
             import contextlib, io, json, sys
             from orgsim.cli import main
-            pools = ("concurrent.futures.process", "multiprocessing")
+            pools = ("concurrent.futures._base", "concurrent.futures.process", "logging", "multiprocessing")
             loaded = []
             with contextlib.redirect_stdout(io.StringIO()):
                 for args in (["validate", sys.argv[1]], ["run", sys.argv[1], "--jobs", "1", "--out", "out"]):

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import multiprocessing
+import pickle
 import time
 from dataclasses import fields, replace
 from types import SimpleNamespace
@@ -244,6 +245,24 @@ class TestRunReplication:
         assert result.sizes.shape == (30, 2)
         assert np.all(result.sizes == [3, 3])
         assert [agent.owned for agent in result.agents] == [[0, 1, 2], [3, 4, 5]]
+
+    @pytest.mark.parametrize("overrides, roles", [
+        (dict(), [0, 1, 2, 3, 4]),
+        (dict(tau=20), [0, 1, 2, 3, 4]),
+        (dict(tau=21), [0, 1, 2]),
+        (dict(strategy="benchmark"), [0, 1, 2]),
+    ], ids=["auctions", "auction-at-horizon", "tau-past-horizon", "benchmark"])
+    def test_auction_streams_built_only_when_an_auction_comes(self, overrides, roles, monkeypatch):
+        built = []
+        real = orgsim.simulation.replication_rng
+
+        def recording(seed, cell_index, rep_index, role):
+            built.append(role)
+            return real(seed, cell_index, rep_index, role)
+
+        monkeypatch.setattr(orgsim.simulation, "replication_rng", recording)
+        run_replication(scenario(**overrides), 0)
+        assert built == roles
 
     def test_observation_ledger_matches_counters(self):
         result = run_replication(scenario(horizon=40, seed=5), 0)
@@ -519,6 +538,28 @@ class TestMatrixReads:
         path.write_text(json.dumps({"grid": grid, "n": 6, "m": 2, "tau": 5, "horizon": 6, "reps": 2}))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
         assert reads == [str(first), str(second)]
+
+
+class TestScenarioPickle:
+    """A worker's task carries the scenario's matrix with everything derived from it."""
+
+    def test_unpickled_k2_matrix_holds_its_components(self):
+        config = scenario(n=15, m=5)
+        matrix = config.matrix
+        task = pickle.dumps((config, 0, False, False))
+        loaded = pickle.loads(task)[0]
+        assert "matrix" in vars(loaded)
+        held = vars(loaded.matrix)
+        assert held["components"] == matrix.components
+        [(members, index)] = held["gathers"]
+        assert np.array_equal(members, matrix.gathers[0][0])
+        assert np.array_equal(index, matrix.gathers[0][1])
+        assert index.shape == (5, 3, 8)
+
+    def test_components_add_at_most_1_5_kb_to_a_task(self):
+        matrix = scenario(n=15, m=5).matrix
+        derived = len(pickle.dumps(matrix)) - len(pickle.dumps((matrix.entries, matrix.orders)))
+        assert derived <= 1536
 
 
 class TestRunGrid:
