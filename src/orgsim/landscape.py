@@ -12,12 +12,13 @@ remaining dependencies follow in ascending decision index. A decision with
 
 The global optimum is exact. A matrix whose decisions split into several
 connected components of at most ``_SCAN_TAIL`` decisions, like the
-block-diagonal ``decomposable_k2``, is solved component by component: each
-component's configurations are scored with one gather from the concatenated
-tables, and when each component has exactly one configuration within ``GAP``
-of its maximum, their union is the optimum. Any other matrix or landscape (a
-near-tie, a large component, a single component as in ``nondecomposable_k5``)
-goes through the exhaustive scan of all ``2**n`` configurations.
+block-diagonal ``decomposable_k2``, is solved component by component: the
+components' configurations are scored with one gather per component size from
+the concatenated tables, and when each component has exactly one
+configuration within ``GAP`` of its maximum, their union is the optimum. Any
+other matrix or landscape (a near-tie, a large component, a contribution above
+1 in magnitude, a single component as in ``nondecomposable_k5``) goes through
+the exhaustive scan of all ``2**n`` configurations.
 """
 
 from __future__ import annotations

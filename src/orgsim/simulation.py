@@ -24,7 +24,9 @@ confidence half-width.
 Randomness is split into per-role streams seeded as
 ``SeedSequence(master_seed, spawn_key=(cell_index, rep_index, role))``. Every
 replication is therefore self-contained: results are byte-identical no matter
-how replications are distributed over worker processes.
+how replications are distributed over worker processes. The bid-noise and
+tie-break streams are built only when an auction period falls inside the
+horizon; no other stream reads them, so skipping them changes no draw.
 
 The period loop keeps incremental index state. ``idx[j]`` is decision j's
 current index into its contribution table, and a flip of f XORs one
@@ -398,7 +400,7 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
     rng_land = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_LANDSCAPE)
     rng_init = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_INIT)
     rng_hc = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_HILLCLIMB)
-    if auction_every <= horizon:  # the auction streams are built only when an auction period comes
+    if auction_every <= horizon:
         rng_noise = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_NOISE)
         rng_tie = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_TIEBREAK)
 
