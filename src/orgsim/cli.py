@@ -9,9 +9,9 @@ Subcommands:
 Exit codes: 0 on success, 2 for configuration problems (bad flags, malformed
 or invalid scenario files), 3 when a model invariant breaks mid-run.
 
-The scenario schema (keys, value types, grid expansion, per-cell records)
-lives in ``orgsim.simulation``. This module only reads scenario files, reports
-JSON syntax errors with their positions, and merges flags over file values.
+The scenario schema, the grid rules and the run check live in
+``orgsim.simulation``. This module only reads scenario files, reports JSON
+syntax errors with their positions, and merges flags and presets over them.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -35,14 +34,12 @@ from .landscape import generate_landscape, random_matrix
 from .oracle import ORACLE_MAX_N, oracle_report
 from .organization import INCENTIVE_PRESETS
 from .simulation import (
-    GRID_INCENTIVES,
-    GRID_STRATEGIES,
-    GRID_STRUCTURES,
     INPUT_KEYS,
     STRATEGIES,
     ExperimentResult,
     ScenarioConfig,
-    expand_grid,
+    cells_from_dict,
+    grid_axes,
     run_experiment,  # noqa: F401  not called here; benchmarks/tracer.py patches this name (TestTraceTargets)
     run_grid,
     write_beliefs_csv,
@@ -51,75 +48,34 @@ from .simulation import (
     write_trades_csv,
 )
 
-GRID_KEYS = {"structures", "incentives", "strategies"}
-# The single-cell keys a grid's axes replace.
-CELL_KEYS = ("structure", "incentive", "strategy")
 EMIT_TOKENS = {"csv", "json", "beliefs", "trades"}
 SUMMARY_CHECKPOINTS = (100, 250, 500)
 
 
-def load_scenario_file(path: str) -> dict:
-    """Read a JSON scenario file and shape-check its grid; scenario keys are checked later."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenario file: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: scenario file must hold a JSON object")
-
-    if "grid" in data:
-        grid = data["grid"]
-        if not isinstance(grid, dict):
-            raise ConfigError(f"{path}: grid must be an object with {sorted(GRID_KEYS)}")
-        unknown = sorted(set(grid) - GRID_KEYS)
-        if unknown:
-            raise ConfigError(f"{path}: unknown grid keys {unknown}")
-        for axis, values in grid.items():
-            if not isinstance(values, list) or not values or not all(isinstance(v, str) for v in values):
-                raise ConfigError(f"{path}: grid {axis} must be a non-empty list of strings")
-    return data
-
-
 def load_cells(args: argparse.Namespace) -> list[ScenarioConfig]:
-    """Merge file values and flags (flags win), expand the grid once, and validate every cell before any work."""
-    merged = load_scenario_file(args.scenario) if args.scenario else {}
-    grid = merged.pop("grid", None)
+    """Read the scenario file, merge flags over its values, and turn them into the run's checked cells."""
+    merged = {}
+    if args.scenario:
+        try:
+            with open(args.scenario, "r", encoding="utf-8") as fh:
+                merged = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read scenario file: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{args.scenario}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        if not isinstance(merged, dict):
+            raise ConfigError(f"{args.scenario}: scenario file must hold a JSON object")
     for key in INPUT_KEYS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     if getattr(args, "preset", None) == "paper-grid":
-        paper = {"structures": list(GRID_STRUCTURES), "incentives": list(GRID_INCENTIVES),
-                 "strategies": list(GRID_STRATEGIES)}
-        # The preset replaces the file's grid, so a file grid other than the paper's would be dropped.
-        if grid is not None and {**paper, **grid} != paper:
-            raise ConfigError(f"{args.scenario}: the file's grid {grid} differs from --preset paper-grid's "
-                              f"{paper}; remove one")
-        grid = {}
-
-    if grid is None:
-        scenarios = [ScenarioConfig.from_dict(merged)]
-    else:
-        # expand_grid sets these three fields in every cell, so a single value would be dropped.
-        given = [key for key in CELL_KEYS if key in merged]
-        if given:
-            raise ConfigError(f"a grid run sets {', '.join(given)} per cell; remove it from the flags and the "
-                              "top level of the scenario file, or list it in the grid")
-        fill = {"structure": GRID_STRUCTURES[0], "incentive": GRID_INCENTIVES[0], "strategy": GRID_STRATEGIES[0]}
-        scenarios = expand_grid(ScenarioConfig.from_dict({**fill, **merged}), **grid)
-
-    problems = [f"{scenario.cell}: {p}" for scenario in scenarios for p in scenario.validate()]
-    duplicates = [cell for cell, count in Counter(scenario.cell for scenario in scenarios).items() if count > 1]
-    if duplicates:
-        problems.append(f"duplicate cell labels: {', '.join(duplicates)}")
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return scenarios
+        paper = grid_axes({})
+        # The preset stands for the paper grid, so a file grid other than the paper's would be dropped.
+        if grid_axes(merged.setdefault("grid", {})) != paper:
+            raise ConfigError(f"{args.scenario}: the file's grid {merged['grid']} differs from --preset "
+                              f"paper-grid's {paper}; remove one")
+    return cells_from_dict(merged)
 
 
 def parse_emit(text: str) -> set[str]:

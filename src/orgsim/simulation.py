@@ -56,11 +56,11 @@ replication preallocates one ``BeliefSnapshots``: two int64 arrays ``p`` and
 The scenario schema lives here and nowhere else: ``ScenarioConfig`` holds the
 fields, ``ScenarioConfig.from_dict`` the keys a scenario file or the flags may
 set and their value types, ``ScenarioConfig.to_dict`` the per-cell record of
-``orgsim validate`` and ``metadata.json``, and ``expand_grid`` the cell
-enumeration. Callers expand a grid once and hand the cell list to ``run_grid``,
-which runs the cells as given. A scenario resolves its interaction structure
-once, in ``ScenarioConfig.matrix``; ``validate``, the replications and
-``metadata.json`` all read that one value.
+``orgsim validate`` and ``metadata.json``, ``expand_grid`` the cell
+enumeration, ``cells_from_dict`` the grid rules, and ``check_cells`` the run
+check that ``orgsim run``, ``run_grid`` and the ledgers share. A scenario
+resolves its interaction structure once, in ``ScenarioConfig.matrix``;
+``validate``, the replications and ``metadata.json`` all read that one value.
 
 A run is one stream of (cell, rep) tasks on one pool, read back in that order
 with at most ``IN_FLIGHT_PER_WORKER`` results per worker submitted and unread.
@@ -75,17 +75,17 @@ counters did not change reuses that snapshot's row text.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import operator
 import os
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import cached_property
 from itertools import islice, product
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Mapping, Protocol, Sequence, TextIO
 
 import numpy as np
@@ -155,6 +155,8 @@ VERDICT_GUARD = GAP
 GRID_STRUCTURES = (STRUCTURE_K2, STRUCTURE_K5)
 GRID_INCENTIVES = tuple(INCENTIVE_PRESETS)
 GRID_STRATEGIES = STRATEGIES
+# The axes a scenario's ``grid`` key may list, each with the per-cell field it sets.
+GRID_AXES = {"structures": "structure", "incentives": "incentive", "strategies": "strategy"}
 
 
 def replication_rng(master_seed: int, cell_index: int, rep_index: int, role: int) -> np.random.Generator:
@@ -350,6 +352,49 @@ def expand_grid(
         replace(base, structure=structure, incentive=scheme, strategy=strategy, cell_index=index)
         for index, (structure, scheme, strategy) in enumerate(product(structures, schemes, strategies))
     ]
+
+
+def grid_axes(grid: object) -> dict[str, list[str]]:
+    """A ``grid`` value, shape-checked, as ``expand_grid``'s axes; a missing axis takes the paper grid's values."""
+    if not isinstance(grid, dict):
+        raise ConfigError(f"grid must be an object with {sorted(GRID_AXES)}")
+    unknown = sorted(set(grid) - set(GRID_AXES))
+    if unknown:
+        raise ConfigError(f"unknown grid keys {unknown}")
+    for axis, values in grid.items():
+        if not isinstance(values, list) or not values or not all(isinstance(v, str) for v in values):
+            raise ConfigError(f"grid {axis} must be a non-empty list of strings")
+    paper = (GRID_STRUCTURES, GRID_INCENTIVES, GRID_STRATEGIES)
+    return {**{axis: list(values) for axis, values in zip(GRID_AXES, paper)}, **grid}
+
+
+def check_cells(cells: Sequence[ScenarioConfig]) -> None:
+    """The run check: one ``ConfigError`` naming every cell's ``validate()`` problems, then duplicate labels."""
+    problems = [f"{cell.cell}: {problem}" for cell in cells for problem in cell.validate()]
+    # Every output keys its rows by label, so two cells of one label could not be told apart.
+    shared = [label for label, count in Counter(cell.cell for cell in cells).items() if count > 1]
+    if shared:
+        problems.append(f"duplicate cell labels: {', '.join(shared)}")
+    if problems:
+        raise ConfigError("; ".join(problems))
+
+
+def cells_from_dict(data: Mapping[str, object]) -> list[ScenarioConfig]:
+    """A run's cells, passed by ``check_cells``, from scenario values: one cell, or a ``grid`` key's cells."""
+    values = dict(data)
+    if "grid" not in values:
+        cells = [ScenarioConfig.from_dict(values)]
+    else:
+        axes = grid_axes(values.pop("grid"))
+        given = [key for key in GRID_AXES.values() if key in values]
+        if given:
+            raise ConfigError(f"a grid run sets {', '.join(given)} per cell; remove it from the flags and the "
+                              "top level of the scenario file, or list it in the grid")
+        # expand_grid replaces these fields in every cell; from_dict needs a value for each.
+        first = {key: axes[axis][0] for axis, key in GRID_AXES.items()}
+        cells = expand_grid(ScenarioConfig.from_dict({**first, **values}), **axes)
+    check_cells(cells)
+    return cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -620,15 +665,12 @@ def _in_order(executor, tasks, limit: int):
 def _replications(scenarios: Sequence[ScenarioConfig], jobs: int, want_trades: bool, want_beliefs: bool):
     """Yield an iterator over the payloads of every (cell, rep) of ``scenarios``, in that order.
 
-    Every cell is validated before any work starts. The run has one pool of
+    Every cell passes ``check_cells`` before any work starts. The run has one pool of
     ``min(jobs, total reps)`` workers, or none when that is 1: then each
     payload is computed as it is read. A raising body cancels the submitted
     work.
     """
-    for scenario in scenarios:
-        problems = scenario.validate()
-        if problems:
-            raise ConfigError("invalid scenario: " + "; ".join(problems))
+    check_cells(scenarios)
     tasks = ((scenario, rep, want_trades, want_beliefs) for scenario in scenarios for rep in range(scenario.reps))
     workers = min(jobs, sum(scenario.reps for scenario in scenarios))
     if workers <= 1:
@@ -732,12 +774,12 @@ def write_metadata_json(results: Sequence[ExperimentResult], path: str | Path) -
 class _Ledger:
     """A CSV ledger written one replication at a time.
 
-    A ledger is opened for the cells of one run; a replication of a cell
-    outside that run raises ``ValueError``. A run of more than one cell
-    prefixes a ``cell`` column so rows from different cells stay
-    distinguishable. The header and a row's leading ``cell`` and ``rep``
-    fields go through ``csv.writer``, because a ``file:`` stem may need
-    quoting; the remaining fields are numbers and a strategy name, which
+    A ledger is opened for the cells of one run, which must not share a label;
+    a replication of a cell outside that run raises ``ValueError``. A run of
+    more than one cell prefixes a ``cell`` column so rows from different
+    cells stay distinguishable. The header and each cell's ``cell,`` lead go
+    through ``csv.writer`` once, because a ``file:`` stem may need quoting;
+    the remaining fields are numbers and a strategy name, which
     ``csv.writer`` would write unquoted, so subclasses build them as text
     in ``_rows``.
     """
@@ -746,17 +788,18 @@ class _Ledger:
 
     def __init__(self, fh: TextIO, cells: Sequence[ScenarioConfig]) -> None:
         self._fh = fh
-        self._cells = frozenset(scenario.cell for scenario in cells)
-        self._grid = len(cells) > 1
-        csv.writer(fh, lineterminator="\n").writerow(("cell", *self.header) if self._grid else self.header)
+        grid = len(cells) > 1
+        csv.writer(fh, lineterminator="\n").writerow(("cell", *self.header) if grid else self.header)
+        lead = csv.writer(SimpleNamespace(write=str), lineterminator="")  # writerow returns the text of its row
+        self._leads = {scenario.cell: lead.writerow([scenario.cell, ""]) if grid else "" for scenario in cells}
+        if len(self._leads) < len(cells):
+            check_cells(cells)  # two cells share a label, which the run check names
 
     def write(self, scenario: ScenarioConfig, rep: int, records: list[TradeRecord] | BeliefSnapshots) -> None:
         cell = scenario.cell
-        if cell not in self._cells:
-            raise ValueError(f"ledger opened for cells {sorted(self._cells)} got a replication of cell {cell!r}")
-        lead = io.StringIO()
-        csv.writer(lead, lineterminator="\n").writerow([cell, rep, ""] if self._grid else [rep, ""])
-        self._fh.write(self._rows(lead.getvalue()[:-1], scenario, records))
+        if cell not in self._leads:
+            raise ValueError(f"ledger opened for cells {sorted(self._leads)} got a replication of cell {cell!r}")
+        self._fh.write(self._rows(f"{self._leads[cell]}{rep},", scenario, records))
 
 
 class _TradesLedger(_Ledger):

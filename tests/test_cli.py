@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import multiprocessing
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -272,6 +273,19 @@ class TestRun:
         assert "differs from --preset paper-grid's {'structures': ['k2', 'k5']" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid, message", [
+        (["k2"], "grid must be an object with ['incentives', 'strategies', 'structures']"),
+        ({"axes": ["k2"]}, "unknown grid keys ['axes']"),
+    ], ids=["not-an-object", "unknown-axis"])
+    def test_preset_shape_checks_the_file_grid(self, tmp_path, monkeypatch, capsys, grid, message):
+        monkeypatch.setattr("orgsim.cli.run_grid", None)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"grid": grid, "n": 6, "m": 2, "reps": 2}))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--preset", "paper-grid", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_run_leaves_no_ledger(self, tmp_path, monkeypatch, capsys, jobs):
         if jobs > 1 and multiprocessing.get_start_method() != "fork":
@@ -372,6 +386,21 @@ class TestValidate:
         path.write_text(json.dumps(payload))
         assert main(["validate", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    def test_readme_scenario_validates(self, tmp_path, capsys):
+        """README's scenario block is one valid cell, and with its documented "grid": {} it is the 18-cell grid."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        scenario = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["validate", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["cells"]) == 1
+        assert '`"grid": {}`' in readme
+        for key in ("structure", "incentive", "strategy"):
+            del scenario[key]
+        path.write_text(json.dumps(dict(scenario, grid={})))
+        assert main(["validate", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["cells"]) == 18
 
     def test_missing_file(self, tmp_path, capsys):
         code = main(["validate", str(tmp_path / "nope.json")])

@@ -34,7 +34,7 @@ from orgsim import (
     write_trades_csv,
 )
 from orgsim.cli import main
-from orgsim.simulation import ROLE_HILLCLIMB, BeliefSnapshots
+from orgsim.simulation import ROLE_HILLCLIMB, BeliefSnapshots, cells_from_dict
 from orgsim.landscape import DECOMPOSABLE_K2, Landscape, build_stylized_matrix, global_optimum
 from orgsim.organization import flip_improves
 import helpers
@@ -601,6 +601,16 @@ class TestRunGrid:
             run_grid([valid, replace(invalid, tau=1)], jobs=2, trades=sink)
         assert (inline_executor, pool_log.submitted, sink.calls) == ([], 0, [])
 
+    def test_duplicate_labels_rejected_before_any_work(self, inline_executor, pool_log):
+        """alpha=0.5 is labelled balanced, so the two cells' rows in every output would share one label."""
+        balanced = scenario(horizon=6)
+        alpha = replace(balanced, incentive=IncentiveScheme.from_alpha(0.5), cell_index=1)
+        assert balanced.cell == alpha.cell == "k2-balanced-utility"
+        sink = Recorder()
+        with pytest.raises(ConfigError, match="duplicate cell labels: k2-balanced-utility"):
+            run_grid([balanced, alpha], jobs=2, trades=sink, beliefs=sink)
+        assert (inline_executor, pool_log.submitted, sink.calls) == ([], 0, [])
+
     def test_grid_runs_on_one_pool(self, inline_executor):
         axes = dict(structures=["k2", "k5"], incentives=["balanced"], strategies=["utility", "benchmark"])
         results = run_grid(expand_grid(scenario(reps=3, horizon=6), **axes), jobs=2)
@@ -649,6 +659,36 @@ class TestRunGrid:
         # jobs + 1 calls already queued for the workers, and a little slack;
         # without cancellation all 56 queued reps of cell 1 would run.
         assert len(started) <= 4 + 8, started
+
+
+class TestCellsFromDict:
+    SETTINGS = dict(n=6, m=2, tau=5, horizon=8, reps=2, seed=4)
+
+    @pytest.mark.parametrize("axes", [
+        {},
+        {"strategies": ["benchmark", "utility"]},
+        {"structures": ["k5", "k2"], "incentives": ["alpha=0.3", "altruistic"], "strategies": ["interdependence"]},
+    ], ids=["paper", "one-axis", "every-axis"])
+    def test_grid_is_expand_grid(self, axes):
+        data = {"grid": axes, **self.SETTINGS}
+        cells = cells_from_dict(data)
+        expected = expand_grid(scenario(**self.SETTINGS), **axes)
+        assert cells == expected
+        assert [(c.cell, c.cell_index) for c in cells] == [(c.cell, c.cell_index) for c in expected]
+        assert data == {"grid": axes, **self.SETTINGS}
+
+    def test_single_cell_is_from_dict(self):
+        data = dict(structure="k5", incentive="alpha=0.3", strategy="benchmark", **self.SETTINGS)
+        assert cells_from_dict(data) == [ScenarioConfig.from_dict(data)]
+
+    def test_problems_name_their_cell_then_duplicates(self):
+        data = {"grid": {"structures": ["k2"], "incentives": ["balanced", "alpha=0.5"], "strategies": ["utility"]},
+                **self.SETTINGS, "tau": 1}
+        with pytest.raises(ConfigError) as excinfo:
+            cells_from_dict(data)
+        assert str(excinfo.value) == ("k2-balanced-utility: tau must be at least 2, got 1; "
+                                      "k2-balanced-utility: tau must be at least 2, got 1; "
+                                      "duplicate cell labels: k2-balanced-utility")
 
 
 class TestWriters:
@@ -730,6 +770,27 @@ class TestWriters:
             with writer(tmp_path / "ledger.csv", [first]) as ledger:
                 ledger.write(first, 0, empty)
                 ledger.write(second, 0, empty)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("writer, sink", [(write_trades_csv, "trades"), (write_beliefs_csv, "beliefs")])
+    def test_ledger_quotes_a_label_that_needs_it(self, tmp_path, writer, sink):
+        path = write_matrix(tmp_path / 'a,"b.txt', build_stylized_matrix(DECOMPOSABLE_K2, 6))
+        cells = expand_grid(scenario(horizon=20, seed=2), structures=[f"file:{path}", "k2"], incentives=["balanced"],
+                            strategies=["utility"])
+        with writer(tmp_path / "ledger.csv", cells) as ledger:
+            run_grid(cells, **{sink: ledger})
+        with open(tmp_path / "ledger.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert {row[0] for row in rows} == {'a,"b-balanced-utility', "k2-balanced-utility"}
+        assert {len(row) for row in rows} == {len(header)}
+
+    @pytest.mark.parametrize("writer", [write_trades_csv, write_beliefs_csv])
+    def test_ledger_rejects_duplicate_labels(self, tmp_path, writer):
+        balanced = scenario(horizon=10)
+        alpha = replace(balanced, incentive=IncentiveScheme.from_alpha(0.5), cell_index=1)
+        with pytest.raises(ConfigError, match="^duplicate cell labels: k2-balanced-utility$"):
+            with writer(tmp_path / "ledger.csv", [balanced, alpha]):
+                pass
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("writer, sink", [(write_trades_csv, "trades"), (write_beliefs_csv, "beliefs")])
