@@ -61,6 +61,8 @@ def load_cells(args: argparse.Namespace) -> list[ScenarioConfig]:
                 merged = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read scenario file: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.scenario}: not UTF-8 text: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.scenario}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
         if not isinstance(merged, dict):

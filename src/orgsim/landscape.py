@@ -10,7 +10,8 @@ Table indexing convention: the own decision is the highest-order bit, the
 remaining dependencies follow in ascending decision index. A decision with
 ``k`` dependencies therefore has a table of length ``2**(k+1)``.
 
-The global optimum is exact. A matrix whose decisions split into several
+The global optimum is exact, and a landscape computes it once, on the first
+read of :attr:`Landscape.optimum`. A matrix whose decisions split into several
 connected components of at most ``_SCAN_TAIL`` decisions, like the
 block-diagonal ``decomposable_k2``, is solved component by component: the
 components' configurations are scored with one gather per component size from
@@ -24,6 +25,7 @@ the exhaustive scan of all ``2**n`` configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -226,6 +228,8 @@ def load_matrix(path: str) -> InteractionMatrix:
             raw = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read matrix file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     lines = [(no + 1, line.strip()) for no, line in enumerate(raw) if line.strip()]
     if not lines:
         raise ConfigError(f"{path}: empty matrix file")
@@ -260,14 +264,12 @@ class Landscape:
 
     ``tables[j]`` has length ``2**(k_j+1)`` and is indexed with the own bit as
     the highest-order bit followed by foreign dependencies in ascending order.
-    The exhaustive optimum is cached after generation so normalization never
-    re-runs the scan.
+    ``optimum`` is :func:`global_optimum` of the landscape, computed on first
+    read and cached, so normalization never re-runs the scan.
     """
 
     matrix: InteractionMatrix
     tables: list[np.ndarray]
-    optimum_config: np.ndarray | None = None
-    optimum_performance: float | None = None
 
     def __post_init__(self) -> None:
         n = self.matrix.n
@@ -289,25 +291,19 @@ class Landscape:
         """Table index order per decision, as :attr:`InteractionMatrix.orders`."""
         return self.matrix.orders
 
-    @property
+    @cached_property
     def optimum(self) -> tuple[np.ndarray, float]:
-        if self.optimum_config is None or self.optimum_performance is None:
-            raise ValueError("optimum has not been computed; use generate_landscape or global_optimum")
-        return self.optimum_config, self.optimum_performance
+        return global_optimum(self)
 
 
 def generate_landscape(matrix: InteractionMatrix, rng: np.random.Generator) -> Landscape:
-    """Draw contribution tables uniformly on [0, 1) and cache the exhaustive optimum.
+    """Draw contribution tables uniformly on [0, 1); the optimum waits for its first read.
 
     Tables are drawn in ascending decision order so a given generator state
     always yields the same landscape.
     """
     tables = [rng.random(1 << len(order)) for order in matrix.orders]
-    land = Landscape(matrix=matrix, tables=tables)
-    config, perf = global_optimum(land)
-    land.optimum_config = config
-    land.optimum_performance = perf
-    return land
+    return Landscape(matrix=matrix, tables=tables)
 
 
 def contribution(landscape: Landscape, config: Sequence[int], j: int) -> float:

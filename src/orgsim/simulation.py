@@ -450,7 +450,7 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
         rng_tie = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_TIEBREAK)
 
     land = generate_landscape(matrix, rng_land)
-    optimum = land.optimum_performance
+    optimum = land.optimum[1]
     caps = scenario.resolved_capacities()
     if strategy == STRATEGY_BENCHMARK:
         owned_lists = mirrored_allocation(n, m)
@@ -523,12 +523,12 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
                     offers.append(offer)
             try:
                 round_trades = clear_auction(offers, agents, strategy, contribs, sigma, rng_noise, rng_tie, t)
+                _check_allocation(agents, n, t)
             except InvariantViolation as exc:  # its message starts at "period t: "
                 raise InvariantViolation(f"cell {scenario.cell}, rep {rep_index}, {exc}") from exc
             trades.extend(round_trades)
             size_rows.append([len(agent.owned) for agent in agents])
             size_runs.append(0)
-            _check_allocation(agents, scenario, rep_index, t)
             positions = None
         else:
             if positions is None:
@@ -588,14 +588,13 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
     return result
 
 
-def _check_allocation(agents: Sequence[AgentState], scenario: ScenarioConfig, rep_index: int, t: int) -> None:
-    where = f"cell {scenario.cell}, rep {rep_index}, period {t}"
+def _check_allocation(agents: Sequence[AgentState], n: int, t: int) -> None:
     held = sorted(d for agent in agents for d in agent.owned)
-    if held != list(range(scenario.n)):
-        raise InvariantViolation(f"{where}: owned sets do not partition the decisions")
+    if held != list(range(n)):
+        raise InvariantViolation(f"period {t}: owned sets do not partition the decisions")
     for agent in agents:
         if not 1 <= len(agent.owned) <= agent.capacity:
-            raise InvariantViolation(f"{where}: agent {agent.id} holds {len(agent.owned)} decisions")
+            raise InvariantViolation(f"period {t}: agent {agent.id} holds {len(agent.owned)} decisions")
 
 
 @dataclass(eq=False)
@@ -774,7 +773,7 @@ def write_metadata_json(results: Sequence[ExperimentResult], path: str | Path) -
 class _Ledger:
     """A CSV ledger written one replication at a time.
 
-    A ledger is opened for the cells of one run, which must not share a label;
+    A ledger is opened for the cells of one run, which must pass ``check_cells``;
     a replication of a cell outside that run raises ``ValueError``. A run of
     more than one cell prefixes a ``cell`` column so rows from different
     cells stay distinguishable. The header and each cell's ``cell,`` lead go
@@ -787,13 +786,12 @@ class _Ledger:
     header: tuple[str, ...] = ()
 
     def __init__(self, fh: TextIO, cells: Sequence[ScenarioConfig]) -> None:
+        check_cells(cells)
         self._fh = fh
         grid = len(cells) > 1
         csv.writer(fh, lineterminator="\n").writerow(("cell", *self.header) if grid else self.header)
         lead = csv.writer(SimpleNamespace(write=str), lineterminator="")  # writerow returns the text of its row
         self._leads = {scenario.cell: lead.writerow([scenario.cell, ""]) if grid else "" for scenario in cells}
-        if len(self._leads) < len(cells):
-            check_cells(cells)  # two cells share a label, which the run check names
 
     def write(self, scenario: ScenarioConfig, rep: int, records: list[TradeRecord] | BeliefSnapshots) -> None:
         cell = scenario.cell

@@ -162,7 +162,7 @@ def reference_replication(scenario: ScenarioConfig, rep_index: int):
 
         perf = performance(land, config)
         performance_series.append(perf)
-        normalized.append(perf / land.optimum_performance)
+        normalized.append(perf / land.optimum[1])
         sizes.append([len(a.owned) for a in agents])
         if t % scenario.tau == 0 or t == scenario.horizon:
             snapshots.append((t, [a.beliefs.copy() for a in agents]))

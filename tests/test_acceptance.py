@@ -79,7 +79,7 @@ def test_criterion_1_oracle_equivalence():
                 brute_config, brute_perf = brute_optimum(land)
                 assert np.array_equal(engine_config, brute_config)
                 assert engine_perf == brute_perf
-                assert land.optimum_performance == brute_perf
+                assert land.optimum[1] == brute_perf
 
                 subset = sorted(int(d) for d in rng.choice(n, size=max(2, n - 1), replace=False))
                 config = tuple(int(b) for b in rng.integers(0, 2, size=n))

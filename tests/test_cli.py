@@ -380,6 +380,8 @@ class TestValidate:
         (dict(SCENARIO, capacity=True), "capacity must be an integer or list of integers, got True"),
         (dict(SCENARIO, capacity=[5, True]), "capacity list must hold integers, got [5, True]"),
         (dict(SCENARIO, capacity=5.5), "capacity must be an integer or list of integers, got 5.5"),
+        (dict(SCENARIO, incentive="alpha=x"), "cannot parse incentive weight"),
+        (dict(SCENARIO, incentive="bogus"), "unknown incentive"),
     ])
     def test_malformed_file_exits_2(self, tmp_path, capsys, payload, message):
         path = tmp_path / "bad.json"
@@ -406,6 +408,14 @@ class TestValidate:
         code = main(["validate", str(tmp_path / "nope.json")])
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"n": "\xff"}')
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: not UTF-8 text" in err
+        assert "Traceback" not in err
 
     def test_grid_file_validates_cells(self, tmp_path, capsys):
         path = tmp_path / "grid.json"

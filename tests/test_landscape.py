@@ -1,6 +1,7 @@
 """Task environment tests: structure builders, table lookups, exact optima."""
 
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -172,6 +173,12 @@ class TestLoadMatrix:
         with pytest.raises(ConfigError, match=fragment):
             load_matrix(self.write(tmp_path, text))
 
+    def test_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "matrix.txt"
+        path.write_bytes(b"2\n1 \xff\n0 1\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: not UTF-8 text")):
+            load_matrix(str(path))
+
 
 class TestContribution:
     def test_bit_order_own_bit_is_highest(self):
@@ -229,8 +236,8 @@ class TestGenerateLandscape:
         b = generate_landscape(matrix, np.random.default_rng(5))
         for ta, tb in zip(a.tables, b.tables):
             assert np.array_equal(ta, tb)
-        assert np.array_equal(a.optimum_config, b.optimum_config)
-        assert a.optimum_performance == b.optimum_performance
+        assert np.array_equal(a.optimum[0], b.optimum[0])
+        assert a.optimum[1] == b.optimum[1]
 
     def test_optimum_cached(self):
         matrix = build_stylized_matrix(DECOMPOSABLE_K2, 6)
@@ -241,16 +248,30 @@ class TestGenerateLandscape:
         assert np.array_equal(config, again_config)
         assert perf == again_perf
 
-    def test_uncached_optimum_raises(self):
-        with pytest.raises(ValueError, match="optimum"):
-            tiny_landscape().optimum
+    def test_optimum_scans_once_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counting(land):
+            calls.append(land)
+            return global_optimum(land)
+
+        monkeypatch.setattr(landscape_module, "global_optimum", counting)
+        land = generate_landscape(build_stylized_matrix(DECOMPOSABLE_K2, 6), np.random.default_rng(9))
+        built = tiny_landscape()
+        assert calls == []
+        first = land.optimum
+        assert land.optimum is first
+        assert calls == [land]
+        assert built.optimum[1] == performance(built, built.optimum[0])
+        assert calls == [land, built]
 
 
 class TestGlobalOptimum:
     def test_enumeration_guard(self):
         matrix = identity_matrix(26)
+        land = generate_landscape(matrix, np.random.default_rng(0))
         with pytest.raises(ConfigError, match="n <= 25"):
-            generate_landscape(matrix, np.random.default_rng(0))
+            land.optimum
 
     def test_constant_tables_tie_to_first_config(self):
         # every configuration scores the same, so every component is tied; the scan must keep all zeros
@@ -269,7 +290,7 @@ class TestGlobalOptimum:
         matrix = identity_matrix(6)
         land = generate_landscape(matrix, rng)
         expected = np.array([int(np.argmax(t)) for t in land.tables], dtype=np.int8)
-        assert np.array_equal(land.optimum_config, expected)
+        assert np.array_equal(land.optimum[0], expected)
 
     def test_dominates_random_configs(self):
         rng = np.random.default_rng(33)
@@ -278,7 +299,7 @@ class TestGlobalOptimum:
             land = generate_landscape(matrix, rng)
             for _ in range(200):
                 config = rng.integers(0, 2, size=8)
-                norm = performance(land, config) / land.optimum_performance
+                norm = performance(land, config) / land.optimum[1]
                 assert 0.0 < norm <= 1.0
 
 
@@ -479,10 +500,11 @@ class TestChunkBoundaries:
         assert 1 << 19 == 2 * landscape_module._SCAN_CHUNK
         rng = np.random.default_rng(43)
         land = generate_landscape(random_matrix(19, 3, rng), rng)
+        two_chunks = land.optimum
         monkeypatch.setattr(landscape_module, "_SCAN_CHUNK", 1 << 19)
         config, perf = global_optimum(land)
-        assert np.array_equal(config, land.optimum_config)
-        assert perf == land.optimum_performance
+        assert np.array_equal(config, two_chunks[0])
+        assert perf == two_chunks[1]
 
     def test_tie_crosses_chunk_boundary_to_all_zeros(self, monkeypatch):
         matrix = random_matrix(19, 2, np.random.default_rng(44))
@@ -498,7 +520,7 @@ class TestChunkBoundaries:
     def test_scan_leaves_matrix_pickle_unchanged(self):
         matrix = build_stylized_matrix(NONDECOMPOSABLE_K5, 15)
         before = len(pickle.dumps(matrix))
-        generate_landscape(matrix, np.random.default_rng(5))
+        generate_landscape(matrix, np.random.default_rng(5)).optimum
         assert len(pickle.dumps(matrix)) == before
 
 

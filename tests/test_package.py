@@ -164,7 +164,9 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_source_has_no_unused_imports():
-    assert [problem for path in sorted((SRC / "orgsim").glob("*.py")) for problem in unused_imports(path)] == []
+    root = SRC.parent
+    paths = [*(SRC / "orgsim").glob("*.py"), *(root / "tests").glob("*.py"), *(root / "demos").glob("*.py")]
+    assert [problem for path in sorted(paths) for problem in unused_imports(path)] == []
 
 
 def test_unused_import_check_reads_each_alias_line(tmp_path):

@@ -35,7 +35,7 @@ from orgsim import (
 )
 from orgsim.cli import main
 from orgsim.simulation import ROLE_HILLCLIMB, BeliefSnapshots, cells_from_dict
-from orgsim.landscape import DECOMPOSABLE_K2, Landscape, build_stylized_matrix, global_optimum
+from orgsim.landscape import DECOMPOSABLE_K2, Landscape, build_stylized_matrix
 from orgsim.organization import flip_improves
 import helpers
 from helpers import assert_matches_reference
@@ -97,6 +97,8 @@ class TestScenarioConfig:
         # Past the enumeration limit only a k2 or k5 matrix goes unbuilt.
         ({"structure": "k9", "n": 3000, "capacity": 1500}, "unknown structure"),
         ({"structure": "file:/nonexistent/m.txt", "n": 3000, "capacity": 1500}, "cannot|scenario|file|No such"),
+        ({"capacity": 0}, "capacities must be positive"),
+        ({"cell_index": -1}, "cell_index must be nonnegative"),
     ])
     def test_validate_flags_problems(self, overrides, fragment):
         problems = scenario(**overrides).validate()
@@ -354,9 +356,7 @@ class TestReferenceEquivalence:
         def tied_landscape(matrix, rng):
             # Entries in {0.25, 0.5, 0.75}: many flips leave every dependent's contribution unchanged, so Δ is 0.
             tables = [np.round(rng.random(1 << (matrix.k(j) + 1)) * 2) / 4 + 0.25 for j in range(matrix.n)]
-            land = Landscape(matrix=matrix, tables=tables)
-            land.optimum_config, land.optimum_performance = global_optimum(land)
-            return land
+            return Landscape(matrix=matrix, tables=tables)
 
         monkeypatch.setattr(orgsim.simulation, "generate_landscape", tied_landscape)
         monkeypatch.setattr(helpers, "generate_landscape", tied_landscape)
@@ -445,7 +445,8 @@ class TestRunExperiment:
 
         def deflated(matrix, rng):
             land = real(matrix, rng)
-            land.optimum_performance /= 1000.0
+            config, perf = land.optimum
+            land.optimum = (config, perf / 1000.0)
             return land
 
         monkeypatch.setattr(orgsim.simulation, "generate_landscape", deflated)
@@ -793,6 +794,13 @@ class TestWriters:
                 pass
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("writer", [write_trades_csv, write_beliefs_csv])
+    def test_ledger_rejects_an_invalid_cell(self, tmp_path, writer):
+        with pytest.raises(ConfigError, match="^k2-balanced-utility: tau must be at least 2, got 1$"):
+            with writer(tmp_path / "ledger.csv", [scenario(tau=1)]):
+                pass
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("writer, sink", [(write_trades_csv, "trades"), (write_beliefs_csv, "beliefs")])
     def test_ledger_appears_only_when_complete(self, tmp_path, writer, sink):
         path = tmp_path / "ledger.csv"
@@ -840,10 +848,12 @@ class TestWriters:
 
     def test_unchanged_agent_blocks_reuse_rows_exactly(self, tmp_path):
         """Agent 0 never changes and agent 1 goes A, B, A: each block equals rows written from scratch."""
-        config = scenario(n=3, m=2)
-        p = np.ones((3, 2, 3, 3), dtype=np.int64)
+        matrix = tmp_path / "ones.txt"
+        matrix.write_text("4\n" + "1 1 1 1\n" * 4)
+        config = scenario(structure=f"file:{matrix}", n=4, m=2)
+        p = np.ones((3, 2, 4, 4), dtype=np.int64)
         q = np.ones_like(p)
-        p[:, 0] = [[1, 4, 2], [3, 1, 5], [2, 2, 1]]
+        p[:, 0] = [[1, 4, 2, 3], [3, 1, 5, 2], [2, 2, 1, 4], [5, 3, 2, 1]]
         q[1, 1, 0, 2] = 6
         snapshots = BeliefSnapshots((5, 10, 12), p, q)
         path = tmp_path / "beliefs.csv"
