@@ -356,7 +356,8 @@ def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
     config = _optimum_by_components(landscape)
     if config is None:
         config = _scan(landscape)
-    return config, performance(landscape, config)
+    # performance reads one element per dependency; Python ints make each read cheap and give the same float.
+    return config, performance(landscape, config.tolist())
 
 
 def _optimum_by_components(landscape: Landscape) -> np.ndarray | None:

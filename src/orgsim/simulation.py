@@ -49,9 +49,14 @@ the op-composed reference replication, to exact float equality.
 
 Belief snapshots, when collected, are taken at every period ``s`` with
 ``s % tau == 0`` and at the horizon. The periods are known up front, so a
-replication preallocates one ``BeliefSnapshots``: two int64 arrays ``p`` and
-``q`` of shape ``(S, m, n, n)``, and copies agent a's counters into
-``p[k, a]`` and ``q[k, a]`` at the k-th snapshot period.
+replication preallocates two int64 arrays of shape ``(S, m, n, n)`` and
+copies agent a's counters into entry ``[k, a]`` at the k-th snapshot period.
+At its end it compacts them once into ``BeliefSnapshots``: per snapshot and
+agent, only the counter entries that changed since the agent's previous
+snapshot, or since the uniform prior at the first. That value, 1-3 KB for
+a k5 replication of 500 periods against 360 KB of arrays, is what a worker
+sends and what every sink receives; ``BeliefSnapshots.counters()`` rebuilds
+the arrays for a caller that needs them.
 
 The scenario schema lives here and nowhere else: ``ScenarioConfig`` holds the
 fields, ``ScenarioConfig.from_dict`` the keys a scenario file or the flags may
@@ -67,9 +72,10 @@ with at most ``IN_FLIGHT_PER_WORKER`` results per worker submitted and unread.
 Each replication's trades and belief snapshots go to the caller's ledger sinks
 (``write_trades_csv``, ``write_beliefs_csv``) as it arrives, so a run keeps
 only each cell's ``[reps, horizon]`` performance series, and its memory does
-not grow with the ledgers. The beliefs ledger compares every agent's counters
-with its previous snapshot in one array expression, and an agent whose
-counters did not change reuses that snapshot's row text.
+not grow with the ledgers. The beliefs ledger keeps each agent's row text
+for the replication, starting from the prior's, rewrites only the rows of
+the entries a snapshot changed, and writes each snapshot's rows as soon as
+they are built.
 """
 
 from __future__ import annotations
@@ -77,7 +83,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import operator
 import os
 from collections import Counter, deque
 from contextlib import contextmanager, nullcontext
@@ -86,7 +91,7 @@ from functools import cached_property
 from itertools import islice, product
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Mapping, Protocol, Sequence, TextIO
+from typing import Iterator, Mapping, Protocol, Sequence, TextIO
 
 import numpy as np
 
@@ -151,6 +156,10 @@ CI99_Z = 2.576
 # within 1e-13 of its own. When |Δ| exceeds the guard, the sign of Δ is the
 # verdict the full sums give; otherwise the full sums decide.
 VERDICT_GUARD = GAP
+
+# A cell's [reps, horizon] float64 series is held whole until it is aggregated, so
+# validate bounds its size: 10^8 values are 800 MB, 250 times the paper's 800 x 500.
+MAX_REP_PERIODS = 100_000_000
 
 GRID_STRUCTURES = (STRUCTURE_K2, STRUCTURE_K5)
 GRID_INCENTIVES = tuple(INCENTIVE_PRESETS)
@@ -277,6 +286,8 @@ class ScenarioConfig:
             problems.append(f"horizon must be positive, got {self.horizon}")
         if self.reps < 1:
             problems.append(f"reps must be positive, got {self.reps}")
+        elif self.horizon >= 1 and self.reps * self.horizon > MAX_REP_PERIODS:
+            problems.append(f"reps x horizon must be at most {MAX_REP_PERIODS}, got {self.reps} x {self.horizon}")
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             problems.append(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.seed < 0:
@@ -399,17 +410,49 @@ def cells_from_dict(data: Mapping[str, object]) -> list[ScenarioConfig]:
 
 @dataclass(frozen=True, eq=False)
 class BeliefSnapshots:
-    """Every agent's belief counters at each snapshot period.
+    """Every agent's belief counters at each snapshot period, as the entries that changed.
 
-    ``p[k, a]`` and ``q[k, a]`` are agent a's ``(n, n)`` counter matrices at the
-    end of period ``periods[k]``; both arrays are int64 of shape ``(S, m, n, n)``
-    and are copies, not views of the agents' counters. Without collected
-    beliefs ``periods`` is empty and ``S = 0``.
+    ``changes[k][a]`` holds agent a's counter entries that differ at the end of
+    period ``periods[k]`` from its previous snapshot, or, at the first snapshot,
+    from the uniform prior p = q = 1: one ``(i * n + j, p, q)`` triple per
+    entry, in row-major order, diagonal entries included. ``counters()``
+    rebuilds the full arrays. Without collected beliefs ``periods`` and
+    ``changes`` are empty and ``S = 0``.
     """
 
     periods: tuple[int, ...]
-    p: np.ndarray
-    q: np.ndarray
+    m: int
+    n: int
+    changes: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
+
+    @classmethod
+    def from_counters(cls, periods: Sequence[int], p: np.ndarray, q: np.ndarray) -> "BeliefSnapshots":
+        """The snapshots of int64 counter arrays ``p`` and ``q`` of shape ``(S, m, n, n)`` taken at ``periods``."""
+        steps, m, n, _ = p.shape
+        if not steps:  # no beliefs collected: nothing to compare, so skip the array pass
+            return cls((), m, n, ())
+        p, q = p.reshape(steps * m, n * n), q.reshape(steps * m, n * n)
+        prior = np.ones((m, n * n), dtype=np.int64)
+        # Row b is agent b % m at snapshot b // m; it is compared with the row m rows earlier, or at first the prior.
+        changed = (p != np.concatenate((prior, p[:-m]))) | (q != np.concatenate((prior, q[:-m])))
+        block, entry = np.nonzero(changed)
+        triples = list(zip(entry.tolist(), p[block, entry].tolist(), q[block, entry].tolist()))
+        ends = np.cumsum(np.bincount(block, minlength=steps * m)).tolist()
+        blocks = [tuple(triples[start:end]) for start, end in zip([0, *ends], ends)]
+        return cls(tuple(periods), m, n, tuple(tuple(blocks[k * m : (k + 1) * m]) for k in range(steps)))
+
+    def counters(self) -> tuple[np.ndarray, np.ndarray]:
+        """The full int64 counter arrays ``p`` and ``q`` of shape ``(S, m, n, n)``: ``p[k, a]`` is agent a's at
+        ``periods[k]``."""
+        steps, m, n = len(self.periods), self.m, self.n
+        p, q = np.ones((steps, m, n * n), dtype=np.int64), np.ones((steps, m, n * n), dtype=np.int64)
+        for k, agents in enumerate(self.changes):
+            if k:
+                p[k], q[k] = p[k - 1], q[k - 1]
+            for a, entries in enumerate(agents):
+                for entry, p_value, q_value in entries:
+                    p[k, a, entry], q[k, a, entry] = p_value, q_value
+        return p.reshape(steps, m, n, n), q.reshape(steps, m, n, n)
 
 
 @dataclass(eq=False)
@@ -505,8 +548,8 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
     trades: list[TradeRecord] = []
     observations = [0] * m
     periods = tuple(s for s in range(1, horizon + 1) if s % tau == 0 or s == horizon) if collect_beliefs else ()
-    shape = (len(periods), m, n, n)
-    snapshots = BeliefSnapshots(periods, np.empty(shape, dtype=np.int64), np.empty(shape, dtype=np.int64))
+    snapshot_p = np.empty((len(periods), m, n, n), dtype=np.int64)
+    snapshot_q = np.empty_like(snapshot_p)
     taken = 0  # snapshots filled so far
 
     t = 1
@@ -569,13 +612,14 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
         size_runs[-1] += through - t + 1
         while taken < len(periods) and periods[taken] <= through:
             for agent in agents:
-                snapshots.p[taken, agent.id] = agent.beliefs.p
-                snapshots.q[taken, agent.id] = agent.beliefs.q
+                snapshot_p[taken, agent.id] = agent.beliefs.p
+                snapshot_q[taken, agent.id] = agent.beliefs.q
             taken += 1
         t = through + 1
 
     performance = np.repeat(np.array(perf_values, dtype=np.float64), perf_runs)
     sizes = np.repeat(np.array(size_rows, dtype=np.int64), size_runs, axis=0)
+    snapshots = BeliefSnapshots.from_counters(periods, snapshot_p, snapshot_q)
     result = ReplicationResult(performance, sizes, trades, agents, observations, optimum, snapshots)
     norm = result.normalized_series
     bad = np.flatnonzero(~((norm > 0.0) & (norm <= 1.0)))
@@ -633,7 +677,7 @@ def aggregate_norm_series(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class LedgerSink(Protocol):
     """Receives each replication's ``records``, in (cell, rep) order: its ``trades`` list, or its
-    ``belief_snapshots``, one ``BeliefSnapshots`` with counter arrays of shape ``(S, m, n, n)``."""
+    ``belief_snapshots``, one ``BeliefSnapshots`` holding each snapshot's changed counter entries."""
 
     def write(self, scenario: ScenarioConfig, rep: int, records: list[TradeRecord] | BeliefSnapshots) -> None: ...
 
@@ -780,7 +824,8 @@ class _Ledger:
     through ``csv.writer`` once, because a ``file:`` stem may need quoting;
     the remaining fields are numbers and a strategy name, which
     ``csv.writer`` would write unquoted, so subclasses build them as text
-    in ``_rows``.
+    in ``_rows``, which yields a replication's rows in one or more pieces,
+    each written as it comes.
     """
 
     header: tuple[str, ...] = ()
@@ -797,15 +842,16 @@ class _Ledger:
         cell = scenario.cell
         if cell not in self._leads:
             raise ValueError(f"ledger opened for cells {sorted(self._leads)} got a replication of cell {cell!r}")
-        self._fh.write(self._rows(f"{self._leads[cell]}{rep},", scenario, records))
+        for text in self._rows(f"{self._leads[cell]}{rep},", scenario, records):
+            self._fh.write(text)
 
 
 class _TradesLedger(_Ledger):
     header = ("rep", "period", "decision", "seller", "winner", "winning_bid", "price", "strategy")
 
-    def _rows(self, lead: str, scenario: ScenarioConfig, trades: list[TradeRecord]) -> str:
+    def _rows(self, lead: str, scenario: ScenarioConfig, trades: list[TradeRecord]) -> Iterator[str]:
         strategy = scenario.strategy
-        return "".join(
+        yield "".join(
             f"{lead}{t.period},{t.decision},{t.seller},{t.winner},{float(t.winning_bid)!r},{float(t.price)!r},"
             f"{strategy}\n"
             for t in trades
@@ -813,7 +859,11 @@ class _TradesLedger(_Ledger):
 
 
 class _BeliefText(dict):
-    """Maps ``p << 32 | q`` to the row tail ``p,q,<repr(p / (p + q))>``; few distinct pairs recur in a run."""
+    """Maps ``p << 32 | q`` to the row tail ``p,q,<repr(p / (p + q))>``; few distinct pairs recur in a run.
+
+    A counter grows by at most one per period from 1, and ``validate`` bounds the horizon by
+    ``MAX_REP_PERIODS``, so p and q stay below 2**32 and the key is unambiguous.
+    """
 
     def __missing__(self, key: int) -> str:
         p, q = key >> 32, key & 0xFFFFFFFF
@@ -824,10 +874,12 @@ class _BeliefText(dict):
 class _BeliefsLedger(_Ledger):
     """Rows ``period,agent,i,j,p,q,belief`` for each snapshot, agent and off-diagonal pair, in that order.
 
-    A row body ``i,j,p,q,belief`` depends only on the pair and on the key
-    ``p << 32 | q``, so an agent whose keys equal those of its previous
-    snapshot in the replication reuses that snapshot's bodies; only the
-    ``period,agent,`` head of its rows is new.
+    A row body ``i,j,p,q,belief`` depends only on the pair and its counters.
+    Each agent's bodies start a replication as the prior's, and a snapshot
+    rewrites only the bodies of the entries it changed (a diagonal entry has
+    no row), so an agent's rows differ from its previous snapshot's only there
+    and in the ``period,agent,`` head. Each snapshot's rows are written as soon
+    as they are built.
     """
 
     header = ("rep", "period", "agent", "i", "j", "p", "q", "belief")
@@ -835,34 +887,35 @@ class _BeliefsLedger(_Ledger):
     def __init__(self, fh: TextIO, cells: Sequence[ScenarioConfig]) -> None:
         super().__init__(fh, cells)
         self._text = _BeliefText()
-        self._layouts: dict[int, tuple[np.ndarray, list[str]]] = {}
+        self._layouts: dict[int, tuple[list[str], list[int], list[str]]] = {}
 
-    def _layout(self, n: int) -> tuple[np.ndarray, list[str]]:
-        """The mask of an ``(n, n)`` matrix's off-diagonal (i, j) pairs and their ``"i,j,"`` text, row-major."""
+    def _layout(self, n: int) -> tuple[list[str], list[int], list[str]]:
+        """An ``(n, n)`` matrix's off-diagonal ``"i,j,"`` texts, row-major; each entry ``i * n + j``'s position
+        among them, -1 on the diagonal; and the prior's row bodies."""
         if n not in self._layouts:
             pairs = [f"{i},{j}," for i in range(n) for j in range(n) if i != j]
-            self._layouts[n] = (~np.eye(n, dtype=bool), pairs)
+            positions = [i * (n - 1) + j - (j > i) if i != j else -1 for i in range(n) for j in range(n)]
+            prior = [pair + self._text[1 << 32 | 1] for pair in pairs]
+            self._layouts[n] = (pairs, positions, prior)
         return self._layouts[n]
 
-    def _rows(self, lead: str, scenario: ScenarioConfig, snapshots: BeliefSnapshots) -> str:
-        m = scenario.m
-        off_diagonal, pairs = self._layout(scenario.n)
+    def _rows(self, lead: str, scenario: ScenarioConfig, snapshots: BeliefSnapshots) -> Iterator[str]:
+        pairs, positions, prior = self._layout(snapshots.n)
         if not pairs:  # n = 1: no off-diagonal counters, so no rows
-            return ""
-        keys = ((snapshots.p << 32) | snapshots.q)[:, :, off_diagonal]  # [k, a, pair]
-        changed = np.ones(keys.shape[:2], dtype=bool)  # [k, a]: agent a's keys differ from its snapshot k - 1
-        changed[1:] = (keys[1:] != keys[:-1]).any(axis=2)
+            return
         text = self._text
-        bodies: list[list[str]] = [[] for _ in range(m)]
-        parts = []
-        for k, (period, fresh) in enumerate(zip(snapshots.periods, changed.tolist())):
-            for agent_id, new in enumerate(fresh):
-                if new:
-                    bodies[agent_id] = list(map(operator.add, pairs, map(text.__getitem__, keys[k, agent_id].tolist())))
+        bodies = [prior.copy() for _ in range(snapshots.m)]
+        for period, agents in zip(snapshots.periods, snapshots.changes):
+            parts = []
+            for agent_id, (body, entries) in enumerate(zip(bodies, agents)):
+                for entry, p, q in entries:
+                    position = positions[entry]
+                    if position >= 0:
+                        body[position] = pairs[position] + text[p << 32 | q]
                 head = f"{lead}{period},{agent_id},"
                 # Every row ends in a newline, so joining on head starts each later row with it.
-                parts.append(head + head.join(bodies[agent_id]))
-        return "".join(parts)
+                parts.append(head + head.join(body))
+            yield "".join(parts)
 
 
 @contextmanager

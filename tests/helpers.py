@@ -183,8 +183,9 @@ def assert_matches_reference(scenario: ScenarioConfig, rep_index: int) -> None:
         assert np.array_equal(mine.beliefs.q, theirs.beliefs.q)
     taken = engine.belief_snapshots
     assert taken.periods == tuple(t for t, _ in snapshots)
-    assert taken.p.shape == taken.q.shape == (len(snapshots), scenario.m, scenario.n, scenario.n)
+    taken_p, taken_q = taken.counters()
+    assert taken_p.shape == taken_q.shape == (len(snapshots), scenario.m, scenario.n, scenario.n)
     for k, (_, theirs) in enumerate(snapshots):
         for a, expected in enumerate(theirs):
-            assert np.array_equal(taken.p[k, a], expected.p)
-            assert np.array_equal(taken.q[k, a], expected.q)
+            assert np.array_equal(taken_p[k, a], expected.p)
+            assert np.array_equal(taken_q[k, a], expected.q)

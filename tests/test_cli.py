@@ -366,6 +366,16 @@ class TestValidate:
         assert "n <= 25, got n=27" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_run_size_beyond_the_bound_fails_before_work(self, tmp_path, monkeypatch, capsys):
+        path = write_scenario(tmp_path, reps=100_000_000_000, horizon=500)
+        message = "reps x horizon must be at most 100000000, got 100000000000 x 500"
+        assert main(["validate", path]) == 2
+        assert message in capsys.readouterr().err
+        monkeypatch.setattr("orgsim.cli.run_grid", None)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("payload, message", [
         ([SCENARIO], "scenario file must hold a JSON object"),
         ({"grid": ["k2"]}, "grid must be an object with ['incentives', 'strategies', 'structures']"),

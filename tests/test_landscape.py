@@ -267,6 +267,19 @@ class TestGenerateLandscape:
 
 
 class TestGlobalOptimum:
+    @pytest.mark.parametrize("kind", [DECOMPOSABLE_K2, NONDECOMPOSABLE_K5])
+    def test_optimum_value_equals_performance_of_the_array(self, kind):
+        """The optimum's value, computed from the configuration as a list of ints, equals the int8 array's."""
+        rng = np.random.default_rng(17)
+        matrix = build_stylized_matrix(kind, 15)
+        for _ in range(40):
+            land = generate_landscape(matrix, rng)
+            config, value = land.optimum
+            assert config.dtype == np.int8
+            assert value == performance(land, config)
+            other = rng.integers(0, 2, size=15).astype(np.int8)
+            assert performance(land, other.tolist()) == performance(land, other)
+
     def test_enumeration_guard(self):
         matrix = identity_matrix(26)
         land = generate_landscape(matrix, np.random.default_rng(0))

@@ -99,11 +99,17 @@ class TestScenarioConfig:
         ({"structure": "file:/nonexistent/m.txt", "n": 3000, "capacity": 1500}, "cannot|scenario|file|No such"),
         ({"capacity": 0}, "capacities must be positive"),
         ({"cell_index": -1}, "cell_index must be nonnegative"),
+        ({"reps": 100_000_000_000}, r"reps x horizon must be at most 100000000, got 100000000000 x 20$"),
+        ({"reps": 1, "horizon": 100_000_001}, r"reps x horizon must be at most 100000000, got 1 x 100000001$"),
     ])
     def test_validate_flags_problems(self, overrides, fragment):
         problems = scenario(**overrides).validate()
         assert problems
         assert any(__import__("re").search(fragment, p) for p in problems)
+
+    def test_run_size_bound_is_inclusive(self):
+        assert scenario(reps=200_000, horizon=500).validate() == []
+        assert scenario(reps=1, horizon=100_000_000).validate() == []
 
     def test_validate_collects_multiple(self):
         problems = scenario(tau=1, sigma=-1.0, horizon=0).validate()
@@ -274,32 +280,87 @@ class TestRunReplication:
 
     def test_belief_snapshots_opt_in(self):
         bare = run_replication(scenario(), 0).belief_snapshots
-        assert bare.periods == ()
-        assert bare.p.shape == bare.q.shape == (0, 2, 6, 6)
+        assert bare.periods == bare.changes == ()
+        assert bare.counters()[0].shape == bare.counters()[1].shape == (0, 2, 6, 6)
         result = run_replication(scenario(horizon=10), 0, collect_beliefs=True)
         assert result.belief_snapshots.periods == (5, 10)
-        assert result.belief_snapshots.p.shape == (2, 2, 6, 6)
+        assert result.belief_snapshots.counters()[0].shape == (2, 2, 6, 6)
 
     def test_belief_snapshots_at_tau_multiples_and_the_horizon(self):
         config = scenario(horizon=12, strategy="interdependence", seed=4)
         result = run_replication(config, 0, collect_beliefs=True)
         snapshots = result.belief_snapshots
         assert list(snapshots.periods) == [5, 10, 12]
-        assert snapshots.p.shape == snapshots.q.shape == (3, config.m, config.n, config.n)
-        assert snapshots.p.dtype == snapshots.q.dtype == np.int64
+        p, q = snapshots.counters()
+        assert p.shape == q.shape == (3, config.m, config.n, config.n)
+        assert p.dtype == q.dtype == np.int64
         for a, agent in enumerate(result.agents):
-            assert np.array_equal(snapshots.p[-1, a], agent.beliefs.p)
-            assert np.array_equal(snapshots.q[-1, a], agent.beliefs.q)
+            assert np.array_equal(p[-1, a], agent.beliefs.p)
+            assert np.array_equal(q[-1, a], agent.beliefs.q)
 
     def test_belief_snapshots_are_copies(self):
         result = run_replication(scenario(horizon=12), 0, collect_beliefs=True)
         snapshots = result.belief_snapshots
-        before_p, before_q = snapshots.p.copy(), snapshots.q.copy()
+        before_p, before_q = snapshots.counters()
         for agent in result.agents:
             agent.beliefs.p += 7
             agent.beliefs.q[:] = 1
-        assert np.array_equal(snapshots.p, before_p)
-        assert np.array_equal(snapshots.q, before_q)
+        after_p, after_q = snapshots.counters()
+        assert np.array_equal(after_p, before_p)
+        assert np.array_equal(after_q, before_q)
+
+
+def random_counters(rng, steps, m, n):
+    """Snapshot counters where each agent block either repeats its previous snapshot (the prior, first) or
+    takes new values in 1..4 at random entries, the diagonal included, so some changes move back."""
+    p = np.ones((steps, m, n, n), dtype=np.int64)
+    q = np.ones_like(p)
+    for k in range(steps):
+        if k:
+            p[k], q[k] = p[k - 1], q[k - 1]
+        for a in range(m):
+            if rng.random() < 0.3:
+                continue
+            for counters in (p, q):
+                moved = rng.random((n, n)) < 0.3
+                counters[k, a][moved] = rng.integers(1, 5, size=int(moved.sum()))
+    return p, q
+
+
+class TestBeliefSnapshots:
+    @pytest.mark.parametrize("steps, m, n", [(6, 3, 4), (5, 1, 5), (4, 2, 1), (3, 1, 1), (0, 2, 3), (3, 5, 15)])
+    def test_compacting_and_rebuilding_round_trips(self, steps, m, n):
+        rng = np.random.default_rng(100 * steps + 10 * m + n)
+        periods = tuple(range(5, 5 * steps + 1, 5))
+        for _ in range(20):
+            p, q = random_counters(rng, steps, m, n)
+            snapshots = BeliefSnapshots.from_counters(periods, p, q)
+            assert (snapshots.periods, snapshots.m, snapshots.n) == (periods, m, n)
+            rebuilt_p, rebuilt_q = snapshots.counters()
+            assert rebuilt_p.dtype == rebuilt_q.dtype == np.int64
+            assert np.array_equal(rebuilt_p, p)
+            assert np.array_equal(rebuilt_q, q)
+
+    def test_changes_hold_only_the_entries_that_moved(self):
+        p = np.ones((3, 2, 2, 2), dtype=np.int64)
+        q = np.ones_like(p)
+        p[:, 0, 0, 1] = 2  # agent 0: moved from the prior at the first snapshot, unchanged after
+        q[1:, 1, 1, 1] = 5  # agent 1: a diagonal entry moved at the second snapshot
+        p[2, 1, 1, 0] = 3  # and an off-diagonal one at the third
+        snapshots = BeliefSnapshots.from_counters((5, 10, 12), p, q)
+        assert snapshots.changes == (
+            (((1, 2, 1),), ()),
+            ((), ((3, 1, 5),)),
+            ((), ((2, 3, 1),)),
+        )
+
+    @pytest.mark.parametrize("strategy", ["utility", "interdependence"])
+    def test_payload_is_a_fiftieth_of_the_full_counters(self, strategy):
+        config = ScenarioConfig(structure="k5", incentive=BALANCED, strategy=strategy, reps=1, seed=2)
+        snapshots = run_replication(config, 0, collect_beliefs=True).belief_snapshots
+        p, q = snapshots.counters()
+        assert p.shape == (20, 5, 15, 15)
+        assert len(pickle.dumps(snapshots)) <= (p.nbytes + q.nbytes) / 50
 
 
 class TestReferenceEquivalence:
@@ -418,8 +479,8 @@ class TestRunExperiment:
         for _, rep, snapshots in beliefs.calls:
             expected = run_replication(config, rep, collect_beliefs=True).belief_snapshots
             assert snapshots.periods == expected.periods == (5, 10)
-            assert np.array_equal(snapshots.p, expected.p)
-            assert np.array_equal(snapshots.q, expected.q)
+            for got, want in zip(snapshots.counters(), expected.counters(), strict=True):
+                assert np.array_equal(got, want)
 
     def test_trades_tagged_by_rep(self):
         sink = Recorder()
@@ -855,7 +916,7 @@ class TestWriters:
         q = np.ones_like(p)
         p[:, 0] = [[1, 4, 2, 3], [3, 1, 5, 2], [2, 2, 1, 4], [5, 3, 2, 1]]
         q[1, 1, 0, 2] = 6
-        snapshots = BeliefSnapshots((5, 10, 12), p, q)
+        snapshots = BeliefSnapshots.from_counters((5, 10, 12), p, q)
         path = tmp_path / "beliefs.csv"
         with write_beliefs_csv(path, [config]) as beliefs:
             beliefs.write(config, 0, snapshots)
@@ -866,6 +927,48 @@ class TestWriters:
         for rep in (0, 1):
             write_snapshot_rows(writer, [], rep, snapshots)
         assert path.read_text() == expected.getvalue()
+
+
+    def test_random_counters_write_like_a_row_by_row_writer(self, tmp_path):
+        """Diagonal changes write nothing, and a pair that moves back gets its old body again."""
+        matrix = tmp_path / "ones.txt"
+        matrix.write_text("6\n" + "1 1 1 1 1 1\n" * 6)
+        config = scenario(structure=f"file:{matrix}", n=6, m=2)
+        rng = np.random.default_rng(8)
+        values = [BeliefSnapshots.from_counters((5, 10, 15, 20), *random_counters(rng, 4, 2, 6)) for _ in range(5)]
+        path = tmp_path / "beliefs.csv"
+        with write_beliefs_csv(path, [config]) as beliefs:
+            for rep, snapshots in enumerate(values):
+                beliefs.write(config, rep, snapshots)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["rep", "period", "agent", "i", "j", "p", "q", "belief"])
+        for rep, snapshots in enumerate(values):
+            write_snapshot_rows(writer, [], rep, snapshots)
+        assert path.read_text() == expected.getvalue()
+
+    def test_grid_with_a_quoted_label_writes_like_a_row_by_row_writer(self, tmp_path):
+        path = write_matrix(tmp_path / 'a,"b.txt', build_stylized_matrix(DECOMPOSABLE_K2, 6))
+        cells = expand_grid(scenario(horizon=30, seed=6), structures=[f"file:{path}", "k2"], incentives=["balanced"],
+                            strategies=["utility", "interdependence"])
+        with write_beliefs_csv(tmp_path / "beliefs.csv", cells) as beliefs:
+            run_grid(cells, jobs=2, beliefs=beliefs)
+        text = (tmp_path / "beliefs.csv").read_text()
+        assert text == row_by_row_beliefs_csv(cells)
+        assert '\n"a,""b-balanced-utility",0,5,0,' in text
+
+    def test_each_write_holds_one_snapshot(self):
+        config = scenario(horizon=40, seed=3, strategy="interdependence")
+        calls = []
+        ledger = orgsim.simulation._BeliefsLedger(SimpleNamespace(write=calls.append), [config])
+        run_experiment(config, beliefs=ledger)
+        header, *snapshot_calls = calls
+        assert "".join(calls) == row_by_row_beliefs_csv([config])
+        assert len(snapshot_calls) == config.reps * 8  # one write per snapshot, periods 5 to 40
+        for text in snapshot_calls:
+            rows = text.splitlines()
+            assert len(rows) == config.m * config.n * (config.n - 1)
+            assert len({tuple(row.split(",")[:2]) for row in rows}) == 1  # one (rep, period)
 
 
 def row_by_row_beliefs_csv(cells) -> str:
@@ -885,11 +988,12 @@ def row_by_row_beliefs_csv(cells) -> str:
 
 def write_snapshot_rows(writer, prefix, rep, snapshots) -> None:
     """One csv.writer row per snapshot, agent and off-diagonal (i, j), read entry by entry."""
-    _, m, n, _ = snapshots.p.shape
+    counters_p, counters_q = snapshots.counters()
+    _, m, n, _ = counters_p.shape
     for k, period in enumerate(snapshots.periods):
         for agent_id in range(m):
             for i in range(n):
                 for j in range(n):
                     if i != j:
-                        p, q = int(snapshots.p[k, agent_id, i, j]), int(snapshots.q[k, agent_id, i, j])
+                        p, q = int(counters_p[k, agent_id, i, j]), int(counters_q[k, agent_id, i, j])
                         writer.writerow([*prefix, rep, period, agent_id, i, j, p, q, repr(p / (p + q))])
