@@ -17,6 +17,7 @@ syntax errors with their positions, and merges flags and presets over them.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -216,6 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The imported modules' objects live until exit. Frozen, they are walked by no later collection, here or
+    # in a forked worker, whose collections then leave their pages shared.
+    gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
