@@ -10,8 +10,9 @@ Exit codes: 0 on success, 2 for configuration problems (bad flags, malformed
 or invalid scenario files), 3 when a model invariant breaks mid-run.
 
 The scenario schema, the grid rules and the run check live in
-``orgsim.simulation``. This module only reads scenario files, reports JSON
-syntax errors with their positions, and merges flags and presets over them.
+``orgsim.simulation``. This module only makes one ``run`` flag per scenario
+field from ``ScenarioConfig``'s declarations, reads scenario files, reports
+JSON syntax errors with their positions, and merges flags and presets over them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import os
 import sys
 from contextlib import ExitStack
+from dataclasses import fields
 from pathlib import Path
 
 # orgsim does no BLAS work, and an idle BLAS thread pool costs CPU at import; a user's setting is kept.
@@ -33,10 +35,9 @@ from . import __version__
 from .errors import ConfigError, InvariantViolation
 from .landscape import generate_landscape, random_matrix
 from .oracle import ORACLE_MAX_N, oracle_report
-from .organization import INCENTIVE_PRESETS
 from .simulation import (
     INPUT_KEYS,
-    STRATEGIES,
+    INPUT_TYPES,
     ExperimentResult,
     ScenarioConfig,
     cells_from_dict,
@@ -187,17 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one cell or a grid and write results")
     run.add_argument("scenario", nargs="?", help="JSON scenario file (flags override file values)")
     run.add_argument("--preset", choices=["paper-grid"], help="run the full 18-cell reference grid")
-    run.add_argument("--structure", help="k2, k5, or file:<path>")
-    run.add_argument("--incentive", help=f"one of {sorted(INCENTIVE_PRESETS)} or alpha=<value>")
-    run.add_argument("--strategy", choices=list(STRATEGIES), help="auction strategy or benchmark")
-    run.add_argument("--n", type=int, help="number of decisions")
-    run.add_argument("--m", type=int, help="number of agents")
-    run.add_argument("--reps", type=int, help="replications per cell")
-    run.add_argument("--horizon", type=int, help="periods per replication")
-    run.add_argument("--tau", type=int, help="auction interval")
-    run.add_argument("--sigma", type=float, help="bid noise standard deviation")
-    run.add_argument("--capacity", help="per-agent capacity: one integer or m comma-separated integers")
-    run.add_argument("--seed", type=int, help="master seed")
+    for field in fields(ScenarioConfig):
+        if field.name in INPUT_KEYS:
+            kind = INPUT_TYPES[field.name]
+            run.add_argument(f"--{field.name}", type=kind if kind in (int, float) else None,
+                             choices=field.metadata.get("choices"), help=field.metadata["help"])
     run.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     run.add_argument("--out", default="results", help="output directory (default: results)")
     run.add_argument("--emit", default="csv,json", help="comma list from csv,json,beliefs,trades")

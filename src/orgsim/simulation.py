@@ -58,9 +58,11 @@ a k5 replication of 500 periods against 360 KB of arrays, is what a worker
 sends and what every sink receives; ``BeliefSnapshots.counters()`` rebuilds
 the arrays for a caller that needs them.
 
-The scenario schema lives here and nowhere else: ``ScenarioConfig`` holds the
-fields, ``ScenarioConfig.from_dict`` the keys a scenario file or the flags may
-set and their value types, ``ScenarioConfig.to_dict`` the per-cell record of
+The scenario schema lives here and nowhere else: ``ScenarioConfig``'s field
+declarations state each key a scenario file may set, with its value type,
+default, and the help and choices of the ``orgsim run --<field>`` flag the CLI
+makes from it; ``ScenarioConfig.from_dict`` checks file and flag values by the
+annotated types, ``ScenarioConfig.to_dict`` the per-cell record of
 ``orgsim validate`` and ``metadata.json``, ``expand_grid`` the cell
 enumeration, ``cells_from_dict`` the grid rules, and ``check_cells`` the run
 check that ``orgsim run``, ``run_grid`` and the ledgers share. A scenario
@@ -86,12 +88,12 @@ import math
 import os
 from collections import Counter, deque
 from contextlib import contextmanager, nullcontext
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from itertools import islice, product
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterator, Mapping, Protocol, Sequence, TextIO
+from typing import Iterator, Mapping, Protocol, Sequence, TextIO, get_type_hints
 
 import numpy as np
 
@@ -179,20 +181,22 @@ class ScenarioConfig:
 
     ``structure`` is ``"k2"``, ``"k5"``, or ``"file:<path>"``; ``strategy`` is
     ``"utility"``, ``"interdependence"``, or ``"benchmark"``. All numeric
-    defaults follow the reference parameterization.
+    defaults follow the reference parameterization. An input field's metadata
+    holds its ``--<field>`` flag's help and choices.
     """
 
-    structure: str
-    incentive: IncentiveScheme
-    strategy: str
-    n: int = 15
-    m: int = 5
-    tau: int = 25
-    horizon: int = 500
-    reps: int = 800
-    sigma: float = 0.05
-    capacity: int | tuple[int, ...] = 5
-    seed: int = 0
+    structure: str = field(metadata={"help": "k2, k5, or file:<path>"})
+    incentive: IncentiveScheme = field(metadata={"help": f"one of {sorted(INCENTIVE_PRESETS)} or alpha=<value>"})
+    strategy: str = field(metadata={"help": "auction strategy or benchmark", "choices": STRATEGIES})
+    n: int = field(default=15, metadata={"help": "number of decisions"})
+    m: int = field(default=5, metadata={"help": "number of agents"})
+    tau: int = field(default=25, metadata={"help": "auction interval"})
+    horizon: int = field(default=500, metadata={"help": "periods per replication"})
+    reps: int = field(default=800, metadata={"help": "replications per cell"})
+    sigma: float = field(default=0.05, metadata={"help": "bid noise standard deviation"})
+    capacity: int | tuple[int, ...] = field(
+        default=5, metadata={"help": "per-agent capacity: one integer or m comma-separated integers"})
+    seed: int = field(default=0, metadata={"help": "master seed"})
     cell_index: int = 0
 
     def __post_init__(self) -> None:
@@ -211,14 +215,9 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown keys {unknown}; allowed keys are {sorted(INPUT_KEYS)}")
         for key, value in data.items():
-            if key in ("structure", "incentive", "strategy"):
-                if not isinstance(value, str):
-                    raise ConfigError(f"{key} must be a string, got {value!r}")
-            elif key == "sigma":
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(f"sigma must be a number, got {value!r}")
-            elif key != "capacity" and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            rule = _VALUE_RULES.get(INPUT_TYPES[key])
+            if rule is not None and (isinstance(value, bool) or not isinstance(value, rule[0])):
+                raise ConfigError(f"{key} must be {rule[1]}, got {value!r}")
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
         if missing:
             raise ConfigError(f"missing required settings: {', '.join(missing)} (no defaults exist for these)")
@@ -323,6 +322,11 @@ class ScenarioConfig:
 
 # Keys a scenario file or the flags may set; grid expansion assigns cell_index.
 INPUT_KEYS = tuple(f.name for f in fields(ScenarioConfig) if f.name != "cell_index")
+# Each input key's annotated type. The CLI converts an int or a float flag by it, and from_dict checks a
+# value by its rule below: the accepted types and their name. capacity has none; _parse_capacity reads it.
+INPUT_TYPES = {key: hint for key, hint in get_type_hints(ScenarioConfig).items() if key in INPUT_KEYS}
+_VALUE_RULES = {int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string"),
+                IncentiveScheme: (str, "a string")}
 
 
 def _parse_capacity(value) -> int | tuple[int, ...]:
@@ -859,14 +863,10 @@ class _TradesLedger(_Ledger):
 
 
 class _BeliefText(dict):
-    """Maps ``p << 32 | q`` to the row tail ``p,q,<repr(p / (p + q))>``; few distinct pairs recur in a run.
+    """Maps ``(p, q)`` to the row tail ``p,q,<repr(p / (p + q))>``; few distinct pairs recur in a run."""
 
-    A counter grows by at most one per period from 1, and ``validate`` bounds the horizon by
-    ``MAX_REP_PERIODS``, so p and q stay below 2**32 and the key is unambiguous.
-    """
-
-    def __missing__(self, key: int) -> str:
-        p, q = key >> 32, key & 0xFFFFFFFF
+    def __missing__(self, key: tuple[int, int]) -> str:
+        p, q = key
         text = self[key] = f"{p},{q},{p / (p + q)!r}\n"
         return text
 
@@ -895,7 +895,7 @@ class _BeliefsLedger(_Ledger):
         if n not in self._layouts:
             pairs = [f"{i},{j}," for i in range(n) for j in range(n) if i != j]
             positions = [i * (n - 1) + j - (j > i) if i != j else -1 for i in range(n) for j in range(n)]
-            prior = [pair + self._text[1 << 32 | 1] for pair in pairs]
+            prior = [pair + self._text[1, 1] for pair in pairs]
             self._layouts[n] = (pairs, positions, prior)
         return self._layouts[n]
 
@@ -911,7 +911,7 @@ class _BeliefsLedger(_Ledger):
                 for entry, p, q in entries:
                     position = positions[entry]
                     if position >= 0:
-                        body[position] = pairs[position] + text[p << 32 | q]
+                        body[position] = pairs[position] + text[p, q]
                 head = f"{lead}{period},{agent_id},"
                 # Every row ends in a newline, so joining on head starts each later row with it.
                 parts.append(head + head.join(body))

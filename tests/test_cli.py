@@ -11,13 +11,31 @@ from pathlib import Path
 import pytest
 
 import orgsim.simulation
-from orgsim.cli import main
+from orgsim.cli import build_parser, cmd_validate, main
 from orgsim.errors import InvariantViolation
 from orgsim.landscape import DECOMPOSABLE_K2, build_stylized_matrix
+from orgsim.simulation import INPUT_KEYS
 
 
 SCENARIO = dict(structure="k2", incentive="balanced", strategy="utility",
                 n=6, m=2, tau=5, horizon=12, reps=2, capacity=5, seed=3)
+
+
+# A flag's text for each scenario field, and the value validate echoes for it, over SCENARIO with m=3 and
+# capacity 6; each is valid there and differs from the file's value.
+FLAG_VALUES = {
+    "structure": ("k5", "k5"),
+    "incentive": ("altruistic", "altruistic"),
+    "strategy": ("benchmark", "benchmark"),
+    "n": ("12", 12),
+    "m": ("6", 6),
+    "tau": ("7", 7),
+    "horizon": ("30", 30),
+    "reps": ("4", 4),
+    "sigma": ("0.25", 0.25),
+    "capacity": ("4,5,6", [4, 5, 6]),
+    "seed": ("9", 9),
+}
 
 
 def write_scenario(tmp_path, name="scenario.json", **values):
@@ -392,12 +410,26 @@ class TestValidate:
         (dict(SCENARIO, capacity=5.5), "capacity must be an integer or list of integers, got 5.5"),
         (dict(SCENARIO, incentive="alpha=x"), "cannot parse incentive weight"),
         (dict(SCENARIO, incentive="bogus"), "unknown incentive"),
+        (dict(SCENARIO, incentive=5), "incentive must be a string, got 5"),
     ])
     def test_malformed_file_exits_2(self, tmp_path, capsys, payload, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         assert main(["validate", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", INPUT_KEYS)
+    def test_each_field_flag_overrides_the_file(self, tmp_path, capsys, key):
+        """Every scenario field has a run flag, converted as the file value is checked, that wins over the file."""
+        path = write_scenario(tmp_path, m=3, capacity=6)
+        text, echoed = FLAG_VALUES[key]
+        args = build_parser().parse_args(["run", path, f"--{key}", text])
+        assert cmd_validate(args) == 0
+        cell = json.loads(capsys.readouterr().out)["cells"][0]
+        value = cell["incentive"]["name"] if key == "incentive" else cell[key]
+        assert value == echoed
+        assert main(["validate", path]) == 0
+        assert json.loads(capsys.readouterr().out)["cells"][0][key] != cell[key]
 
     def test_readme_scenario_validates(self, tmp_path, capsys):
         """README's scenario block is one valid cell, and with its documented "grid": {} it is the 18-cell grid."""

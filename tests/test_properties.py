@@ -16,10 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orgsim import IncentiveScheme, ScenarioConfig, run_replication
+from orgsim import ConfigError, IncentiveScheme, ScenarioConfig, run_replication
 from orgsim.cli import main
 from orgsim.organization import INCENTIVE_PRESETS
-from orgsim.simulation import STRATEGIES
+from orgsim.simulation import STRATEGIES, cells_from_dict
 from helpers import assert_matches_reference
 
 INDIVIDUALISTIC = IncentiveScheme.from_name("individualistic")
@@ -126,6 +126,54 @@ def test_criterion_3_invariants(matrix_dir, case, rep):
     for trade in result.trades:
         assert trade.period % tau == 0
         assert trade.seller != trade.winner
+
+
+@st.composite
+def raw_scenarios(draw, matrix_dir):
+    """A scenario file's values from a space wider than the valid one: any m up to n, capacities below and
+    above the equal share, tau down to 1, incentives at both ends of alpha, and random matrix files."""
+    # Each of n, m and the capacities is drawn from its valid values half the time, so that many scenarios run.
+    n = draw(st.one_of(st.sampled_from([3, 6, 9, 12]), st.integers(1, 12)))
+    m = draw(st.one_of(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]), st.integers(1, n)))
+    share = n // m
+    capacities = st.integers(max(share - 2, 0) if draw(st.booleans()) else share, share + 3)
+    structure = draw(st.sampled_from(["k2", "k5", "file"]))
+    if structure == "file":
+        entries = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+        np.fill_diagonal(entries, True)
+        path = matrix_dir / f"raw-{n}-{np.packbits(entries).tobytes().hex()}.txt"
+        path.write_text(f"{n}\n" + "".join(" ".join(str(int(v)) for v in row) + "\n" for row in entries))
+        structure = f"file:{path}"
+    return dict(
+        structure=structure,
+        incentive=draw(st.one_of(
+            st.sampled_from(sorted(INCENTIVE_PRESETS) + ["alpha=0", "alpha=1"]),
+            st.floats(0.0, 1.0).map(lambda alpha: f"alpha={alpha!r}"),
+        )),
+        strategy=draw(st.sampled_from(STRATEGIES)),
+        n=n, m=m,
+        tau=draw(st.integers(1, 6)),
+        horizon=draw(st.integers(1, 15)),
+        reps=2,
+        sigma=draw(st.floats(0.0, 5.0)),
+        capacity=draw(st.one_of(capacities, st.lists(capacities, min_size=m, max_size=m),
+                                st.lists(capacities, min_size=max(m - 1, 1), max_size=m + 1))),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_every_scenario_the_engine_would_reject_fails_in_the_run_check(matrix_dir, data):
+    """A scenario file either fails the run check with ConfigError, or its replications run without raising."""
+    payload = data.draw(raw_scenarios(matrix_dir))
+    try:
+        cells = cells_from_dict(payload)
+    except ConfigError:
+        return
+    for cell in cells:
+        for rep in range(cell.reps):
+            run_replication(cell, rep, collect_beliefs=True)
 
 
 @st.composite

@@ -947,6 +947,26 @@ class TestWriters:
             write_snapshot_rows(writer, [], rep, snapshots)
         assert path.read_text() == expected.getvalue()
 
+    def test_counters_beyond_32_bits_write_their_own_values(self, tmp_path):
+        """A hand-built value is not bound by validate's run size, so p and q may exceed 2**32."""
+        matrix = tmp_path / "ones.txt"
+        matrix.write_text("2\n1 1\n1 1\n")
+        config = scenario(structure=f"file:{matrix}", n=2, m=2)
+        p = np.ones((2, 2, 2, 2), dtype=np.int64)
+        q = np.ones_like(p)
+        q[:, 0, 0, 1] = 2**32 + 1
+        p[1, 0, 1, 0] = 2**33
+        snapshots = BeliefSnapshots.from_counters((5, 10), p, q)
+        path = tmp_path / "beliefs.csv"
+        with write_beliefs_csv(path, [config]) as beliefs:
+            beliefs.write(config, 0, snapshots)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["rep", "period", "agent", "i", "j", "p", "q", "belief"])
+        write_snapshot_rows(writer, [], 0, snapshots)
+        assert path.read_text() == expected.getvalue()
+        assert f"0,5,0,0,1,1,{2**32 + 1}," in path.read_text()
+
     def test_grid_with_a_quoted_label_writes_like_a_row_by_row_writer(self, tmp_path):
         path = write_matrix(tmp_path / 'a,"b.txt', build_stylized_matrix(DECOMPOSABLE_K2, 6))
         cells = expand_grid(scenario(horizon=30, seed=6), structures=[f"file:{path}", "k2"], incentives=["balanced"],
