@@ -32,7 +32,7 @@ for i in agent.owned:
             continue
         true = "x" if matrix.entries[j, i] else "."
         strength = belief(agent.beliefs, i, j)
-        seen = int(agent.beliefs.p[i, j] + agent.beliefs.q[i, j] - 2)
+        seen = agent.beliefs.p[i][j] + agent.beliefs.q[i][j] - 2
         print(f"  {i:>2} -> {j:>2}    {true}      {strength:.3f}    {seen}")
 
 print("\nstrong beliefs (> 0.5) vs the true structure, per agent:")

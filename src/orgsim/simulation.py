@@ -48,15 +48,13 @@ without a pass over the agents (belief snapshots included).
 the op-composed reference replication, to exact float equality.
 
 Belief snapshots, when collected, are taken at every period ``s`` with
-``s % tau == 0`` and at the horizon. The periods are known up front, so a
-replication preallocates two int64 arrays of shape ``(S, m, n, n)`` and
-copies agent a's counters into entry ``[k, a]`` at the k-th snapshot period.
-At its end it compacts them once into ``BeliefSnapshots``: per snapshot and
-agent, only the counter entries that changed since the agent's previous
-snapshot, or since the uniform prior at the first. That value, 1-3 KB for
-a k5 replication of 500 periods against 360 KB of arrays, is what a worker
-sends and what every sink receives; ``BeliefSnapshots.counters()`` rebuilds
-the arrays for a caller that needs them.
+``s % tau == 0`` and at the horizon. Snapshot k holds, per agent, what
+``BeliefCounters.pop_changes`` returns then: the counter entries booked since
+the agent's previous snapshot, or since the uniform prior at the first, which
+are exactly the entries that changed. That ``BeliefSnapshots`` value, 1-3 KB
+for a k5 replication of 500 periods, is what a worker sends and what every
+sink receives; ``BeliefSnapshots.counters()`` rebuilds the full counter
+arrays for a caller that needs them.
 
 The scenario schema lives here and nowhere else: ``ScenarioConfig``'s field
 declarations state each key a scenario file may set, with its value type,
@@ -419,31 +417,15 @@ class BeliefSnapshots:
     ``changes[k][a]`` holds agent a's counter entries that differ at the end of
     period ``periods[k]`` from its previous snapshot, or, at the first snapshot,
     from the uniform prior p = q = 1: one ``(i * n + j, p, q)`` triple per
-    entry, in row-major order, diagonal entries included. ``counters()``
-    rebuilds the full arrays. Without collected beliefs ``periods`` and
-    ``changes`` are empty and ``S = 0``.
+    entry, in row-major order. ``counters()`` rebuilds the full arrays.
+    Without collected beliefs ``periods`` and ``changes`` are empty and
+    ``S = 0``.
     """
 
     periods: tuple[int, ...]
     m: int
     n: int
     changes: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
-
-    @classmethod
-    def from_counters(cls, periods: Sequence[int], p: np.ndarray, q: np.ndarray) -> "BeliefSnapshots":
-        """The snapshots of int64 counter arrays ``p`` and ``q`` of shape ``(S, m, n, n)`` taken at ``periods``."""
-        steps, m, n, _ = p.shape
-        if not steps:  # no beliefs collected: nothing to compare, so skip the array pass
-            return cls((), m, n, ())
-        p, q = p.reshape(steps * m, n * n), q.reshape(steps * m, n * n)
-        prior = np.ones((m, n * n), dtype=np.int64)
-        # Row b is agent b % m at snapshot b // m; it is compared with the row m rows earlier, or at first the prior.
-        changed = (p != np.concatenate((prior, p[:-m]))) | (q != np.concatenate((prior, q[:-m])))
-        block, entry = np.nonzero(changed)
-        triples = list(zip(entry.tolist(), p[block, entry].tolist(), q[block, entry].tolist()))
-        ends = np.cumsum(np.bincount(block, minlength=steps * m)).tolist()
-        blocks = [tuple(triples[start:end]) for start, end in zip([0, *ends], ends)]
-        return cls(tuple(periods), m, n, tuple(tuple(blocks[k * m : (k + 1) * m]) for k in range(steps)))
 
     def counters(self) -> tuple[np.ndarray, np.ndarray]:
         """The full int64 counter arrays ``p`` and ``q`` of shape ``(S, m, n, n)``: ``p[k, a]`` is agent a's at
@@ -552,9 +534,7 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
     trades: list[TradeRecord] = []
     observations = [0] * m
     periods = tuple(s for s in range(1, horizon + 1) if s % tau == 0 or s == horizon) if collect_beliefs else ()
-    snapshot_p = np.empty((len(periods), m, n, n), dtype=np.int64)
-    snapshot_q = np.empty_like(snapshot_p)
-    taken = 0  # snapshots filled so far
+    changes: list[tuple[tuple[tuple[int, int, int], ...], ...]] = []  # one per snapshot taken so far
 
     t = 1
     while t <= horizon:
@@ -614,16 +594,13 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
 
         perf_runs[-1] += through - t + 1
         size_runs[-1] += through - t + 1
-        while taken < len(periods) and periods[taken] <= through:
-            for agent in agents:
-                snapshot_p[taken, agent.id] = agent.beliefs.p
-                snapshot_q[taken, agent.id] = agent.beliefs.q
-            taken += 1
+        while len(changes) < len(periods) and periods[len(changes)] <= through:
+            changes.append(tuple(agent.beliefs.pop_changes() for agent in agents))
         t = through + 1
 
     performance = np.repeat(np.array(perf_values, dtype=np.float64), perf_runs)
     sizes = np.repeat(np.array(size_rows, dtype=np.int64), size_runs, axis=0)
-    snapshots = BeliefSnapshots.from_counters(periods, snapshot_p, snapshot_q)
+    snapshots = BeliefSnapshots(periods, m, n, tuple(changes))
     result = ReplicationResult(performance, sizes, trades, agents, observations, optimum, snapshots)
     norm = result.normalized_series
     bad = np.flatnonzero(~((norm > 0.0) & (norm <= 1.0)))
@@ -781,19 +758,24 @@ def run_grid(
         return [run_experiment(scenario, trades=trades, beliefs=beliefs, _payloads=payloads) for scenario in scenarios]
 
 
+# writerow returns the text of its row, so _LEAD.writerow([cell, ""]) is ``cell,`` quoted as csv.writer quotes it.
+_LEAD = csv.writer(SimpleNamespace(write=str), lineterminator="")
+
+
 def write_results_csv(results: Sequence[ExperimentResult], path: str | Path) -> None:
     """Per-period aggregates, one row per (cell, period).
 
     Floats are written with ``repr`` (shortest round-trip form), which keeps
-    repeated runs byte-identical.
+    repeated runs byte-identical. Only the label may need quoting, so each
+    cell's ``cell,`` lead goes through ``csv.writer`` once and the numbers
+    are written as text, as ``csv.writer`` would write them.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cell", "period", "mean_norm_perf", "ci99_half_width"])
+        fh.write("cell,period,mean_norm_perf,ci99_half_width\n")
         for result in results:
-            cell = result.cell
-            for t, (mean, half_width) in enumerate(zip(result.mean_norm_perf, result.ci99_half_width), start=1):
-                writer.writerow([cell, t, repr(float(mean)), repr(float(half_width))])
+            lead = _LEAD.writerow([result.cell, ""])
+            rows = zip(result.mean_norm_perf.tolist(), result.ci99_half_width.tolist())
+            fh.write("".join(f"{lead}{t},{mean!r},{half_width!r}\n" for t, (mean, half_width) in enumerate(rows, 1)))
 
 
 def write_metadata_json(results: Sequence[ExperimentResult], path: str | Path) -> None:
@@ -839,8 +821,7 @@ class _Ledger:
         self._fh = fh
         grid = len(cells) > 1
         csv.writer(fh, lineterminator="\n").writerow(("cell", *self.header) if grid else self.header)
-        lead = csv.writer(SimpleNamespace(write=str), lineterminator="")  # writerow returns the text of its row
-        self._leads = {scenario.cell: lead.writerow([scenario.cell, ""]) if grid else "" for scenario in cells}
+        self._leads = {scenario.cell: _LEAD.writerow([scenario.cell, ""]) if grid else "" for scenario in cells}
 
     def write(self, scenario: ScenarioConfig, rep: int, records: list[TradeRecord] | BeliefSnapshots) -> None:
         cell = scenario.cell

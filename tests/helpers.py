@@ -50,6 +50,18 @@ def make_agent(aid, owned, capacity=10, n=8):
     return AgentState(aid, list(owned), capacity, init_beliefs(n))
 
 
+def changed_entries(before, after):
+    """The ``(i * n + j, p, q)`` triples of the entries whose counters differ between two ``BeliefCounters``,
+    row-major, found by comparing every entry."""
+    n = len(after.p)
+    return tuple(
+        (i * n + j, after.p[i][j], after.q[i][j])
+        for i in range(n)
+        for j in range(n)
+        if (after.p[i][j], after.q[i][j]) != (before.p[i][j], before.q[i][j])
+    )
+
+
 def k0_landscape(values):
     """Independent decisions with explicit (off, on) contribution pairs."""
     n = len(values)
@@ -110,7 +122,8 @@ def reference_replication(scenario: ScenarioConfig, rep_index: int):
     arrays shaped like ``ReplicationResult``'s and ``snapshots`` holding the
     belief counters at ``t % tau == 0`` and at the horizon as ``(t, [counters
     per agent])`` pairs, which ``assert_matches_reference`` compares with the
-    periods and ``p[k, a]``, ``q[k, a]`` of ``belief_snapshots``.
+    periods, the changes and the rebuilt ``p[k, a]``, ``q[k, a]`` of
+    ``belief_snapshots``.
     """
     matrix = scenario.matrix
     rng_land = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_LANDSCAPE)
@@ -179,10 +192,14 @@ def assert_matches_reference(scenario: ScenarioConfig, rep_index: int) -> None:
     assert engine.trades == trades
     for mine, theirs in zip(engine.agents, agents, strict=True):
         assert mine.owned == theirs.owned
-        assert np.array_equal(mine.beliefs.p, theirs.beliefs.p)
-        assert np.array_equal(mine.beliefs.q, theirs.beliefs.q)
+        assert mine.beliefs.p == theirs.beliefs.p
+        assert mine.beliefs.q == theirs.beliefs.q
     taken = engine.belief_snapshots
     assert taken.periods == tuple(t for t, _ in snapshots)
+    previous = [init_beliefs(scenario.n)] * scenario.m
+    for changes, (_, theirs) in zip(taken.changes, snapshots, strict=True):
+        assert changes == tuple(changed_entries(old, new) for old, new in zip(previous, theirs, strict=True))
+        previous = theirs
     taken_p, taken_q = taken.counters()
     assert taken_p.shape == taken_q.shape == (len(snapshots), scenario.m, scenario.n, scenario.n)
     for k, (_, theirs) in enumerate(snapshots):

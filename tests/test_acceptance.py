@@ -142,7 +142,7 @@ def test_criterion_3_invariant_suite():
                     held = sorted(d for agent in result.agents for d in agent.owned)
                     assert held == list(range(15))
                     for agent in result.agents:
-                        booked = int((agent.beliefs.p + agent.beliefs.q).sum()) - 2 * 15 * 15
+                        booked = int(np.sum(agent.beliefs.p) + np.sum(agent.beliefs.q)) - 2 * 15 * 15
                         assert booked == result.observation_counts[agent.id]
 
 

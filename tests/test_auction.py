@@ -59,10 +59,10 @@ class TestSelectOfferInterdependence:
     def test_offers_least_entangled(self):
         agent = make_agent(1, [2, 3, 4], n=6)
         counters = agent.beliefs
-        counters.p[2, 3] = 9  # strong links for 2 and 3
-        counters.p[3, 2] = 9
-        counters.q[4, 2] = 9  # decision 4 looks independent
-        counters.q[4, 3] = 9
+        counters.p[2][3] = 9  # strong links for 2 and 3
+        counters.p[3][2] = 9
+        counters.q[4][2] = 9  # decision 4 looks independent
+        counters.q[4][3] = 9
         offer = select_offer_interdependence(agent, tie_rng())
         assert offer.seller == 1
         assert offer.decision == 4
@@ -122,7 +122,7 @@ class TestBidUtility:
 class TestBidInterdependence:
     def test_amount_is_mean_external_belief(self):
         bidder = make_agent(1, [2, 3], capacity=5, n=6)
-        bidder.beliefs.p[0, 2] = 4  # belief 0.8
+        bidder.beliefs.p[0][2] = 4  # belief 0.8
         offer = Offer(seller=0, decision=0, min_price=0.1)
         amount = bid_interdependence(bidder, offer)
         assert amount == mean_external_belief(bidder, 0)
@@ -150,8 +150,8 @@ class TestClearAuction:
         # decision 0 shows 0.5 to every bidder before noise; force distinct bids
         # through per-bidder contributions instead: use interdependence strategy
         bidders = [make_agent(a, [2 * a, 2 * a + 1], capacity=5, n=6) for a in range(3)]
-        bidders[1].beliefs.p[0, 2] = 9  # agent 1 values decision 0 at (0.9 + 0.5)/2 = 0.7
-        bidders[2].beliefs.p[0, 4] = 3  # agent 2 values it at (0.75 + 0.5)/2 = 0.625
+        bidders[1].beliefs.p[0][2] = 9  # agent 1 values decision 0 at (0.9 + 0.5)/2 = 0.7
+        bidders[2].beliefs.p[0][4] = 3  # agent 2 values it at (0.75 + 0.5)/2 = 0.625
         offer = Offer(seller=0, decision=0, min_price=0.1)
         land = k0_landscape([(0.1, 0.1)] * 6)
         trades = clear_auction([offer], bidders, "interdependence", contributions_of(land, [0] * 6), 0.0,
@@ -168,8 +168,8 @@ class TestClearAuction:
 
     def test_price_floors_at_reserve(self):
         bidders = [make_agent(a, [2 * a, 2 * a + 1], capacity=5, n=6) for a in range(3)]
-        bidders[1].beliefs.p[0, 2] = 9   # 0.7
-        bidders[2].beliefs.q[0, 4] = 9   # (0.1 + 0.5)/2 = 0.3
+        bidders[1].beliefs.p[0][2] = 9   # 0.7
+        bidders[2].beliefs.q[0][4] = 9   # (0.1 + 0.5)/2 = 0.3
         offer = Offer(seller=0, decision=0, min_price=0.4)
         land = k0_landscape([(0.1, 0.1)] * 6)
         trades = clear_auction([offer], bidders, "interdependence", contributions_of(land, [0] * 6), 0.0,
@@ -304,8 +304,8 @@ def random_round(seed, strategy):
     for a in range(m):
         owned = np.flatnonzero(owner == a).tolist()
         agent = make_agent(a, owned, capacity=len(owned) + int(rng.integers(0, 3)), n=n)
-        agent.beliefs.p += rng.integers(0, 3, (n, n))
-        agent.beliefs.q += rng.integers(0, 3, (n, n))
+        agent.beliefs.p = (np.array(agent.beliefs.p) + rng.integers(0, 3, (n, n))).tolist()
+        agent.beliefs.q = (np.array(agent.beliefs.q) + rng.integers(0, 3, (n, n))).tolist()
         agents.append(agent)
     contributions = (rng.integers(1, 6, n) / 5).tolist()
     offers = []

@@ -1,6 +1,7 @@
 """Command line driver: scenario files, flag merging, outputs, exit codes."""
 
 import csv
+import gc
 import importlib.util
 import json
 import multiprocessing
@@ -327,8 +328,21 @@ class TestRun:
         assert "forced" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    def test_ledger_memory_does_not_grow_with_reps(self, tmp_path):
-        """trades.csv and beliefs.csv are written as replications arrive, so 10x the reps peaks the same."""
+    def test_ledger_memory_does_not_grow_with_reps(self, tmp_path, monkeypatch):
+        """trades.csv and beliefs.csv are written as replications arrive, so 10x the reps peaks the same.
+
+        tracemalloc counts the objects CPython parks on its free lists for reuse as still allocated, at their
+        allocation sites, and those lists fill as a run goes on. A full collection after each replication empties
+        them, so the peak measures live memory.
+        """
+        replication_payload = orgsim.simulation._replication_payload
+
+        def collected(task):
+            payload = replication_payload(task)
+            gc.collect()
+            return payload
+
+        monkeypatch.setattr(orgsim.simulation, "_replication_payload", collected)
         path = tmp_path / "ledger.json"
         path.write_text(json.dumps({
             "grid": {"structures": ["k5"], "incentives": ["balanced"], "strategies": ["utility", "interdependence"]},

@@ -17,6 +17,7 @@ import pytest
 import orgsim.simulation
 from orgsim import (
     CI99_Z,
+    BeliefCounters,
     ConfigError,
     IncentiveScheme,
     InvariantViolation,
@@ -24,6 +25,7 @@ from orgsim import (
     ScenarioConfig,
     aggregate_norm_series,
     expand_grid,
+    init_beliefs,
     replication_rng,
     run_experiment,
     run_grid,
@@ -38,7 +40,7 @@ from orgsim.simulation import ROLE_HILLCLIMB, BeliefSnapshots, cells_from_dict
 from orgsim.landscape import DECOMPOSABLE_K2, Landscape, build_stylized_matrix
 from orgsim.organization import flip_improves
 import helpers
-from helpers import assert_matches_reference
+from helpers import assert_matches_reference, changed_entries
 
 BALANCED = IncentiveScheme.from_name("balanced")
 INDIVIDUALISTIC = IncentiveScheme.from_name("individualistic")
@@ -275,7 +277,7 @@ class TestRunReplication:
     def test_observation_ledger_matches_counters(self):
         result = run_replication(scenario(horizon=40, seed=5), 0)
         for agent in result.agents:
-            booked = int((agent.beliefs.p + agent.beliefs.q).sum()) - 2 * 6 * 6
+            booked = int(np.sum(agent.beliefs.p) + np.sum(agent.beliefs.q)) - 2 * 6 * 6
             assert booked == result.observation_counts[agent.id]
 
     def test_belief_snapshots_opt_in(self):
@@ -303,11 +305,26 @@ class TestRunReplication:
         snapshots = result.belief_snapshots
         before_p, before_q = snapshots.counters()
         for agent in result.agents:
-            agent.beliefs.p += 7
-            agent.beliefs.q[:] = 1
+            for row in agent.beliefs.p:
+                row[:] = [value + 7 for value in row]
+            for row in agent.beliefs.q:
+                row[:] = [1] * len(row)
         after_p, after_q = snapshots.counters()
         assert np.array_equal(after_p, before_p)
         assert np.array_equal(after_q, before_q)
+
+
+def snapshots_of(periods, p, q):
+    """The ``BeliefSnapshots`` of int64 counter arrays ``p`` and ``q`` of shape ``(S, m, n, n)`` taken at
+    ``periods``: each agent's entries are compared with its previous snapshot's, or at first the prior's."""
+    steps, m, n, _ = p.shape
+    previous = [init_beliefs(n)] * m
+    changes = []
+    for k in range(steps):
+        now = [BeliefCounters(p[k, a].tolist(), q[k, a].tolist()) for a in range(m)]
+        changes.append(tuple(changed_entries(old, new) for old, new in zip(previous, now)))
+        previous = now
+    return BeliefSnapshots(tuple(periods), m, n, tuple(changes))
 
 
 def random_counters(rng, steps, m, n):
@@ -334,7 +351,7 @@ class TestBeliefSnapshots:
         periods = tuple(range(5, 5 * steps + 1, 5))
         for _ in range(20):
             p, q = random_counters(rng, steps, m, n)
-            snapshots = BeliefSnapshots.from_counters(periods, p, q)
+            snapshots = snapshots_of(periods, p, q)
             assert (snapshots.periods, snapshots.m, snapshots.n) == (periods, m, n)
             rebuilt_p, rebuilt_q = snapshots.counters()
             assert rebuilt_p.dtype == rebuilt_q.dtype == np.int64
@@ -347,12 +364,16 @@ class TestBeliefSnapshots:
         p[:, 0, 0, 1] = 2  # agent 0: moved from the prior at the first snapshot, unchanged after
         q[1:, 1, 1, 1] = 5  # agent 1: a diagonal entry moved at the second snapshot
         p[2, 1, 1, 0] = 3  # and an off-diagonal one at the third
-        snapshots = BeliefSnapshots.from_counters((5, 10, 12), p, q)
-        assert snapshots.changes == (
+        changes = (
             (((1, 2, 1),), ()),
             ((), ((3, 1, 5),)),
             ((), ((2, 3, 1),)),
         )
+        snapshots = BeliefSnapshots((5, 10, 12), 2, 2, changes)
+        rebuilt_p, rebuilt_q = snapshots.counters()
+        assert np.array_equal(rebuilt_p, p)
+        assert np.array_equal(rebuilt_q, q)
+        assert snapshots_of((5, 10, 12), p, q).changes == changes
 
     @pytest.mark.parametrize("strategy", ["utility", "interdependence"])
     def test_payload_is_a_fiftieth_of_the_full_counters(self, strategy):
@@ -775,6 +796,21 @@ class TestWriters:
         write_results_csv([run_experiment(scenario())], second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_results_csv_with_a_quoted_label_matches_a_row_by_row_writer(self, tmp_path):
+        matrix = write_matrix(tmp_path / 'a,"b.txt', build_stylized_matrix(DECOMPOSABLE_K2, 6))
+        results = run_grid(expand_grid(scenario(horizon=30, seed=6), structures=[f"file:{matrix}", "k2"],
+                                       incentives=["balanced"], strategies=["utility", "benchmark"]))
+        path = tmp_path / "results.csv"
+        write_results_csv(results, path)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["cell", "period", "mean_norm_perf", "ci99_half_width"])
+        for result in results:
+            for t, (mean, half_width) in enumerate(zip(result.mean_norm_perf, result.ci99_half_width), start=1):
+                writer.writerow([result.cell, t, repr(float(mean)), repr(float(half_width))])
+        assert path.read_bytes() == expected.getvalue().encode()
+        assert '\n"a,""b-balanced-utility",1,' in expected.getvalue()
+
     def test_metadata_sidecar(self, tmp_path):
         result = run_experiment(scenario())
         path = tmp_path / "metadata.json"
@@ -916,7 +952,7 @@ class TestWriters:
         q = np.ones_like(p)
         p[:, 0] = [[1, 4, 2, 3], [3, 1, 5, 2], [2, 2, 1, 4], [5, 3, 2, 1]]
         q[1, 1, 0, 2] = 6
-        snapshots = BeliefSnapshots.from_counters((5, 10, 12), p, q)
+        snapshots = snapshots_of((5, 10, 12), p, q)
         path = tmp_path / "beliefs.csv"
         with write_beliefs_csv(path, [config]) as beliefs:
             beliefs.write(config, 0, snapshots)
@@ -935,7 +971,7 @@ class TestWriters:
         matrix.write_text("6\n" + "1 1 1 1 1 1\n" * 6)
         config = scenario(structure=f"file:{matrix}", n=6, m=2)
         rng = np.random.default_rng(8)
-        values = [BeliefSnapshots.from_counters((5, 10, 15, 20), *random_counters(rng, 4, 2, 6)) for _ in range(5)]
+        values = [snapshots_of((5, 10, 15, 20), *random_counters(rng, 4, 2, 6)) for _ in range(5)]
         path = tmp_path / "beliefs.csv"
         with write_beliefs_csv(path, [config]) as beliefs:
             for rep, snapshots in enumerate(values):
@@ -956,7 +992,7 @@ class TestWriters:
         q = np.ones_like(p)
         q[:, 0, 0, 1] = 2**32 + 1
         p[1, 0, 1, 0] = 2**33
-        snapshots = BeliefSnapshots.from_counters((5, 10), p, q)
+        snapshots = snapshots_of((5, 10), p, q)
         path = tmp_path / "beliefs.csv"
         with write_beliefs_csv(path, [config]) as beliefs:
             beliefs.write(config, 0, snapshots)
