@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class InteractionMatrix:
         rows = entries.tolist()
         orders = tuple((j, *(i for i, dep in enumerate(row) if dep and i != j)) for j, row in enumerate(rows))
         object.__setattr__(self, "orders", orders)
-        components = _components(orders)
+        components = _components(entries)
         object.__setattr__(self, "components", components)
         decomposes = len(components) > 1 and all(len(members) <= _SCAN_TAIL for members in components)
         object.__setattr__(self, "gathers", _gathers(orders, components) if decomposes else ())
@@ -116,28 +116,17 @@ class InteractionMatrix:
         return list(self.orders[j][1:])
 
 
-def _components(orders: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the dependency graph read in either direction, each ascending."""
-    linked = [set(order) for order in orders]
-    for j, order in enumerate(orders):
-        for i in order:
-            linked[i].add(j)
-    seen = [False] * len(orders)
-    components = []
-    for start, done in enumerate(seen):
-        if done:
-            continue
-        seen[start] = True
-        stack, members = [start], []
-        while stack:
-            j = stack.pop()
-            members.append(j)
-            for i in linked[j]:
-                if not seen[i]:
-                    seen[i] = True
-                    stack.append(i)
-        components.append(tuple(sorted(members)))
-    return tuple(components)
+def _components(entries: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Connected components of the dependency graph read in either direction, each ascending.
+
+    Squaring the linked matrix ``k`` times links every pair joined by a path of
+    at most ``2**k`` steps, so ``(n - 1).bit_length()`` squarings give the
+    transitive closure; its rows are the components.
+    """
+    reach = entries | entries.T
+    for _ in range((len(entries) - 1).bit_length()):
+        reach = reach @ reach
+    return tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in reach}))
 
 
 def _gathers(
@@ -320,21 +309,15 @@ def contribution(landscape: Landscape, config: Sequence[int], j: int) -> float:
     return float(landscape.tables[j][index])
 
 
-def performance(landscape: Landscape, config: Sequence[int], subset: Iterable[int] | None = None) -> float:
-    """Mean contribution over ``subset`` (default: all decisions).
+def performance(landscape: Landscape, config: Sequence[int]) -> float:
+    """Mean contribution over all decisions, summed in ascending decision order.
 
-    Contributions are summed in ascending decision order; every performance
-    figure in the package goes through this exact summation.
+    Every performance figure in the package goes through this exact summation.
     """
-    indices = sorted(subset) if subset is not None else range(landscape.n)
     total = 0.0
-    count = 0
-    for j in indices:
+    for j in range(landscape.n):
         total += contribution(landscape, config, j)
-        count += 1
-    if count == 0:
-        raise ValueError("performance over an empty decision set is undefined")
-    return total / count
+    return total / landscape.n
 
 
 def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:

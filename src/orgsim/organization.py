@@ -4,6 +4,9 @@ Each of ``m`` agents owns a disjoint subset of the ``n`` decisions. Every
 period an agent evaluates exactly one random single-flip neighbor within its
 own decisions against the status quo, holding everyone else's decisions fixed
 at the previous period, and keeps the status quo on ties.
+
+``agent_utility`` and ``flip_improves`` read the contribution vectors their
+caller holds; only ``hillclimb_step`` derives its two from a landscape.
 """
 
 from __future__ import annotations
@@ -14,14 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .landscape import Landscape, performance
+from .landscape import Landscape, contribution
 from .learning import BeliefCounters
 
-INCENTIVE_PRESETS = {
-    "individualistic": (1.0, 0.0),
-    "balanced": (0.5, 0.5),
-    "altruistic": (0.25, 0.75),
-}
+# Each preset's alpha, its weight on the agent's own performance.
+INCENTIVE_PRESETS = {"individualistic": 1.0, "balanced": 0.5, "altruistic": 0.25}
 
 # An allocation is one sorted decision list per agent, indexed by agent id.
 Allocation = list[list[int]]
@@ -29,28 +29,24 @@ Allocation = list[list[int]]
 
 @dataclass(frozen=True)
 class IncentiveScheme:
-    """Linear incentive weights: utility = alpha * own + beta * residual."""
+    """Linear incentive weights: utility = alpha * own + beta * residual, with beta = 1 - alpha."""
 
     alpha: float
-    beta: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.alpha <= 1.0 and 0.0 <= self.beta <= 1.0):
-            raise ConfigError(f"incentive weights must lie in [0, 1], got alpha={self.alpha}, beta={self.beta}")
-        if abs(self.alpha + self.beta - 1.0) > 1e-12:
-            raise ConfigError(f"incentive weights must sum to 1, got alpha={self.alpha}, beta={self.beta}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError(f"incentive weight alpha must lie in [0, 1], got {self.alpha}")
+
+    @property
+    def beta(self) -> float:
+        return 1.0 - self.alpha
 
     @classmethod
     def from_name(cls, name: str) -> "IncentiveScheme":
         try:
-            alpha, beta = INCENTIVE_PRESETS[name]
+            return cls(INCENTIVE_PRESETS[name])
         except KeyError:
             raise ConfigError(f"unknown incentive scheme {name!r}; choose from {sorted(INCENTIVE_PRESETS)}") from None
-        return cls(alpha, beta)
-
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "IncentiveScheme":
-        return cls(float(alpha), 1.0 - float(alpha))
 
     @classmethod
     def parse(cls, token: str) -> "IncentiveScheme":
@@ -62,13 +58,13 @@ class IncentiveScheme:
                 alpha = float(token[6:])
             except ValueError:
                 raise ConfigError(f"cannot parse incentive weight in {token!r}") from None
-            return cls.from_alpha(alpha)
+            return cls(alpha)
         raise ConfigError(f"unknown incentive {token!r}; use one of {sorted(INCENTIVE_PRESETS)} or alpha=<value>")
 
     @property
     def name(self) -> str:
-        for label, (alpha, beta) in INCENTIVE_PRESETS.items():
-            if alpha == self.alpha and beta == self.beta:
+        for label, alpha in INCENTIVE_PRESETS.items():
+            if alpha == self.alpha:
                 return label
         return f"alpha{self.alpha:g}"
 
@@ -123,30 +119,30 @@ def utility(scheme: IncentiveScheme, own_performance: float, residual_performanc
     return scheme.alpha * own_performance + scheme.beta * residual_performance
 
 
-def agent_utility(agent: AgentState, landscape: Landscape, config: Sequence[int], scheme: IncentiveScheme) -> float:
-    """Utility of ``agent`` under ``config``.
+def agent_utility(agent: AgentState, contributions: Sequence[float], scheme: IncentiveScheme) -> float:
+    """Utility of ``agent`` when decision j contributes ``contributions[j]``.
 
-    The residual is every decision the agent does not own; with a single agent
-    the residual is empty and contributes 0 (alpha must then be 1).
+    Own and residual performance are the means of the agent's decisions and of
+    every other decision, each summed in ascending decision order. With a
+    single agent the residual is empty and contributes 0 (alpha must then be 1).
     """
     owned = set(agent.owned)
-    residual = [d for d in range(landscape.n) if d not in owned]
-    own_perf = performance(landscape, config, agent.owned)
-    residual_perf = performance(landscape, config, residual) if residual else 0.0
-    return utility(scheme, own_perf, residual_perf)
+    own = residual = 0.0
+    for j, value in enumerate(contributions):
+        if j in owned:
+            own += value
+        else:
+            residual += value
+    n_residual = len(contributions) - len(owned)
+    return utility(scheme, own / len(owned), residual / n_residual if n_residual else 0.0)
 
 
 def flip_improves(
-    agent: AgentState, landscape: Landscape, config: Sequence[int], scheme: IncentiveScheme, flip: int
+    agent: AgentState, before: Sequence[float], after: Sequence[float], scheme: IncentiveScheme
 ) -> bool:
-    """Whether flipping decision ``flip`` strictly raises ``agent``'s utility under ``config``.
-
-    Both utilities are full sums through ``agent_utility``; a tie keeps the
-    status quo.
-    """
-    candidate = list(config)
-    candidate[flip] ^= 1
-    return agent_utility(agent, landscape, candidate, scheme) > agent_utility(agent, landscape, config, scheme)
+    """Whether a flip that changes the contribution vector from ``before`` to ``after`` strictly raises
+    ``agent``'s utility; a tie keeps the status quo."""
+    return agent_utility(agent, after, scheme) > agent_utility(agent, before, scheme)
 
 
 def hillclimb_step(
@@ -163,4 +159,8 @@ def hillclimb_step(
     (``flip_improves``), else None: ties keep the status quo.
     """
     flip = agent.owned[int(rng.integers(len(agent.owned)))]
-    return flip if flip_improves(agent, landscape, config, scheme, flip) else None
+    candidate = list(config)
+    candidate[flip] ^= 1
+    before = [contribution(landscape, config, j) for j in range(landscape.n)]
+    after = [contribution(landscape, candidate, j) for j in range(landscape.n)]
+    return flip if flip_improves(agent, before, after, scheme) else None

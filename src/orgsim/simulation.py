@@ -34,8 +34,9 @@ precomputed bit into ``idx[j]`` for each dependent j of f, so a proposal reads
 only its dependents' candidate entries and a landed flip refreshes only their
 contributions. A proposal's verdict comes from the local utility change Δ over
 those dependents; when |Δ| is within ``VERDICT_GUARD``, a bound on the rounding
-of the full sums, ``flip_improves`` compares the two full utilities instead, so
-every verdict is the one ``hillclimb_step`` gives. Performance stays the full
+of the full sums, ``flip_improves`` compares the utilities of the contribution
+vector and of a copy with the candidate entries, so every verdict is the one
+``hillclimb_step`` gives. Performance stays the full
 ascending-j sum. A verdict depends only on the configuration, the ownership
 and the incentive weights, so it is cached per flipped decision and dropped
 only when a flip lands or an auction clears. One ``integers(0, highs)`` call
@@ -85,7 +86,7 @@ import json
 import math
 import os
 from collections import Counter, deque
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from itertools import islice, product
@@ -516,7 +517,10 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
         if abs(delta) > VERDICT_GUARD:
             return delta > 0.0
         # Too close to call from the local change: the full sums decide.
-        return flip_improves(agent, land, bits, incentive, flip)
+        candidate = contribs.copy()
+        for j, bit in masks[flip]:
+            candidate[j] = tables[j][idx[j] ^ bit]
+        return flip_improves(agent, contribs, candidate, incentive)
 
     def total() -> float:
         value = 0.0
@@ -578,7 +582,6 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
             if flips:
                 previous = contribs.copy()
                 for _, flip in flips:
-                    bits[flip] ^= 1
                     for j, bit in masks[flip]:
                         idx[j] ^= bit
                         contribs[j] = tables[j][idx[j]]
@@ -724,19 +727,18 @@ def run_experiment(
     replication owns its seed streams, the output does not depend on ``jobs``.
     No more workers start than there are replications. Each replication's
     trades and belief snapshots go to the ``trades`` and ``beliefs`` sinks as
-    it arrives, in rep order; neither is kept. ``run_grid`` hands over its
-    run-wide payload stream, whose cells it has validated, as ``_payloads``.
+    it arrives, in rep order; neither is kept. Without ``_payloads`` it returns
+    ``run_grid([scenario], ...)[0]``: ``run_grid`` hands its run-wide payload stream over as ``_payloads``.
     """
-    with nullcontext(_payloads) if _payloads is not None else _replications(
-        [scenario], jobs, trades is not None, beliefs is not None
-    ) as payloads:
-        series = np.empty((scenario.reps, scenario.horizon), dtype=np.float64)
-        for rep, (norm, rep_trades, rep_beliefs) in zip(range(scenario.reps), payloads):
-            series[rep] = norm
-            if trades is not None:
-                trades.write(scenario, rep, rep_trades)
-            if beliefs is not None:
-                beliefs.write(scenario, rep, rep_beliefs)
+    if _payloads is None:
+        return run_grid([scenario], jobs, trades, beliefs)[0]
+    series = np.empty((scenario.reps, scenario.horizon), dtype=np.float64)
+    for rep, (norm, rep_trades, rep_beliefs) in zip(range(scenario.reps), _payloads):
+        series[rep] = norm
+        if trades is not None:
+            trades.write(scenario, rep, rep_trades)
+        if beliefs is not None:
+            beliefs.write(scenario, rep, rep_beliefs)
 
     mean, half_width = aggregate_norm_series(series)
     return ExperimentResult(scenario=scenario, mean_norm_perf=mean, ci99_half_width=half_width)

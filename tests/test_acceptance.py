@@ -95,7 +95,7 @@ def test_criterion_2_single_agent_convergence(tmp_path):
     path = tmp_path / "identity15.txt"
     rows = "\n".join(" ".join("1" if i == j else "0" for i in range(15)) for j in range(15))
     path.write_text(f"15\n{rows}\n")
-    scenario = ScenarioConfig(structure=f"file:{path}", incentive=IncentiveScheme(1.0, 0.0),
+    scenario = ScenarioConfig(structure=f"file:{path}", incentive=IncentiveScheme(1.0),
                               strategy="benchmark", n=15, m=1, capacity=15,
                               horizon=200, reps=100, seed=0)
     assert scenario.validate() == []

@@ -12,8 +12,10 @@ from orgsim import (
     DECOMPOSABLE_K2,
     NONDECOMPOSABLE_K5,
     ConfigError,
+    IncentiveScheme,
     InteractionMatrix,
     Landscape,
+    agent_utility,
     build_stylized_matrix,
     contribution,
     generate_landscape,
@@ -29,6 +31,7 @@ from orgsim.oracle import (
     brute_performance,
     enumerate_configs,
 )
+from helpers import contributions_of, make_agent
 
 
 def identity_matrix(n):
@@ -213,13 +216,14 @@ class TestPerformance:
         assert performance(land, [1, 1]) == (0.40 + 0.65) / 2
 
     def test_subset_and_order_invariance(self):
+        """A subset's mean is agent_utility's own term (alpha 1) or residual term (alpha 0)."""
         land = tiny_landscape()
-        assert performance(land, [1, 0], subset=[0]) == 0.30
-        assert performance(land, [1, 0], subset={1, 0}) == performance(land, [1, 0], subset=[0, 1])
-
-    def test_empty_subset_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            performance(tiny_landscape(), [0, 0], subset=[])
+        contributions = contributions_of(land, [1, 0])
+        own, residual = IncentiveScheme(1.0), IncentiveScheme(0.0)
+        assert agent_utility(make_agent(0, [0], n=2), contributions, own) == 0.30
+        assert agent_utility(make_agent(0, [1], n=2), contributions, residual) == 0.30
+        assert agent_utility(make_agent(0, {1, 0}, n=2), contributions, own) == performance(land, [1, 0])
+        assert agent_utility(make_agent(0, [1, 0], n=2), contributions, own) == performance(land, [1, 0])
 
 
 class TestGenerateLandscape:
@@ -336,14 +340,22 @@ class TestOracleAgreement:
                 assert engine_perf == brute_perf
 
     def test_subset_performance_matches(self):
+        """agent_utility's own mean (alpha 1) and residual mean (alpha 0) over the contribution vector equal the
+        oracle's subset performance."""
         rng = np.random.default_rng(77)
+        own, residual = IncentiveScheme(1.0), IncentiveScheme(0.0)
         for _ in range(20):
             matrix = random_matrix(4, 2, rng)
             land = generate_landscape(matrix, rng)
             config = rng.integers(0, 2, size=4)
             size = int(rng.integers(1, 5))
             subset = list(rng.choice(4, size=size, replace=False))
-            assert performance(land, config, subset) == brute_performance(land, config, subset)
+            agent = make_agent(0, subset, n=4)
+            contributions = contributions_of(land, config)
+            assert agent_utility(agent, contributions, own) == brute_performance(land, config, subset)
+            rest = [d for d in range(4) if d not in agent.owned]
+            if rest:
+                assert agent_utility(agent, contributions, residual) == brute_performance(land, config, rest)
 
     def test_min_contribution_matches(self):
         rng = np.random.default_rng(78)
@@ -445,6 +457,44 @@ class TestOptimumByComponents:
         matrix = InteractionMatrix(entries)
         assert matrix.components == ((0, 3), (1, 4), (2,))
         assert [members.tolist() for members, _ in matrix.gathers] == [[[0, 3], [1, 4]], [[2]]]
+
+    def test_components_match_union_find(self):
+        """Random matrices of every density, n from 1 to 25, against a union-find over the links."""
+
+        def union_find_components(entries):
+            parent = list(range(len(entries)))
+
+            def root(i):
+                while parent[i] != i:
+                    parent[i] = parent[parent[i]]
+                    i = parent[i]
+                return i
+
+            for j, i in zip(*np.nonzero(entries)):
+                parent[root(int(j))] = root(int(i))
+            groups = {}
+            for d in range(len(entries)):
+                groups.setdefault(root(d), []).append(d)
+            return tuple(sorted(tuple(group) for group in groups.values()))
+
+        def chain(n):
+            # One path through all n decisions in a random order: the longest a component's diameter can be.
+            entries = np.eye(n, dtype=bool)
+            order = rng.permutation(n)
+            entries[order[1:], order[:-1]] = True
+            return entries
+
+        rng = np.random.default_rng(41)
+        for n in range(1, 26):
+            for density in (0.0, 0.02, 0.05, 0.1, 0.3, None):
+                if density is None:
+                    entries = chain(n)
+                else:
+                    entries = rng.random((n, n)) < density
+                    np.fill_diagonal(entries, True)
+                components = InteractionMatrix(entries).components
+                assert components == union_find_components(entries)
+                assert all(type(d) is int for members in components for d in members)
 
     @pytest.mark.parametrize("n", [6, 9, 12])
     def test_k2_answers_without_the_scan(self, n, monkeypatch):

@@ -17,21 +17,24 @@ from orgsim import (
     utility,
 )
 from orgsim.landscape import DECOMPOSABLE_K2, build_stylized_matrix, generate_landscape
-from helpers import k0_landscape, make_agent
+from helpers import contributions_of, k0_landscape, make_agent
 
 
 class TestIncentiveScheme:
     def test_presets(self):
-        assert IncentiveScheme.from_name("individualistic") == IncentiveScheme(1.0, 0.0)
-        assert IncentiveScheme.from_name("balanced") == IncentiveScheme(0.5, 0.5)
-        assert IncentiveScheme.from_name("altruistic") == IncentiveScheme(0.25, 0.75)
+        for name, weights in [("individualistic", (1.0, 0.0)), ("balanced", (0.5, 0.5)), ("altruistic", (0.25, 0.75))]:
+            scheme = IncentiveScheme.from_name(name)
+            assert scheme == IncentiveScheme(weights[0])
+            assert (scheme.alpha, scheme.beta) == weights
 
     def test_names(self):
         assert IncentiveScheme.from_name("altruistic").name == "altruistic"
-        assert IncentiveScheme.from_alpha(0.7).name == "alpha0.7"
+        assert IncentiveScheme(0.5).name == "balanced"
+        assert IncentiveScheme(0.7).name == "alpha0.7"
 
     def test_from_alpha(self):
-        scheme = IncentiveScheme.from_alpha(0.6)
+        scheme = IncentiveScheme.parse("alpha=0.6")
+        assert scheme == IncentiveScheme(0.6)
         assert scheme.alpha == 0.6
         assert scheme.beta == 1.0 - 0.6
 
@@ -39,10 +42,13 @@ class TestIncentiveScheme:
         with pytest.raises(ConfigError, match="unknown incentive"):
             IncentiveScheme.from_name("selfless")
 
-    @pytest.mark.parametrize("alpha, beta", [(1.2, -0.2), (-0.1, 1.1), (0.5, 0.6), (0.9, 0.0)])
+    @pytest.mark.parametrize("alpha, beta", [(1.2, -0.2), (-0.1, 1.1)])
     def test_invalid_weights(self, alpha, beta):
-        with pytest.raises(ConfigError):
-            IncentiveScheme(alpha, beta)
+        """A weight outside [0, 1] is rejected, whether it is alpha or beta = 1 - alpha."""
+        with pytest.raises(ConfigError, match=r"must lie in \[0, 1\]"):
+            IncentiveScheme(alpha)
+        with pytest.raises(ConfigError, match=r"must lie in \[0, 1\]"):
+            IncentiveScheme(1.0 - beta)
 
 
 class TestAllocations:
@@ -111,16 +117,24 @@ class TestUtility:
     def test_agent_utility_composes_performance(self):
         land = k0_landscape([(0.1, 0.9), (0.2, 0.6), (0.3, 0.7), (0.8, 0.4)])
         agent = make_agent(0, [0, 2], n=4)
-        config = [1, 0, 1, 1]
+        contributions = contributions_of(land, [1, 0, 1, 1])
+        assert contributions == [0.9, 0.2, 0.7, 0.4]
         scheme = IncentiveScheme.from_name("balanced")
-        expected = 0.5 * performance(land, config, [0, 2]) + 0.5 * performance(land, config, [1, 3])
-        assert agent_utility(agent, land, config, scheme) == expected
+        expected = 0.5 * ((0.9 + 0.7) / 2) + 0.5 * ((0.2 + 0.4) / 2)
+        assert agent_utility(agent, contributions, scheme) == expected
+
+    def test_agent_utility_sums_in_ascending_decision_order(self):
+        # 0.1 + 0.2 + 0.3 is 0.6000000000000001, and 0.3 + 0.2 + 0.1 is 0.6.
+        contributions = [0.5, 0.1, 0.2, 0.3]
+        own = agent_utility(make_agent(0, [3, 1, 2], n=4), contributions, IncentiveScheme(1.0))
+        residual = agent_utility(make_agent(0, [0], n=4), contributions, IncentiveScheme(0.0))
+        assert own == residual == (0.1 + 0.2 + 0.3) / 3 != (0.3 + 0.2 + 0.1) / 3
 
     def test_agent_utility_without_residual(self):
         land = k0_landscape([(0.1, 0.9), (0.2, 0.6)])
         agent = make_agent(0, [0, 1], n=2)
         scheme = IncentiveScheme.from_name("individualistic")
-        assert agent_utility(agent, land, [1, 1], scheme) == 1.0 * performance(land, [1, 1])
+        assert agent_utility(agent, contributions_of(land, [1, 1]), scheme) == 1.0 * performance(land, [1, 1])
 
 
 class TestProposeNeighbor:
@@ -131,7 +145,7 @@ class TestProposeNeighbor:
         # every flip away from config improves, so each step returns the decision it drew
         land = k0_landscape([(0.1, 0.9) if bit == 0 else (0.9, 0.1) for bit in config])
         agent = make_agent(0, [1, 4, 6])
-        scheme = IncentiveScheme(1.0, 0.0)
+        scheme = IncentiveScheme(1.0)
         rng = np.random.default_rng(2)
         for _ in range(50):
             flip = hillclimb_step(agent, land, config, scheme, rng)
@@ -146,7 +160,7 @@ class TestProposeNeighbor:
         # every flip from all zeros improves, so each step returns the decision it drew
         land = k0_landscape([(0.1, 0.9)] * 8)
         agent = make_agent(0, [0, 2, 5])
-        scheme = IncentiveScheme(1.0, 0.0)
+        scheme = IncentiveScheme(1.0)
         rng = np.random.default_rng(3)
         counts = {0: 0, 2: 0, 5: 0}
         for _ in range(3000):
@@ -159,19 +173,19 @@ class TestHillclimbStep:
     def test_adopts_strict_improvement(self):
         land = k0_landscape([(0.2, 0.9)])
         agent = make_agent(0, [0], capacity=1, n=1)
-        scheme = IncentiveScheme(1.0, 0.0)
+        scheme = IncentiveScheme(1.0)
         assert hillclimb_step(agent, land, [0], scheme, np.random.default_rng(0)) == 0
 
     def test_keeps_status_quo_when_worse(self):
         land = k0_landscape([(0.2, 0.9)])
         agent = make_agent(0, [0], capacity=1, n=1)
-        scheme = IncentiveScheme(1.0, 0.0)
+        scheme = IncentiveScheme(1.0)
         assert hillclimb_step(agent, land, [1], scheme, np.random.default_rng(0)) is None
 
     def test_tie_keeps_status_quo(self):
         land = k0_landscape([(0.5, 0.5), (0.3, 0.4)])
         agent = make_agent(0, [0], capacity=1, n=2)
-        scheme = IncentiveScheme(1.0, 0.0)
+        scheme = IncentiveScheme(1.0)
         for seed in range(5):
             assert hillclimb_step(agent, land, [0, 1], scheme, np.random.default_rng(seed)) is None
 
@@ -184,18 +198,18 @@ class TestHillclimbStep:
         agent = make_agent(0, [0], capacity=1, n=2)
         config = [0, 1]
 
-        assert hillclimb_step(agent, land, config, IncentiveScheme(1.0, 0.0), np.random.default_rng(0)) is None
-        assert hillclimb_step(agent, land, config, IncentiveScheme(0.25, 0.75), np.random.default_rng(0)) == 0
+        assert hillclimb_step(agent, land, config, IncentiveScheme(1.0), np.random.default_rng(0)) is None
+        assert hillclimb_step(agent, land, config, IncentiveScheme(0.25), np.random.default_rng(0)) == 0
 
     def test_residual_frozen_at_previous_config(self):
         land = k0_landscape([(0.1, 0.2), (0.9, 0.1)])
         agent = make_agent(0, [0], capacity=1, n=2)
-        scheme = IncentiveScheme(0.5, 0.5)
+        scheme = IncentiveScheme(0.5)
         # candidate only changes the own bit; residual contribution stays 0.9
         assert hillclimb_step(agent, land, [0, 0], scheme, np.random.default_rng(1)) == 0
         expected_gain = 0.5 * (0.2 - 0.1)
-        before = agent_utility(agent, land, [0, 0], scheme)
-        after = agent_utility(agent, land, [1, 0], scheme)
+        before = agent_utility(agent, contributions_of(land, [0, 0]), scheme)
+        after = agent_utility(agent, contributions_of(land, [1, 0]), scheme)
         assert after - before == pytest.approx(expected_gain)
 
     def test_consumes_exactly_one_draw(self):
@@ -203,7 +217,7 @@ class TestHillclimbStep:
         agent = make_agent(0, [0, 2, 5])
         for config in ([0] * 8, [1] * 8):  # the flip is adopted, then declined
             rng_a = np.random.default_rng(9)
-            hillclimb_step(agent, land, config, IncentiveScheme(1.0, 0.0), rng_a)
+            hillclimb_step(agent, land, config, IncentiveScheme(1.0), rng_a)
             rng_b = np.random.default_rng(9)
             rng_b.integers(len(agent.owned))
             assert rng_a.integers(1 << 20) == rng_b.integers(1 << 20)
@@ -218,14 +232,19 @@ class TestFlipImproves:
     def test_strict_improvement_of_full_utilities(self, config, flip, expected):
         land = k0_landscape([(0.2, 0.9), (0.4, 0.4)])
         agent = make_agent(0, [0, 1], capacity=2, n=2)
-        scheme = IncentiveScheme(1.0, 0.0)
-        assert flip_improves(agent, land, config, scheme, flip) is expected
+        scheme = IncentiveScheme(1.0)
+        candidate = list(config)
+        candidate[flip] ^= 1
+        assert flip_improves(agent, contributions_of(land, config), contributions_of(land, candidate), scheme) is expected
 
     def test_leaves_config_unchanged(self):
         land = k0_landscape([(0.2, 0.9), (0.4, 0.4)])
         agent = make_agent(0, [0], capacity=1, n=2)
         config = [0, 1]
-        flip_improves(agent, land, config, IncentiveScheme(0.5, 0.5), 0)
+        before, after = [0.2, 0.4], [0.9, 0.4]
+        assert flip_improves(agent, before, after, IncentiveScheme(0.5))
+        assert (before, after) == ([0.2, 0.4], [0.9, 0.4])
+        assert hillclimb_step(agent, land, config, IncentiveScheme(0.5), np.random.default_rng(0)) == 0
         assert config == [0, 1]
 
 

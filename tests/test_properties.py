@@ -41,7 +41,7 @@ def scenarios(draw):
     else:
         incentive = draw(st.one_of(
             st.sampled_from([IncentiveScheme.from_name(name) for name in INCENTIVE_PRESETS]),
-            st.floats(0.0, 1.0).map(IncentiveScheme.from_alpha),
+            st.floats(0.0, 1.0).map(IncentiveScheme),
         ))
     overrides = dict(
         n=n, m=m, tau=tau,

@@ -72,7 +72,7 @@ class TestScenarioConfig:
     def test_cell_labels(self):
         assert scenario().cell == "k2-balanced-utility"
         assert scenario(structure="file:/tmp/custom.txt", n=6).cell.startswith("custom-")
-        assert scenario(incentive=IncentiveScheme.from_alpha(0.7)).cell == "k2-alpha0.7-utility"
+        assert scenario(incentive=IncentiveScheme(0.7)).cell == "k2-alpha0.7-utility"
 
     def test_capacity_list_normalized(self):
         config = scenario(capacity=[5, 4])
@@ -687,7 +687,7 @@ class TestRunGrid:
     def test_duplicate_labels_rejected_before_any_work(self, inline_executor, pool_log):
         """alpha=0.5 is labelled balanced, so the two cells' rows in every output would share one label."""
         balanced = scenario(horizon=6)
-        alpha = replace(balanced, incentive=IncentiveScheme.from_alpha(0.5), cell_index=1)
+        alpha = replace(balanced, incentive=IncentiveScheme(0.5), cell_index=1)
         assert balanced.cell == alpha.cell == "k2-balanced-utility"
         sink = Recorder()
         with pytest.raises(ConfigError, match="duplicate cell labels: k2-balanced-utility"):
@@ -885,7 +885,7 @@ class TestWriters:
     @pytest.mark.parametrize("writer", [write_trades_csv, write_beliefs_csv])
     def test_ledger_rejects_duplicate_labels(self, tmp_path, writer):
         balanced = scenario(horizon=10)
-        alpha = replace(balanced, incentive=IncentiveScheme.from_alpha(0.5), cell_index=1)
+        alpha = replace(balanced, incentive=IncentiveScheme(0.5), cell_index=1)
         with pytest.raises(ConfigError, match="^duplicate cell labels: k2-balanced-utility$"):
             with writer(tmp_path / "ledger.csv", [balanced, alpha]):
                 pass
