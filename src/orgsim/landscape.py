@@ -69,7 +69,8 @@ class InteractionMatrix:
     matrix reads these tuples.
 
     ``components`` are the connected components of ``entries | entries.T``,
-    each ascending, in the order of their first decisions. When there are
+    each ascending, in the order of their first decisions, and empty above
+    ``ENUMERATION_LIMIT`` decisions, where no optimum is sought. When there are
     several and none has more than ``_SCAN_TAIL`` decisions, ``gathers`` holds
     one ``(members, index)`` pair per component size: ``members[c]`` lists the
     decisions of the c-th component of that size, and ``index[c, r, code]`` is
@@ -98,7 +99,7 @@ class InteractionMatrix:
         rows = entries.tolist()
         orders = tuple((j, *(i for i, dep in enumerate(row) if dep and i != j)) for j, row in enumerate(rows))
         object.__setattr__(self, "orders", orders)
-        components = _components(entries)
+        components = _components(entries) if len(rows) <= ENUMERATION_LIMIT else ()
         object.__setattr__(self, "components", components)
         decomposes = len(components) > 1 and all(len(members) <= _SCAN_TAIL for members in components)
         object.__setattr__(self, "gathers", _gathers(orders, components) if decomposes else ())
@@ -309,15 +310,16 @@ def contribution(landscape: Landscape, config: Sequence[int], j: int) -> float:
     return float(landscape.tables[j][index])
 
 
-def performance(landscape: Landscape, config: Sequence[int]) -> float:
-    """Mean contribution over all decisions, summed in ascending decision order.
+def performance(contributions: Sequence[float]) -> float:
+    """Mean of a contribution vector, summed left to right from 0.0 with no compensation.
 
-    Every performance figure in the package goes through this exact summation.
+    Every performance figure in the package goes through this exact summation,
+    so it is not ``sum`` (compensated from Python 3.12), ``math.fsum`` or ``np.mean``.
     """
     total = 0.0
-    for j in range(landscape.n):
-        total += contribution(landscape, config, j)
-    return total / landscape.n
+    for value in contributions:
+        total += value
+    return total / len(contributions)
 
 
 def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
@@ -330,8 +332,9 @@ def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
     component by component (:func:`_optimum_by_components`) unless a near-tie
     or an out-of-range contribution leaves that undecided; every other case
     goes through the exhaustive scan, which is the one fallback. The winning
-    performance is recomputed through :func:`performance` to keep the cached
-    optimum bit-identical to the scalar path used during simulation.
+    performance is :func:`performance` of the winner's :func:`contribution`
+    vector, the very function the engine records every period with, so a
+    configuration that reaches the optimum normalizes to exactly 1.0.
     """
     n = landscape.n
     if n > ENUMERATION_LIMIT:
@@ -339,8 +342,9 @@ def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
     config = _optimum_by_components(landscape)
     if config is None:
         config = _scan(landscape)
-    # performance reads one element per dependency; Python ints make each read cheap and give the same float.
-    return config, performance(landscape, config.tolist())
+    # contribution reads one element per dependency; Python ints make each read cheap and give the same float.
+    bits = config.tolist()
+    return config, performance([contribution(landscape, bits, j) for j in range(n)])
 
 
 def _optimum_by_components(landscape: Landscape) -> np.ndarray | None:

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .landscape import Landscape, contribution
+from .landscape import Landscape, contribution, performance
 from .learning import BeliefCounters
 
 # Each preset's alpha, its weight on the agent's own performance.
@@ -122,19 +122,14 @@ def utility(scheme: IncentiveScheme, own_performance: float, residual_performanc
 def agent_utility(agent: AgentState, contributions: Sequence[float], scheme: IncentiveScheme) -> float:
     """Utility of ``agent`` when decision j contributes ``contributions[j]``.
 
-    Own and residual performance are the means of the agent's decisions and of
-    every other decision, each summed in ascending decision order. With a
+    Own and residual performance are :func:`performance` of the agent's
+    entries and of every other entry, each in ascending decision order. With a
     single agent the residual is empty and contributes 0 (alpha must then be 1).
     """
     owned = set(agent.owned)
-    own = residual = 0.0
-    for j, value in enumerate(contributions):
-        if j in owned:
-            own += value
-        else:
-            residual += value
-    n_residual = len(contributions) - len(owned)
-    return utility(scheme, own / len(owned), residual / n_residual if n_residual else 0.0)
+    own = [value for j, value in enumerate(contributions) if j in owned]
+    residual = [value for j, value in enumerate(contributions) if j not in owned]
+    return utility(scheme, performance(own), performance(residual) if residual else 0.0)
 
 
 def flip_improves(

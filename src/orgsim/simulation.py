@@ -36,15 +36,16 @@ contributions. A proposal's verdict comes from the local utility change Δ over
 those dependents; when |Δ| is within ``VERDICT_GUARD``, a bound on the rounding
 of the full sums, ``flip_improves`` compares the utilities of the contribution
 vector and of a copy with the candidate entries, so every verdict is the one
-``hillclimb_step`` gives. Performance stays the full
-ascending-j sum. A verdict depends only on the configuration, the ownership
-and the incentive weights, so it is cached per flipped decision and dropped
-only when a flip lands or an auction clears. One ``integers(0, highs)`` call
-draws the hillclimb positions up to the next auction or the horizon, exactly
-like one scalar draw per agent and period. A period that lands no flip with
-every decision's verdict cached is stalled: each cached verdict is "no", so the
-rest of the interval repeats its performance and sizes, and is recorded
-without a pass over the agents (belief snapshots included).
+``hillclimb_step`` gives. A period's performance is ``performance`` of the
+whole vector, the function that scores the optimum. A verdict depends only on
+the configuration, the ownership and the incentive weights, so it is cached
+per flipped decision and dropped only when a flip lands or an auction clears.
+One ``integers(0, highs)`` call draws the hillclimb positions up to the next
+auction or the horizon, exactly like one scalar draw per agent and period. A
+period that lands no flip with every decision's verdict cached is stalled:
+each cached verdict is "no", so the rest of the interval repeats its
+performance and sizes, and is recorded without a pass over the agents (belief
+snapshots included).
 ``tests/test_simulation.py`` and ``tests/test_properties.py`` pin the loop to
 the op-composed reference replication, to exact float equality.
 
@@ -115,6 +116,7 @@ from .landscape import (
     build_stylized_matrix,
     generate_landscape,
     load_matrix,
+    performance,
 )
 from .learning import init_beliefs, update_beliefs
 from .organization import (
@@ -522,18 +524,12 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
             candidate[j] = tables[j][idx[j] ^ bit]
         return flip_improves(agent, contribs, candidate, incentive)
 
-    def total() -> float:
-        value = 0.0
-        for c in contribs:
-            value += c
-        return value / n
-
     owner = [0] * n
     verdicts: dict[int, bool] = {}
     positions = None
 
     # The trajectory as runs: perf_values[i] holds for perf_runs[i] periods, size_rows[i] for size_runs[i].
-    perf_values, perf_runs = [total()], [0]
+    perf_values, perf_runs = [performance(contribs)], [0]
     size_rows, size_runs = [[len(agent.owned) for agent in agents]], [0]
     trades: list[TradeRecord] = []
     observations = [0] * m
@@ -585,7 +581,7 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
                     for j, bit in masks[flip]:
                         idx[j] ^= bit
                         contribs[j] = tables[j][idx[j]]
-                perf_values.append(total())
+                perf_values.append(performance(contribs))
                 perf_runs.append(0)
                 verdicts.clear()
                 for agent, flip in flips:
@@ -601,10 +597,10 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
             changes.append(tuple(agent.beliefs.pop_changes() for agent in agents))
         t = through + 1
 
-    performance = np.repeat(np.array(perf_values, dtype=np.float64), perf_runs)
+    series = np.repeat(np.array(perf_values, dtype=np.float64), perf_runs)
     sizes = np.repeat(np.array(size_rows, dtype=np.int64), size_runs, axis=0)
     snapshots = BeliefSnapshots(periods, m, n, tuple(changes))
-    result = ReplicationResult(performance, sizes, trades, agents, observations, optimum, snapshots)
+    result = ReplicationResult(series, sizes, trades, agents, observations, optimum, snapshots)
     norm = result.normalized_series
     bad = np.flatnonzero(~((norm > 0.0) & (norm <= 1.0)))
     if bad.size:

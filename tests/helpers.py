@@ -173,7 +173,7 @@ def reference_replication(scenario: ScenarioConfig, rep_index: int):
                     update_beliefs(agent, flip, before, after)
             config = merged
 
-        perf = performance(land, config)
+        perf = performance(contributions_of(land, config))
         performance_series.append(perf)
         normalized.append(perf / land.optimum[1])
         sizes.append([len(a.owned) for a in agents])

@@ -74,7 +74,7 @@ def test_criterion_1_oracle_equivalence():
                 for config in enumerate_configs(n):
                     for j in range(n):
                         assert contribution(land, config, j) == brute_contribution(land, config, j)
-                    assert performance(land, config) == brute_performance(land, config)
+                    assert performance(contributions_of(land, config)) == brute_performance(land, config)
                 engine_config, engine_perf = global_optimum(land)
                 brute_config, brute_perf = brute_optimum(land)
                 assert np.array_equal(engine_config, brute_config)

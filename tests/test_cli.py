@@ -406,6 +406,21 @@ class TestValidate:
         assert "n <= 25, got n=27" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_oversized_matrix_file_fails_without_its_components(self, tmp_path, monkeypatch, capsys):
+        """A file matrix above the enumeration limit is still read, for its size, but its components, whose
+        transitive closure costs O(n^3 log n), are never derived: no optimum is sought on it."""
+        def components(entries):
+            raise AssertionError(f"components derived for a {len(entries)}-decision matrix")
+
+        monkeypatch.setattr("orgsim.landscape._components", components)
+        rows = "\n".join(" ".join("1" if i == j else "0" for i in range(30)) for j in range(30))
+        (tmp_path / "identity.txt").write_text(f"30\n{rows}\n")
+        structure = f"file:{tmp_path / 'identity.txt'}"
+        assert main(["validate", write_scenario(tmp_path, structure=structure, n=30, m=3, capacity=10)]) == 2
+        assert "n <= 25, got n=30" in capsys.readouterr().err
+        assert main(["validate", write_scenario(tmp_path, structure=structure)]) == 2
+        assert "structure defines 30 decisions but scenario says n=6" in capsys.readouterr().err
+
     def test_run_size_beyond_the_bound_fails_before_work(self, tmp_path, monkeypatch, capsys):
         path = write_scenario(tmp_path, reps=100_000_000_000, horizon=500)
         message = "reps x horizon must be at most 100000000, got 100000000000 x 500"

@@ -1,5 +1,6 @@
 """Task environment tests: structure builders, table lookups, exact optima."""
 
+import math
 import pickle
 import re
 import tracemalloc
@@ -213,7 +214,14 @@ class TestContribution:
 class TestPerformance:
     def test_mean_over_all(self):
         land = tiny_landscape()
-        assert performance(land, [1, 1]) == (0.40 + 0.65) / 2
+        assert performance(contributions_of(land, [1, 1])) == (0.40 + 0.65) / 2
+
+    def test_sums_left_to_right_without_compensation(self):
+        """The one summation rule. math.fsum, Python 3.12's compensated sum or numpy's pairwise np.mean in its
+        place changes one of these values."""
+        assert performance([0.1, 0.2, 0.3]) == (0.1 + 0.2 + 0.3) / 3 != math.fsum([0.1, 0.2, 0.3]) / 3
+        eight = [0.6, 0.3, 0.0, 0.0, 0.8, 0.9, 0.6, 0.7]
+        assert performance(eight) == (0.6 + 0.3 + 0.0 + 0.0 + 0.8 + 0.9 + 0.6 + 0.7) / 8 != np.mean(eight)
 
     def test_subset_and_order_invariance(self):
         """A subset's mean is agent_utility's own term (alpha 1) or residual term (alpha 0)."""
@@ -222,8 +230,8 @@ class TestPerformance:
         own, residual = IncentiveScheme(1.0), IncentiveScheme(0.0)
         assert agent_utility(make_agent(0, [0], n=2), contributions, own) == 0.30
         assert agent_utility(make_agent(0, [1], n=2), contributions, residual) == 0.30
-        assert agent_utility(make_agent(0, {1, 0}, n=2), contributions, own) == performance(land, [1, 0])
-        assert agent_utility(make_agent(0, [1, 0], n=2), contributions, own) == performance(land, [1, 0])
+        assert agent_utility(make_agent(0, {1, 0}, n=2), contributions, own) == performance(contributions)
+        assert agent_utility(make_agent(0, [1, 0], n=2), contributions, own) == performance(contributions)
 
 
 class TestGenerateLandscape:
@@ -247,7 +255,7 @@ class TestGenerateLandscape:
         matrix = build_stylized_matrix(DECOMPOSABLE_K2, 6)
         land = generate_landscape(matrix, np.random.default_rng(9))
         config, perf = land.optimum
-        assert perf == performance(land, config)
+        assert perf == performance(contributions_of(land, config))
         again_config, again_perf = global_optimum(land)
         assert np.array_equal(config, again_config)
         assert perf == again_perf
@@ -266,7 +274,7 @@ class TestGenerateLandscape:
         first = land.optimum
         assert land.optimum is first
         assert calls == [land]
-        assert built.optimum[1] == performance(built, built.optimum[0])
+        assert built.optimum[1] == performance(contributions_of(built, built.optimum[0]))
         assert calls == [land, built]
 
 
@@ -280,9 +288,9 @@ class TestGlobalOptimum:
             land = generate_landscape(matrix, rng)
             config, value = land.optimum
             assert config.dtype == np.int8
-            assert value == performance(land, config)
+            assert value == performance(contributions_of(land, config))
             other = rng.integers(0, 2, size=15).astype(np.int8)
-            assert performance(land, other.tolist()) == performance(land, other)
+            assert performance(contributions_of(land, other.tolist())) == performance(contributions_of(land, other))
 
     def test_enumeration_guard(self):
         matrix = identity_matrix(26)
@@ -316,7 +324,7 @@ class TestGlobalOptimum:
             land = generate_landscape(matrix, rng)
             for _ in range(200):
                 config = rng.integers(0, 2, size=8)
-                norm = performance(land, config) / land.optimum[1]
+                norm = performance(contributions_of(land, config)) / land.optimum[1]
                 assert 0.0 < norm <= 1.0
 
 
@@ -333,7 +341,7 @@ class TestOracleAgreement:
                 for config in enumerate_configs(n):
                     for j in range(n):
                         assert contribution(land, config, j) == brute_contribution(land, config, j)
-                    assert performance(land, config) == brute_performance(land, config)
+                    assert performance(contributions_of(land, config)) == brute_performance(land, config)
                 engine_config, engine_perf = global_optimum(land)
                 brute_config, brute_perf = brute_optimum(land)
                 assert np.array_equal(engine_config, brute_config)

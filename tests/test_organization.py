@@ -134,7 +134,8 @@ class TestUtility:
         land = k0_landscape([(0.1, 0.9), (0.2, 0.6)])
         agent = make_agent(0, [0, 1], n=2)
         scheme = IncentiveScheme.from_name("individualistic")
-        assert agent_utility(agent, contributions_of(land, [1, 1]), scheme) == 1.0 * performance(land, [1, 1])
+        contributions = contributions_of(land, [1, 1])
+        assert agent_utility(agent, contributions, scheme) == 1.0 * performance(contributions)
 
 
 class TestProposeNeighbor:

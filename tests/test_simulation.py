@@ -448,11 +448,14 @@ class TestReferenceEquivalence:
                 assert_matches_reference(case, rep)
         assert calls
 
-    def test_every_verdict_from_full_sums(self, monkeypatch):
+    @pytest.mark.parametrize("incentive", [INDIVIDUALISTIC, BALANCED, ALTRUISTIC], ids=["ind", "bal", "alt"])
+    def test_every_verdict_from_full_sums(self, monkeypatch, incentive):
+        """With beta above 0 the full sums read the residual's candidate entries too, so a fallback that
+        writes only the agent's own candidate entries fails the balanced and altruistic cases."""
         # |Δ| <= alpha + beta = 1, so a guard of 1.0 sends every verdict to the full sums.
         monkeypatch.setattr(orgsim.simulation, "VERDICT_GUARD", 1.0)
         calls = self.count_full_recomputes(monkeypatch)
-        case = scenario(structure="k5", n=15, m=5, incentive=INDIVIDUALISTIC, seed=13, horizon=60)
+        case = scenario(structure="k5", n=15, m=5, incentive=incentive, seed=13, horizon=60)
         for rep in range(2):
             assert_matches_reference(case, rep)
         assert calls
