@@ -19,8 +19,7 @@ interacts with the bidder's portfolio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,15 +31,13 @@ STRATEGY_UTILITY = "utility"
 STRATEGY_INTERDEPENDENCE = "interdependence"
 
 
-@dataclass(frozen=True)
-class Offer:
+class Offer(NamedTuple):
     seller: int
     decision: int
     min_price: float
 
 
-@dataclass(frozen=True)
-class TradeRecord:
+class TradeRecord(NamedTuple):
     period: int
     decision: int
     seller: int

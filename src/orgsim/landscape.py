@@ -96,10 +96,9 @@ class InteractionMatrix:
             missing = int(np.flatnonzero(~entries.diagonal())[0])
             raise ConfigError(f"diagonal must be all ones; decision {missing} does not depend on itself")
         object.__setattr__(self, "entries", entries)
-        rows = entries.tolist()
-        orders = tuple((j, *(i for i, dep in enumerate(row) if dep and i != j)) for j, row in enumerate(rows))
+        orders = tuple((j, *(i for i in np.flatnonzero(row).tolist() if i != j)) for j, row in enumerate(entries))
         object.__setattr__(self, "orders", orders)
-        components = _components(entries) if len(rows) <= ENUMERATION_LIMIT else ()
+        components = _components(entries) if len(entries) <= ENUMERATION_LIMIT else ()
         object.__setattr__(self, "components", components)
         decomposes = len(components) > 1 and all(len(members) <= _SCAN_TAIL for members in components)
         object.__setattr__(self, "gathers", _gathers(orders, components) if decomposes else ())
@@ -239,12 +238,12 @@ def load_matrix(path: str) -> InteractionMatrix:
         cells = line.split()
         if len(cells) != n:
             raise ConfigError(f"{path}:{line_no}: expected {n} entries, found {len(cells)}")
-        for i, cell in enumerate(cells):
-            if cell not in ("0", "1"):
-                raise ConfigError(f"{path}:{line_no}: entries must be 0 or 1, got {cell!r}")
-            entries[j, i] = cell == "1"
-        if not entries[j, j]:
+        bad = [cell for cell in cells if cell != "0" and cell != "1"]
+        if bad:
+            raise ConfigError(f"{path}:{line_no}: entries must be 0 or 1, got {bad[0]!r}")
+        if cells[j] != "1":
             raise ConfigError(f"{path}:{line_no}: diagonal entry for decision {j} must be 1")
+        entries[j] = np.frombuffer("".join(cells).encode("ascii"), dtype=np.uint8) == ord("1")
     return InteractionMatrix(entries)
 
 
@@ -252,8 +251,8 @@ def load_matrix(path: str) -> InteractionMatrix:
 class Landscape:
     """Interaction structure plus drawn contribution tables.
 
-    ``tables[j]`` has length ``2**(k_j+1)`` and is indexed with the own bit as
-    the highest-order bit followed by foreign dependencies in ascending order.
+    The structure is ``matrix``. ``tables[j]`` has length ``2**(k_j+1)`` and is indexed in
+    ``matrix.orders[j]``: the own bit as the highest-order bit, then foreign dependencies ascending.
     ``optimum`` is :func:`global_optimum` of the landscape, computed on first
     read and cached, so normalization never re-runs the scan.
     """
@@ -275,11 +274,6 @@ class Landscape:
     @property
     def n(self) -> int:
         return self.matrix.n
-
-    @property
-    def orders(self) -> tuple[tuple[int, ...], ...]:
-        """Table index order per decision, as :attr:`InteractionMatrix.orders`."""
-        return self.matrix.orders
 
     @cached_property
     def optimum(self) -> tuple[np.ndarray, float]:
@@ -305,7 +299,7 @@ def contribution(landscape: Landscape, config: Sequence[int], j: int) -> float:
     if not 0 <= j < landscape.n:
         raise IndexError(f"decision index {j} out of range for n={landscape.n}")
     index = 0
-    for i in landscape.orders[j]:
+    for i in landscape.matrix.orders[j]:
         index = (index << 1) | int(config[i])
     return float(landscape.tables[j][index])
 
@@ -398,7 +392,7 @@ def _scan(landscape: Landscape) -> np.ndarray:
     """
     n = landscape.n
     views = []
-    for table, order in zip(landscape.tables, landscape.orders):
+    for table, order in zip(landscape.tables, landscape.matrix.orders):
         cube = table.reshape((2,) * len(order)).transpose(sorted(range(len(order)), key=order.__getitem__))
         views.append(cube.reshape([2 if i in order else 1 for i in range(n)]))
     fixed = max(n - (_SCAN_CHUNK.bit_length() - 1), 0)

@@ -268,7 +268,8 @@ class ScenarioConfig:
         raise ConfigError(f"unknown structure {token!r}; use 'k2', 'k5', or 'file:<path>'")
 
     def validate(self) -> list[str]:
-        """Collect every violation instead of stopping at the first."""
+        """Collect every violation instead of stopping at the first. Once n exceeds ``ENUMERATION_LIMIT`` the
+        structure is neither built nor read, so its own problems, a ``file:`` matrix's included, go unreported."""
         problems: list[str] = []
         if self.strategy not in STRATEGIES:
             problems.append(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
@@ -308,8 +309,8 @@ class ScenarioConfig:
         if self.m == 1 and self.incentive.alpha != 1.0:
             problems.append("a single agent has no residual; alpha must be 1.0 when m=1")
 
-        if self.n > ENUMERATION_LIMIT and self.structure in (STRUCTURE_K2, STRUCTURE_K5):
-            # n is already rejected; a stylized matrix of that size costs O(n²) to build.
+        if self.n > ENUMERATION_LIMIT:
+            # n is already rejected; a matrix of that size costs O(n²) to build or read.
             return problems
         try:
             matrix = self.matrix
@@ -354,16 +355,16 @@ def _parse_capacity(value) -> int | tuple[int, ...]:
 def expand_grid(
     base: ScenarioConfig,
     structures: Sequence[str] = GRID_STRUCTURES,
-    incentives: Sequence[str | IncentiveScheme] = GRID_INCENTIVES,
+    incentives: Sequence[str] = GRID_INCENTIVES,
     strategies: Sequence[str] = GRID_STRATEGIES,
 ) -> list[ScenarioConfig]:
     """The cross of structures x incentives x strategies over ``base``.
 
     Cells are enumerated in that nesting order and numbered sequentially, so a
     given grid always maps to the same cell indices and seed streams. An
-    incentive is a scheme or a token for ``IncentiveScheme.parse``.
+    incentive is a token for ``IncentiveScheme.parse``: a preset name or ``alpha=<x>``.
     """
-    schemes = [i if isinstance(i, IncentiveScheme) else IncentiveScheme.parse(i) for i in incentives]
+    schemes = [IncentiveScheme.parse(token) for token in incentives]
     return [
         replace(base, structure=structure, incentive=scheme, strategy=strategy, cell_index=index)
         for index, (structure, scheme, strategy) in enumerate(product(structures, schemes, strategies))
@@ -497,7 +498,7 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
     tables = [table.tolist() for table in land.tables]
     masks: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     idx = []
-    for j, order in enumerate(land.orders):
+    for j, order in enumerate(matrix.orders):
         index = 0
         for pos, i in enumerate(order):
             masks[i].append((j, 1 << (len(order) - 1 - pos)))

@@ -1,13 +1,17 @@
 """Offer selection, bidding, and sequential second-price clearing."""
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
 
 from orgsim import (
+    IncentiveScheme,
     InvariantViolation,
     Offer,
+    ScenarioConfig,
+    TradeRecord,
     bid_interdependence,
     bid_utility,
     clear_auction,
@@ -15,6 +19,7 @@ from orgsim import (
     mean_external_belief,
     mean_internal_belief,
     replication_rng,
+    run_replication,
     select_offer_interdependence,
     select_offer_utility,
 )
@@ -350,3 +355,27 @@ class TestClearAuctionMatchesReference:
             assert tie_draws > 0
         assert blocked > 0
         assert gained > 0
+
+
+class TestRecords:
+    def test_fields_keep_their_names_and_order(self):
+        assert list(Offer.__annotations__) == ["seller", "decision", "min_price"]
+        assert list(TradeRecord.__annotations__) == ["period", "decision", "seller", "winner", "winning_bid", "price"]
+
+    def test_keyword_construction_and_immutability(self):
+        offer = Offer(seller=0, decision=1, min_price=0.2)
+        trade = TradeRecord(period=25, decision=1, seller=0, winner=2, winning_bid=0.4, price=0.3)
+        assert offer == Offer(0, 1, 0.2)
+        assert trade == TradeRecord(25, 1, 0, 2, 0.4, 0.3)
+        for record, field in ((offer, "min_price"), (trade, "price")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0.0)
+
+    def test_trades_pickle_small(self):
+        """A ledger run sends each replication's trades to the parent; a k5 utility replication holds about 83."""
+        cell = ScenarioConfig(structure="k5", incentive=IncentiveScheme.parse("balanced"), strategy="utility",
+                              horizon=500, seed=0)
+        for rep in range(20):
+            trades = run_replication(cell, rep).trades
+            assert trades
+            assert len(pickle.dumps(trades, pickle.HIGHEST_PROTOCOL)) <= 3400, rep

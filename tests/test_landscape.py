@@ -632,5 +632,4 @@ class TestScanMemory:
         matrix = build_stylized_matrix(NONDECOMPOSABLE_K5, 9)
         rng = np.random.default_rng(46)
         first, second = generate_landscape(matrix, rng), generate_landscape(matrix, rng)
-        assert first.orders is matrix.orders
-        assert second.orders is matrix.orders
+        assert first.matrix is second.matrix is matrix

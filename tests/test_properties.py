@@ -1,6 +1,7 @@
 """Property tests: the engine equals the reference twin and keeps the criterion-3
-invariants on random small scenarios, and ``orgsim run`` writes the same bytes
-at ``--jobs 1`` and ``--jobs 2``.
+invariants on random small scenarios, ``orgsim run`` writes the same bytes
+at ``--jobs 1`` and ``--jobs 2``, and a utility cell and its interdependence
+twin agree wherever no auction trade can reach.
 
 Hypothesis runs derandomized (a fixed example sequence and no example
 database), so the suite stays deterministic from run to run.
@@ -8,6 +9,7 @@ database), so the suite stays deterministic from run to run.
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
 
@@ -215,3 +217,51 @@ def test_jobs_do_not_change_output_bytes(payload):
             assert main(args) == 0
             outputs.append([(out / name).read_bytes() for name in names])
     assert outputs[0] == outputs[1]
+
+
+class TestAuctionPathRelations:
+    """Metamorphic relations between a utility cell and its interdependence twin at one ``cell_index``.
+
+    The two strategies differ only in how offers and bids are made, so whatever
+    no auction can reach must agree byte for byte. n = 15, m = 5 and tau = 25
+    throughout; seed 4.
+    """
+
+    @staticmethod
+    def pair(structure, incentive, reps, **overrides):
+        cell = ScenarioConfig(structure=structure, incentive=IncentiveScheme.from_name(incentive),
+                              strategy="utility", seed=4, **overrides)
+        twin = replace(cell, strategy="interdependence")  # same cell_index, so the same seed streams
+        return [(run_replication(cell, rep), run_replication(twin, rep)) for rep in range(reps)]
+
+    @pytest.mark.parametrize("incentive", sorted(INCENTIVE_PRESETS))
+    @pytest.mark.parametrize("structure", ["k2", "k5"])
+    def test_r3_no_spare_capacity_no_trade(self, structure, incentive):
+        """R3: with every capacity at the equal share nobody can bid, so the cells never diverge."""
+        for utility, interdependence in self.pair(structure, incentive, 30, capacity=3, horizon=80):
+            assert utility.trades == interdependence.trades == []
+            assert np.array_equal(utility.performance, interdependence.performance)
+            assert np.array_equal(utility.sizes, interdependence.sizes)
+
+    @pytest.mark.parametrize("incentive", sorted(INCENTIVE_PRESETS))
+    @pytest.mark.parametrize("structure", ["k2", "k5"])
+    def test_r4_identical_until_the_first_auction(self, structure, incentive):
+        """R4: performance agrees through period tau, whose auction leaves the configuration as it was.
+
+        Period tau's sizes already hold that auction's trades, so sizes agree through tau - 1.
+        """
+        tau = 25
+        pairs = self.pair(structure, incentive, 20, tau=tau, horizon=2 * tau + 10)
+        for utility, interdependence in pairs:
+            assert np.array_equal(utility.performance[:tau], interdependence.performance[:tau])
+            assert np.array_equal(utility.sizes[:tau - 1], interdependence.sizes[:tau - 1])
+        assert any(utility.trades for utility, _ in pairs)
+
+    @pytest.mark.parametrize("incentive", sorted(INCENTIVE_PRESETS))
+    @pytest.mark.parametrize("structure", ["k2", "k5"])
+    def test_r5_no_auction_before_tau(self, structure, incentive):
+        """R5: a horizon below tau holds no auction, so the cells are identical for the whole run."""
+        for utility, interdependence in self.pair(structure, incentive, 30, tau=25, horizon=24):
+            assert utility.trades == interdependence.trades == []
+            assert np.array_equal(utility.performance, interdependence.performance)
+            assert np.array_equal(utility.sizes, interdependence.sizes)

@@ -96,9 +96,10 @@ class TestScenarioConfig:
         ({"n": 27, "m": 3, "capacity": 9}, "exhaustive optimum supports n <= 25, got n=27"),
         ({"sigma": float("nan")}, "sigma must be finite"),
         ({"sigma": float("inf")}, "sigma must be finite"),
-        # Past the enumeration limit only a k2 or k5 matrix goes unbuilt.
-        ({"structure": "k9", "n": 3000, "capacity": 1500}, "unknown structure"),
-        ({"structure": "file:/nonexistent/m.txt", "n": 3000, "capacity": 1500}, "cannot|scenario|file|No such"),
+        # Past the enumeration limit no structure is built or read, so only n is reported for these.
+        ({"structure": "k9", "n": 3000, "capacity": 1500}, "^exhaustive optimum supports n <= 25, got n=3000$"),
+        ({"structure": "file:/nonexistent/m.txt", "n": 3000, "capacity": 1500},
+         "^exhaustive optimum supports n <= 25, got n=3000$"),
         ({"capacity": 0}, "capacities must be positive"),
         ({"cell_index": -1}, "cell_index must be nonnegative"),
         ({"reps": 100_000_000_000}, r"reps x horizon must be at most 100000000, got 100000000000 x 20$"),
@@ -117,12 +118,16 @@ class TestScenarioConfig:
         problems = scenario(tau=1, sigma=-1.0, horizon=0).validate()
         assert len(problems) >= 3
 
-    @pytest.mark.parametrize("structure", ["k2", "k5"])
-    def test_validate_rejects_large_n_before_building_a_matrix(self, monkeypatch, structure):
+    @pytest.mark.parametrize("structure", ["k2", "k5", "file"])
+    def test_validate_rejects_large_n_before_building_a_matrix(self, monkeypatch, tmp_path, structure):
         def build(*args):
-            raise AssertionError("validate built a stylized matrix")
+            raise AssertionError("validate built or read a matrix")
 
+        if structure == "file":
+            # The file's own size mismatch goes unreported: it is never read.
+            structure = f"file:{write_matrix(tmp_path / 'm.txt', build_stylized_matrix(DECOMPOSABLE_K2, 6))}"
         monkeypatch.setattr(orgsim.simulation, "build_stylized_matrix", build)
+        monkeypatch.setattr(orgsim.simulation, "load_matrix", build)
         problems = scenario(structure=structure, n=3000, capacity=1500).validate()
         assert problems == ["exhaustive optimum supports n <= 25, got n=3000"]
 
