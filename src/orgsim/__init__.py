@@ -49,7 +49,6 @@ _EXPORTS = {
         "hillclimb_step",
         "initial_allocation",
         "mirrored_allocation",
-        "utility",
     ),
     "auction": (
         "STRATEGY_INTERDEPENDENCE",

@@ -46,12 +46,10 @@ class TradeRecord(NamedTuple):
     price: float
 
 
-def _argmin_with_ties(decisions: Sequence[int], values: Sequence[float], rng: np.random.Generator) -> tuple[int, float]:
-    low = min(values)
-    ties = [d for d, v in zip(decisions, values) if v == low]
-    if len(ties) == 1:
-        return ties[0], low
-    return ties[int(rng.integers(len(ties)))], low
+def _pick_tie(items: Sequence, values: Sequence[float], best: float, rng: np.random.Generator):
+    """The item whose value is ``best``: a unique one draws nothing, k tied ones one ``rng.integers(k)``."""
+    ties = [item for item, value in zip(items, values) if value == best]
+    return ties[0] if len(ties) == 1 else ties[int(rng.integers(len(ties)))]
 
 
 def select_offer_utility(
@@ -61,8 +59,8 @@ def select_offer_utility(
     if len(agent.owned) < 2:
         return None
     values = [contributions[d] for d in agent.owned]
-    decision, low = _argmin_with_ties(agent.owned, values, rng_tie)
-    return Offer(agent.id, decision, low)
+    low = min(values)
+    return Offer(agent.id, _pick_tie(agent.owned, values, low, rng_tie), low)
 
 
 def select_offer_interdependence(agent: AgentState, rng_tie: np.random.Generator) -> Offer | None:
@@ -70,8 +68,8 @@ def select_offer_interdependence(agent: AgentState, rng_tie: np.random.Generator
     if len(agent.owned) < 2:
         return None
     values = [mean_internal_belief(agent, d) for d in agent.owned]
-    decision, low = _argmin_with_ties(agent.owned, values, rng_tie)
-    return Offer(agent.id, decision, low)
+    low = min(values)
+    return Offer(agent.id, _pick_tie(agent.owned, values, low, rng_tie), low)
 
 
 def bid_utility(
@@ -154,8 +152,7 @@ def clear_auction(
 
         ranked = sorted(amounts, reverse=True)
         high = ranked[0]
-        top = [i for i, amount in enumerate(amounts) if amount == high]
-        pick = top[0] if len(top) == 1 else top[int(rng_tie.integers(len(top)))]
+        pick = _pick_tie(range(len(amounts)), amounts, high, rng_tie)
         if high < offer.min_price:
             continue
         price = ranked[1] if len(ranked) > 1 and ranked[1] > offer.min_price else offer.min_price

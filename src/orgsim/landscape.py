@@ -12,14 +12,14 @@ remaining dependencies follow in ascending decision index. A decision with
 
 The global optimum is exact, and a landscape computes it once, on the first
 read of :attr:`Landscape.optimum`. A matrix whose decisions split into several
-connected components of at most ``_SCAN_TAIL`` decisions, like the
-block-diagonal ``decomposable_k2``, is solved component by component: the
-components' configurations are scored with one gather per component size from
-the concatenated tables, and when each component has exactly one
-configuration within ``GAP`` of its maximum, their union is the optimum. Any
-other matrix or landscape (a near-tie, a large component, a contribution above
-1 in magnitude, a single component as in ``nondecomposable_k5``) goes through
-the exhaustive scan of all ``2**n`` configurations.
+connected components of at most ``_SCAN_TAIL`` decisions, like the stylized
+block-diagonal ``"k2"``, is solved component by component: the components'
+configurations are scored with one gather per component size from the
+concatenated tables, and when each component has exactly one configuration
+within ``GAP`` of its maximum, their union is the optimum. Any other matrix or
+landscape (a near-tie, a large component, a contribution above 1 in magnitude,
+a single component as in the stylized ``"k5"``) goes through the exhaustive
+scan of all ``2**n`` configurations.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ import numpy as np
 
 from .errors import ConfigError
 
-DECOMPOSABLE_K2 = "decomposable_k2"
-NONDECOMPOSABLE_K5 = "nondecomposable_k5"
-# Both stylized structures are built from blocks of three decisions.
+# The stylized structures' scenario tokens. Both are built from blocks of three decisions.
+DECOMPOSABLE_K2 = "k2"
+NONDECOMPOSABLE_K5 = "k5"
 BLOCK_SIZE = 3
 
 # Exhaustive optimum search is capped here; 2**25 configurations is the most
@@ -156,15 +156,15 @@ def _gathers(
 
 
 def build_stylized_matrix(kind: str, n: int) -> InteractionMatrix:
-    """Construct one of the two stylized interaction structures.
+    """Construct the stylized interaction structure that the scenario token ``kind`` names.
 
-    ``decomposable_k2``: block-diagonal; each decision depends on exactly the
-    other two decisions in its 3-block (K=2).
+    ``"k2"`` (``DECOMPOSABLE_K2``): block-diagonal; each decision depends on
+    exactly the other two decisions in its 3-block (K=2).
 
-    ``nondecomposable_k5``: each decision keeps its two block mates and adds
-    three cross-block dependencies at offsets +3, +6, +9 (mod n), advancing an
-    offset past collisions with itself, its own block, or already chosen
-    dependencies (K=5).
+    ``"k5"`` (``NONDECOMPOSABLE_K5``): each decision keeps its two block mates
+    and adds three cross-block dependencies at offsets +3, +6, +9 (mod n),
+    advancing an offset past collisions with itself, its own block, or already
+    chosen dependencies (K=5).
     """
     if n < BLOCK_SIZE or n % BLOCK_SIZE != 0:
         raise ConfigError(f"n={n} is not a positive multiple of the block size {BLOCK_SIZE}")

@@ -114,13 +114,8 @@ def mirrored_allocation(n: int, m: int) -> Allocation:
     return [list(range(a * share, (a + 1) * share)) for a in range(m)]
 
 
-def utility(scheme: IncentiveScheme, own_performance: float, residual_performance: float) -> float:
-    """Linear incentive utility."""
-    return scheme.alpha * own_performance + scheme.beta * residual_performance
-
-
 def agent_utility(agent: AgentState, contributions: Sequence[float], scheme: IncentiveScheme) -> float:
-    """Utility of ``agent`` when decision j contributes ``contributions[j]``.
+    """Utility ``alpha * own + beta * residual`` of ``agent`` when decision j contributes ``contributions[j]``.
 
     Own and residual performance are :func:`performance` of the agent's
     entries and of every other entry, each in ascending decision order. With a
@@ -129,7 +124,7 @@ def agent_utility(agent: AgentState, contributions: Sequence[float], scheme: Inc
     owned = set(agent.owned)
     own = [value for j, value in enumerate(contributions) if j in owned]
     residual = [value for j, value in enumerate(contributions) if j not in owned]
-    return utility(scheme, performance(own), performance(residual) if residual else 0.0)
+    return scheme.alpha * performance(own) + scheme.beta * (performance(residual) if residual else 0.0)
 
 
 def flip_improves(

@@ -131,9 +131,6 @@ from .organization import (
 STRATEGY_BENCHMARK = "benchmark"
 STRATEGIES = (STRATEGY_UTILITY, STRATEGY_INTERDEPENDENCE, STRATEGY_BENCHMARK)
 
-STRUCTURE_K2 = "k2"
-STRUCTURE_K5 = "k5"
-
 # Stream roles: one independent generator per concern and replication.
 ROLE_LANDSCAPE = 0
 ROLE_INIT = 1
@@ -164,7 +161,7 @@ VERDICT_GUARD = GAP
 # validate bounds its size: 10^8 values are 800 MB, 250 times the paper's 800 x 500.
 MAX_REP_PERIODS = 100_000_000
 
-GRID_STRUCTURES = (STRUCTURE_K2, STRUCTURE_K5)
+GRID_STRUCTURES = (DECOMPOSABLE_K2, NONDECOMPOSABLE_K5)
 GRID_INCENTIVES = tuple(INCENTIVE_PRESETS)
 GRID_STRATEGIES = STRATEGIES
 # The axes a scenario's ``grid`` key may list, each with the per-cell field it sets.
@@ -259,10 +256,8 @@ class ScenarioConfig:
         ``file:`` structure again.
         """
         token = self.structure
-        if token == STRUCTURE_K2:
-            return build_stylized_matrix(DECOMPOSABLE_K2, self.n)
-        if token == STRUCTURE_K5:
-            return build_stylized_matrix(NONDECOMPOSABLE_K5, self.n)
+        if token in GRID_STRUCTURES:
+            return build_stylized_matrix(token, self.n)
         if token.startswith("file:"):
             return load_matrix(token[5:])
         raise ConfigError(f"unknown structure {token!r}; use 'k2', 'k5', or 'file:<path>'")

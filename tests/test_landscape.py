@@ -34,6 +34,9 @@ from orgsim.oracle import (
 )
 from helpers import contributions_of, make_agent
 
+# Test ids spell a stylized kind out by its constant's name.
+KIND_IDS = {DECOMPOSABLE_K2: "decomposable_k2", NONDECOMPOSABLE_K5: "nondecomposable_k5"}
+
 
 def identity_matrix(n):
     return InteractionMatrix(np.eye(n, dtype=bool))
@@ -122,10 +125,15 @@ class TestStylizedStructures:
         (DECOMPOSABLE_K2, 0),
         (NONDECOMPOSABLE_K5, 3),
         ("triangular", 15),
-    ])
+    ], ids=KIND_IDS.get)
     def test_rejects_bad_requests(self, kind, n):
         with pytest.raises(ConfigError):
             build_stylized_matrix(kind, n)
+
+    @pytest.mark.parametrize("kind", ["decomposable_k2", "nondecomposable_k5"])
+    def test_kinds_are_the_scenario_tokens(self, kind):
+        with pytest.raises(ConfigError, match="unknown stylized structure"):
+            build_stylized_matrix(kind, 15)
 
 
 class TestRandomMatrix:
@@ -279,7 +287,7 @@ class TestGenerateLandscape:
 
 
 class TestGlobalOptimum:
-    @pytest.mark.parametrize("kind", [DECOMPOSABLE_K2, NONDECOMPOSABLE_K5])
+    @pytest.mark.parametrize("kind", [DECOMPOSABLE_K2, NONDECOMPOSABLE_K5], ids=KIND_IDS.get)
     def test_optimum_value_equals_performance_of_the_array(self, kind):
         """The optimum's value, computed from the configuration as a list of ints, equals the int8 array's."""
         rng = np.random.default_rng(17)
@@ -399,7 +407,7 @@ class TestScanAgainstOracle:
     """The exhaustive scan against brute_optimum above the oracle's printable size."""
 
     @pytest.mark.parametrize("n", [6, 9, 12])
-    @pytest.mark.parametrize("kind", [DECOMPOSABLE_K2, NONDECOMPOSABLE_K5])
+    @pytest.mark.parametrize("kind", [DECOMPOSABLE_K2, NONDECOMPOSABLE_K5], ids=KIND_IDS.get)
     def test_stylized(self, kind, n, monkeypatch):
         land = generate_landscape(build_stylized_matrix(kind, n), np.random.default_rng(200 + n))
         assert_scan_matches_brute(land, monkeypatch)

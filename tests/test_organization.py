@@ -14,7 +14,6 @@ from orgsim import (
     initial_allocation,
     mirrored_allocation,
     performance,
-    utility,
 )
 from orgsim.landscape import DECOMPOSABLE_K2, build_stylized_matrix, generate_landscape
 from helpers import contributions_of, k0_landscape, make_agent
@@ -110,18 +109,14 @@ class TestAgentState:
 
 
 class TestUtility:
-    def test_linear_weighting(self):
-        scheme = IncentiveScheme.from_name("altruistic")
-        assert utility(scheme, 0.4, 0.8) == 0.25 * 0.4 + 0.75 * 0.8
-
     def test_agent_utility_composes_performance(self):
         land = k0_landscape([(0.1, 0.9), (0.2, 0.6), (0.3, 0.7), (0.8, 0.4)])
         agent = make_agent(0, [0, 2], n=4)
         contributions = contributions_of(land, [1, 0, 1, 1])
         assert contributions == [0.9, 0.2, 0.7, 0.4]
-        scheme = IncentiveScheme.from_name("balanced")
-        expected = 0.5 * ((0.9 + 0.7) / 2) + 0.5 * ((0.2 + 0.4) / 2)
-        assert agent_utility(agent, contributions, scheme) == expected
+        for name, alpha, beta in [("individualistic", 1.0, 0.0), ("balanced", 0.5, 0.5), ("altruistic", 0.25, 0.75)]:
+            expected = alpha * ((0.9 + 0.7) / 2) + beta * ((0.2 + 0.4) / 2)
+            assert agent_utility(agent, contributions, IncentiveScheme.from_name(name)) == expected, name
 
     def test_agent_utility_sums_in_ascending_decision_order(self):
         # 0.1 + 0.2 + 0.3 is 0.6000000000000001, and 0.3 + 0.2 + 0.1 is 0.6.

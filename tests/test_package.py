@@ -18,7 +18,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# The names the package exported when it imported every submodule eagerly, by submodule.
+# The names the package exports, by submodule.
 EXPORTS = {
     "errors": "ConfigError InvariantViolation",
     "landscape": "DECOMPOSABLE_K2 ENUMERATION_LIMIT NONDECOMPOSABLE_K5 InteractionMatrix Landscape "
@@ -26,7 +26,7 @@ EXPORTS = {
                  "performance random_matrix",
     "learning": "BeliefCounters belief init_beliefs mean_external_belief mean_internal_belief update_beliefs",
     "organization": "INCENTIVE_PRESETS AgentState Allocation IncentiveScheme agent_utility flip_improves "
-                    "hillclimb_step initial_allocation mirrored_allocation utility",
+                    "hillclimb_step initial_allocation mirrored_allocation",
     "auction": "STRATEGY_INTERDEPENDENCE STRATEGY_UTILITY Offer TradeRecord bid_interdependence bid_utility "
                "clear_auction select_offer_interdependence select_offer_utility",
     "simulation": "CI99_Z GRID_INCENTIVES GRID_STRATEGIES GRID_STRUCTURES ROLE_HILLCLIMB ROLE_INIT "

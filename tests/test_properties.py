@@ -265,3 +265,63 @@ class TestAuctionPathRelations:
             assert utility.trades == interdependence.trades == []
             assert np.array_equal(utility.performance, interdependence.performance)
             assert np.array_equal(utility.sizes, interdependence.sizes)
+
+
+@st.composite
+def block_diagonal_cells(draw):
+    """A benchmark cell's overrides and a block-diagonal matrix with one block per agent, in the mirrored
+    allocation's order; inside a block any dependency structure."""
+    m = draw(st.integers(2, 4))
+    share = draw(st.integers(1, 4))
+    n = m * share
+    entries = np.zeros((n, n), dtype=bool)
+    for a in range(m):
+        block = draw(st.lists(st.booleans(), min_size=share * share, max_size=share * share))
+        entries[a * share:(a + 1) * share, a * share:(a + 1) * share] = np.reshape(block, (share, share))
+    np.fill_diagonal(entries, True)
+    overrides = dict(n=n, m=m, capacity=share, incentive=INDIVIDUALISTIC, strategy="benchmark", horizon=60,
+                     seed=draw(st.integers(0, 2**16)))
+    return overrides, entries
+
+
+class TestBenchmarkIncentiveRelations:
+    """Metamorphic relations across incentive weights in a benchmark cell at one ``cell_index``.
+
+    When the matrix is block-diagonal and the mirrored allocation gives each
+    agent one whole block, as in a k2 benchmark cell with n = 3m, a flip never
+    moves the residual, so only whether alpha is 0 can matter. The fixed cases
+    use n = 15, m = 5, horizon 300; seed 4, 50 replications.
+    """
+
+    @staticmethod
+    def series(structure, alphas, reps=50):
+        cell = ScenarioConfig(structure=structure, incentive=IncentiveScheme(alphas[0]), strategy="benchmark",
+                              horizon=300, seed=4)
+        cells = [replace(cell, incentive=IncentiveScheme(alpha)) for alpha in alphas]  # same cell_index
+        return [[run_replication(c, rep).performance for c in cells] for rep in range(reps)]
+
+    def test_r1_any_positive_alpha_gives_one_series(self):
+        """R1: in the k2 cell every alpha in (0, 1] takes the same flips."""
+        for first, *rest in self.series("k2", [1.0, 0.5, 0.25, 0.01]):
+            for other in rest:
+                assert np.array_equal(first, other)
+
+    def test_r2_alpha_zero_never_moves(self):
+        """R2: at alpha 0 every flip leaves the utility as it was, and a tie keeps the status quo."""
+        for (performance,) in self.series("k2", [0.0]):
+            assert np.all(performance == performance[0])
+
+    def test_r1_control_k5_depends_on_alpha(self):
+        """Control: in k5 an own flip moves other agents' contributions, so alpha changes the run."""
+        assert any(not np.array_equal(first, second) for first, second in self.series("k5", [1.0, 0.25]))
+
+    # From 0.01 up: a far smaller weight lets the full-sum fallback round a real own change away.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(case=block_diagonal_cells(), alpha=st.floats(0.01, 1.0))
+    def test_r1_r2_on_any_block_diagonal_file_matrix(self, matrix_dir, case, alpha):
+        cell = build(matrix_dir, *case)
+        for rep in range(3):
+            first, other, still = (run_replication(replace(cell, incentive=IncentiveScheme(a)), rep).performance
+                                   for a in (1.0, alpha, 0.0))
+            assert np.array_equal(first, other)
+            assert np.all(still == still[0])

@@ -37,7 +37,7 @@ from orgsim import (
 )
 from orgsim.cli import main
 from orgsim.simulation import ROLE_HILLCLIMB, BeliefSnapshots, cells_from_dict
-from orgsim.landscape import DECOMPOSABLE_K2, Landscape, build_stylized_matrix
+from orgsim.landscape import DECOMPOSABLE_K2, NONDECOMPOSABLE_K5, Landscape, build_stylized_matrix
 from orgsim.organization import flip_improves
 import helpers
 from helpers import assert_matches_reference, changed_entries
@@ -136,6 +136,13 @@ class TestScenarioConfig:
         assert any("alpha" in p for p in config.validate())
         ok = scenario(m=1, capacity=6, incentive=INDIVIDUALISTIC, strategy="benchmark")
         assert ok.validate() == []
+
+    @pytest.mark.parametrize("n", [6, 15])
+    def test_stylized_tokens_are_the_landscape_kinds(self, n):
+        assert orgsim.GRID_STRUCTURES == (DECOMPOSABLE_K2, NONDECOMPOSABLE_K5) == ("k2", "k5")
+        for token in orgsim.GRID_STRUCTURES:
+            matrix = scenario(structure=token, n=n, m=3, capacity=n).matrix
+            assert np.array_equal(matrix.entries, build_stylized_matrix(token, n).entries)
 
     def test_structure_file_roundtrip(self, tmp_path):
         matrix = scenario().matrix
