@@ -109,6 +109,12 @@ class TestAgentState:
 
 
 class TestUtility:
+    def test_linear_weighting(self):
+        # own performance 0.4 and residual performance 0.8, weighted alpha and beta
+        agent = make_agent(0, [0], n=2)
+        scheme = IncentiveScheme.from_name("altruistic")
+        assert agent_utility(agent, [0.4, 0.8], scheme) == 0.25 * 0.4 + 0.75 * 0.8
+
     def test_agent_utility_composes_performance(self):
         land = k0_landscape([(0.1, 0.9), (0.2, 0.6), (0.3, 0.7), (0.8, 0.4)])
         agent = make_agent(0, [0, 2], n=4)
