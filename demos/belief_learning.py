@@ -12,7 +12,7 @@ from orgsim import IncentiveScheme, ScenarioConfig, belief, run_replication
 
 scenario = ScenarioConfig(
     structure="k5",
-    incentive=IncentiveScheme.from_name("balanced"),
+    incentive=IncentiveScheme.parse("balanced"),
     strategy="interdependence",
     horizon=500,
     reps=1,

@@ -12,7 +12,7 @@ from orgsim import IncentiveScheme, ScenarioConfig, expand_grid, run_grid
 
 base = ScenarioConfig(
     structure="k2",
-    incentive=IncentiveScheme.from_name("balanced"),
+    incentive=IncentiveScheme.parse("balanced"),
     strategy="utility",
     reps=40,
     horizon=500,

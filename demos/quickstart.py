@@ -22,7 +22,7 @@ class TradeTally:
 
 scenario = ScenarioConfig(
     structure="k5",
-    incentive=IncentiveScheme.from_name("balanced"),
+    incentive=IncentiveScheme.parse("balanced"),
     strategy="utility",
     reps=40,       # desk scale; the reference parameterization uses 800
     horizon=500,

@@ -63,8 +63,6 @@ _EXPORTS = {
     ),
     "simulation": (
         "CI99_Z",
-        "GRID_INCENTIVES",
-        "GRID_STRATEGIES",
         "GRID_STRUCTURES",
         "ROLE_HILLCLIMB",
         "ROLE_INIT",

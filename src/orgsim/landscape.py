@@ -76,9 +76,9 @@ class InteractionMatrix:
     decisions of the c-th component of that size, and ``index[c, r, code]`` is
     the position of member r's contribution, under the component configuration
     ``code`` (first member as the highest-order bit), in the tables
-    concatenated in decision order. Otherwise ``gathers`` is empty and
-    :func:`global_optimum` scans. Both are derived here, so they travel with a
-    pickled matrix.
+    concatenated in decision order, read through the scan's view :func:`_view`.
+    Otherwise ``gathers`` is empty and :func:`global_optimum` scans. Both are
+    derived here, so they travel with a pickled matrix.
     """
 
     entries: np.ndarray
@@ -134,8 +134,8 @@ def _gathers(
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The ``(members, index)`` pairs of :attr:`InteractionMatrix.gathers`, one per component size.
 
-    A member's table index is a weighted sum of its component code's bits:
-    ``weights[c, r, q]`` is the place value of member q in member r's table.
+    Member j's positions in the concatenated tables, viewed through :func:`_view` over its component and
+    broadcast along the members j does not read, are its positions under every component code.
     """
     offsets = np.cumsum([0] + [1 << len(order) for order in orders])
     groups: dict[int, list[tuple[int, ...]]] = {}
@@ -143,16 +143,19 @@ def _gathers(
         groups.setdefault(len(members), []).append(members)
     gathers = []
     for size, group in groups.items():
-        weights = np.zeros((len(group), size, size), dtype=np.intp)
+        index = np.empty((len(group), size) + (2,) * size, dtype=np.intp)
         for c, members in enumerate(group):
-            rank = {d: q for q, d in enumerate(members)}
             for r, j in enumerate(members):
-                for pos, i in enumerate(orders[j]):
-                    weights[c, r, rank[i]] = 1 << (len(orders[j]) - 1 - pos)
-        bits = (np.arange(1 << size) >> np.arange(size - 1, -1, -1)[:, None]) & 1  # [member, code]
-        members = np.array(group, dtype=np.intp)
-        gathers.append((members, offsets[members][..., None] + weights @ bits))
+                index[c, r] = _view(np.arange(offsets[j], offsets[j + 1]), orders[j], members)
+        gathers.append((np.array(group, dtype=np.intp), index.reshape(len(group), size, 1 << size)))
     return tuple(gathers)
+
+
+def _view(values: np.ndarray, order: tuple[int, ...], axes: Sequence[int]) -> np.ndarray:
+    """A table's ``values``, indexed in ``order``, laid out over one axis per decision of ``axes`` (ascending,
+    a superset of ``order``): length 2 where the table reads that decision and 1 elsewhere. No copy is made."""
+    cube = values.reshape((2,) * len(order)).transpose(sorted(range(len(order)), key=order.__getitem__))
+    return cube.reshape([2 if i in order else 1 for i in axes])
 
 
 def build_stylized_matrix(kind: str, n: int) -> InteractionMatrix:
@@ -376,25 +379,21 @@ def _scan(landscape: Landscape) -> np.ndarray:
     """The first maximum of all ``2**n`` configurations' totals, by exhaustive scan.
 
     Enumerates all ``2**n`` configurations with decision 0 as the highest-order
-    bit. Each table is viewed as a cube with a length-2 axis per decision in
-    its order, transposed into ascending decision order, and a length-1 axis
-    for every other decision. The scan runs in chunks of ``_SCAN_CHUNK``
-    configurations, each with the leading decisions fixed. Within a chunk the
-    last ``_SCAN_TAIL`` decisions form one contiguous axis of ``2**_SCAN_TAIL``
-    totals, so numpy's inner loop runs over that many elements rather than over
-    one length-2 axis: after a view's fixed decisions are indexed, its tail
-    axes are broadcast to full length and copied into that layout, and the
-    copy is added into the chunk's totals and dropped. No copy is larger than
-    the chunk or outlives its addition, and one totals array serves every
-    chunk, zeroed at its start, so memory stays bounded at any ``n``. The
-    views are added for ascending ``j`` into zeroed totals, so each
-    configuration's total is summed in the order :func:`performance` uses.
+    bit, each table viewed through :func:`_view` over all ``n`` decisions. The
+    scan runs in chunks of ``_SCAN_CHUNK`` configurations, each with the
+    leading decisions fixed. Within a chunk the last ``_SCAN_TAIL`` decisions
+    form one contiguous axis of ``2**_SCAN_TAIL`` totals, so numpy's inner loop
+    runs over that many elements rather than over one length-2 axis: after a
+    view's fixed decisions are indexed, its tail axes are broadcast to full
+    length and copied into that layout, and the copy is added into the chunk's
+    totals and dropped. No copy is larger than the chunk or outlives its
+    addition, and one totals array serves every chunk, zeroed at its start, so
+    memory stays bounded at any ``n``. The views are added for ascending ``j``
+    into zeroed totals, so each configuration's total is summed in the order
+    :func:`performance` uses.
     """
     n = landscape.n
-    views = []
-    for table, order in zip(landscape.tables, landscape.matrix.orders):
-        cube = table.reshape((2,) * len(order)).transpose(sorted(range(len(order)), key=order.__getitem__))
-        views.append(cube.reshape([2 if i in order else 1 for i in range(n)]))
+    views = [_view(table, order, range(n)) for table, order in zip(landscape.tables, landscape.matrix.orders)]
     fixed = max(n - (_SCAN_CHUNK.bit_length() - 1), 0)
     tail = min(n - fixed, _SCAN_TAIL)
     free = n - tail - fixed

@@ -42,17 +42,10 @@ class IncentiveScheme:
         return 1.0 - self.alpha
 
     @classmethod
-    def from_name(cls, name: str) -> "IncentiveScheme":
-        try:
-            return cls(INCENTIVE_PRESETS[name])
-        except KeyError:
-            raise ConfigError(f"unknown incentive scheme {name!r}; choose from {sorted(INCENTIVE_PRESETS)}") from None
-
-    @classmethod
     def parse(cls, token: str) -> "IncentiveScheme":
         """Scheme named by a scenario token: a preset name or ``alpha=<value>``."""
         if token in INCENTIVE_PRESETS:
-            return cls.from_name(token)
+            return cls(INCENTIVE_PRESETS[token])
         if token.startswith("alpha="):
             try:
                 alpha = float(token[6:])

@@ -162,10 +162,9 @@ VERDICT_GUARD = GAP
 MAX_REP_PERIODS = 100_000_000
 
 GRID_STRUCTURES = (DECOMPOSABLE_K2, NONDECOMPOSABLE_K5)
-GRID_INCENTIVES = tuple(INCENTIVE_PRESETS)
-GRID_STRATEGIES = STRATEGIES
-# The axes a scenario's ``grid`` key may list, each with the per-cell field it sets.
+# The axes a scenario's ``grid`` key may list, each with the per-cell field it sets, and the paper's values.
 GRID_AXES = {"structures": "structure", "incentives": "incentive", "strategies": "strategy"}
+PAPER_GRID = {"structures": GRID_STRUCTURES, "incentives": tuple(INCENTIVE_PRESETS), "strategies": STRATEGIES}
 
 
 def replication_rng(master_seed: int, cell_index: int, rep_index: int, role: int) -> np.random.Generator:
@@ -349,9 +348,9 @@ def _parse_capacity(value) -> int | tuple[int, ...]:
 
 def expand_grid(
     base: ScenarioConfig,
-    structures: Sequence[str] = GRID_STRUCTURES,
-    incentives: Sequence[str] = GRID_INCENTIVES,
-    strategies: Sequence[str] = GRID_STRATEGIES,
+    structures: Sequence[str] = PAPER_GRID["structures"],
+    incentives: Sequence[str] = PAPER_GRID["incentives"],
+    strategies: Sequence[str] = PAPER_GRID["strategies"],
 ) -> list[ScenarioConfig]:
     """The cross of structures x incentives x strategies over ``base``.
 
@@ -376,8 +375,7 @@ def grid_axes(grid: object) -> dict[str, list[str]]:
     for axis, values in grid.items():
         if not isinstance(values, list) or not values or not all(isinstance(v, str) for v in values):
             raise ConfigError(f"grid {axis} must be a non-empty list of strings")
-    paper = (GRID_STRUCTURES, GRID_INCENTIVES, GRID_STRATEGIES)
-    return {**{axis: list(values) for axis, values in zip(GRID_AXES, paper)}, **grid}
+    return {**{axis: list(values) for axis, values in PAPER_GRID.items()}, **grid}
 
 
 def check_cells(cells: Sequence[ScenarioConfig]) -> None:

@@ -48,7 +48,7 @@ from orgsim.oracle import (
 )
 from helpers import contributions_of, k0_landscape
 
-BALANCED = IncentiveScheme.from_name("balanced")
+BALANCED = IncentiveScheme.parse("balanced")
 
 GRID_STRUCTURES = ("k2", "k5")
 GRID_INCENTIVES = ("individualistic", "balanced", "altruistic")
@@ -116,7 +116,7 @@ def test_criterion_3_invariant_suite():
         for incentive in GRID_INCENTIVES:
             for strategy in GRID_STRATEGIES:
                 scenario = replace(base, structure=structure,
-                                   incentive=IncentiveScheme.from_name(incentive),
+                                   incentive=IncentiveScheme.parse(incentive),
                                    strategy=strategy, cell_index=cell_index)
                 cell_index += 1
                 for rep in range(scenario.reps):

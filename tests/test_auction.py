@@ -137,6 +137,11 @@ class TestBidInterdependence:
         bidder = make_agent(1, [2, 3], capacity=2, n=6)
         assert bid_interdependence(bidder, Offer(0, 0, 0.1)) is None
 
+    def test_seller_cannot_bid(self):
+        seller = make_agent(0, [0, 1], capacity=5, n=6)
+        with pytest.raises(ValueError, match="own offers"):
+            bid_interdependence(seller, Offer(seller=0, decision=1, min_price=0.1))
+
 
 class TestClearAuction:
     def setup_three_agents(self, contributions, capacities=(5, 5, 5)):

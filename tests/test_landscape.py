@@ -54,6 +54,10 @@ class TestInteractionMatrix:
         with pytest.raises(ConfigError, match="square"):
             InteractionMatrix(np.ones((2, 3), dtype=bool))
 
+    def test_rejects_zero_decisions(self):
+        with pytest.raises(ConfigError, match="at least one decision"):
+            InteractionMatrix(np.ones((0, 0), dtype=bool))
+
     def test_rejects_missing_diagonal(self):
         entries = np.eye(3, dtype=bool)
         entries[1, 1] = False
@@ -466,6 +470,27 @@ class TestOptimumByComponents:
         k5 = build_stylized_matrix(NONDECOMPOSABLE_K5, 15)
         assert k5.components == (tuple(range(15)),)
         assert k5.gathers == ()
+
+    def test_gathers_read_the_tables_as_contribution_does(self):
+        """Every gather index against the public op: under each component code, first member as the highest
+        bit, member r's entry is its contribution, whatever the other decisions hold."""
+        rng = np.random.default_rng(306)
+        matrices = [build_stylized_matrix(DECOMPOSABLE_K2, n) for n in (6, 9, 12, 15)]
+        while len(matrices) < 16:
+            sizes = tuple(rng.integers(1, landscape_module._SCAN_TAIL + 1, size=rng.integers(2, 5)).tolist())
+            if sum(sizes) <= 20:
+                matrices.append(block_matrix(sizes, rng))
+        for matrix in matrices:
+            land = generate_landscape(matrix, rng)
+            flat = np.concatenate(land.tables)
+            for members, index in matrix.gathers:
+                for c, component in enumerate(members.tolist()):
+                    for code in range(1 << len(component)):
+                        config = rng.integers(0, 2, matrix.n).tolist()
+                        for q, d in enumerate(component):
+                            config[d] = (code >> (len(component) - 1 - q)) & 1
+                        for r, j in enumerate(component):
+                            assert flat[index[c, r, code]] == contribution(land, config, j)
 
     def test_components_read_links_in_either_direction(self):
         entries = np.eye(5, dtype=bool)

@@ -177,6 +177,12 @@ class TestMeanBeliefs:
         with pytest.raises(ValueError, match="already owned"):
             mean_external_belief(make_agent([1, 2]), 1)
 
+    def test_external_needs_portfolio(self):
+        agent = make_agent([1, 2])
+        agent.owned.clear()
+        with pytest.raises(ValueError, match="owns no decisions"):
+            mean_external_belief(agent, 1)
+
     def test_denominators_differ(self):
         # same counters, same target, different normalization
         agent = make_agent([1, 2, 4])

@@ -63,6 +63,8 @@ class TestBruteMinContribution:
         assert argmins == [0, 2]
         low, argmins = brute_min_contribution(land, (0, 0, 0), [1, 2])
         assert argmins == [2]
+        with pytest.raises(ValueError, match="empty decision set"):
+            brute_min_contribution(land, (0, 0, 0), [])
 
 
 class TestOracleReport:

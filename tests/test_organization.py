@@ -22,12 +22,12 @@ from helpers import contributions_of, k0_landscape, make_agent
 class TestIncentiveScheme:
     def test_presets(self):
         for name, weights in [("individualistic", (1.0, 0.0)), ("balanced", (0.5, 0.5)), ("altruistic", (0.25, 0.75))]:
-            scheme = IncentiveScheme.from_name(name)
+            scheme = IncentiveScheme.parse(name)
             assert scheme == IncentiveScheme(weights[0])
             assert (scheme.alpha, scheme.beta) == weights
 
     def test_names(self):
-        assert IncentiveScheme.from_name("altruistic").name == "altruistic"
+        assert IncentiveScheme.parse("altruistic").name == "altruistic"
         assert IncentiveScheme(0.5).name == "balanced"
         assert IncentiveScheme(0.7).name == "alpha0.7"
 
@@ -39,7 +39,7 @@ class TestIncentiveScheme:
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown incentive"):
-            IncentiveScheme.from_name("selfless")
+            IncentiveScheme.parse("selfless")
 
     @pytest.mark.parametrize("alpha, beta", [(1.2, -0.2), (-0.1, 1.1)])
     def test_invalid_weights(self, alpha, beta):
@@ -112,7 +112,7 @@ class TestUtility:
     def test_linear_weighting(self):
         # own performance 0.4 and residual performance 0.8, weighted alpha and beta
         agent = make_agent(0, [0], n=2)
-        scheme = IncentiveScheme.from_name("altruistic")
+        scheme = IncentiveScheme.parse("altruistic")
         assert agent_utility(agent, [0.4, 0.8], scheme) == 0.25 * 0.4 + 0.75 * 0.8
 
     def test_agent_utility_composes_performance(self):
@@ -122,7 +122,7 @@ class TestUtility:
         assert contributions == [0.9, 0.2, 0.7, 0.4]
         for name, alpha, beta in [("individualistic", 1.0, 0.0), ("balanced", 0.5, 0.5), ("altruistic", 0.25, 0.75)]:
             expected = alpha * ((0.9 + 0.7) / 2) + beta * ((0.2 + 0.4) / 2)
-            assert agent_utility(agent, contributions, IncentiveScheme.from_name(name)) == expected, name
+            assert agent_utility(agent, contributions, IncentiveScheme.parse(name)) == expected, name
 
     def test_agent_utility_sums_in_ascending_decision_order(self):
         # 0.1 + 0.2 + 0.3 is 0.6000000000000001, and 0.3 + 0.2 + 0.1 is 0.6.
@@ -134,7 +134,7 @@ class TestUtility:
     def test_agent_utility_without_residual(self):
         land = k0_landscape([(0.1, 0.9), (0.2, 0.6)])
         agent = make_agent(0, [0, 1], n=2)
-        scheme = IncentiveScheme.from_name("individualistic")
+        scheme = IncentiveScheme.parse("individualistic")
         contributions = contributions_of(land, [1, 1])
         assert agent_utility(agent, contributions, scheme) == 1.0 * performance(contributions)
 
@@ -257,7 +257,7 @@ class TestSynchronousSemantics:
         matrix = build_stylized_matrix(DECOMPOSABLE_K2, 6)
         land = generate_landscape(matrix, rng)
         agents = [make_agent(0, [0, 1, 2], n=6), make_agent(1, [3, 4, 5], n=6)]
-        scheme = IncentiveScheme.from_name("balanced")
+        scheme = IncentiveScheme.parse("balanced")
         config = [0, 1, 0, 1, 0, 1]
 
         flips = [hillclimb_step(agent, land, config, scheme, np.random.default_rng(7)) for agent in agents]

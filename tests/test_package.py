@@ -29,7 +29,7 @@ EXPORTS = {
                     "hillclimb_step initial_allocation mirrored_allocation",
     "auction": "STRATEGY_INTERDEPENDENCE STRATEGY_UTILITY Offer TradeRecord bid_interdependence bid_utility "
                "clear_auction select_offer_interdependence select_offer_utility",
-    "simulation": "CI99_Z GRID_INCENTIVES GRID_STRATEGIES GRID_STRUCTURES ROLE_HILLCLIMB ROLE_INIT "
+    "simulation": "CI99_Z GRID_STRUCTURES ROLE_HILLCLIMB ROLE_INIT "
                   "ROLE_LANDSCAPE ROLE_NOISE ROLE_TIEBREAK STRATEGIES STRATEGY_BENCHMARK BeliefSnapshots "
                   "ExperimentResult LedgerSink ReplicationResult ScenarioConfig aggregate_norm_series "
                   "expand_grid replication_rng run_experiment run_grid run_replication write_beliefs_csv "
@@ -88,6 +88,12 @@ class TestLazyPackage:
             print(json.dumps([message, landscape.__name__]))
         """) == ["module 'orgsim' has no attribute 'no_such_name'", "orgsim.landscape"]
 
+    def test_dir_lists_every_export(self):
+        import orgsim
+
+        assert set(orgsim.__all__) <= set(dir(orgsim))
+        assert "__version__" in dir(orgsim)
+
 
 class TestCliFixedCost:
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")], ids=["unset", "user"])
@@ -132,7 +138,7 @@ def test_fresh_workers_match_one_process(tmp_path, method):
 
         if __name__ == "__main__":
             multiprocessing.set_start_method(sys.argv[1])
-            base = ScenarioConfig(structure="k2", incentive=IncentiveScheme.from_name("balanced"), strategy="utility",
+            base = ScenarioConfig(structure="k2", incentive=IncentiveScheme.parse("balanced"), strategy="utility",
                                   n=6, m=2, tau=5, horizon=12, reps=3, capacity=5, seed=5)
             cells = expand_grid(base, structures=["k2", "k5"], incentives=["balanced"],
                                 strategies=["utility", "benchmark"])

@@ -19,7 +19,7 @@ from helpers import assert_matches_reference
 
 pytestmark = pytest.mark.paper_shape
 
-PAPER_CELLS = expand_grid(ScenarioConfig(structure="k2", incentive=IncentiveScheme.from_name("balanced"),
+PAPER_CELLS = expand_grid(ScenarioConfig(structure="k2", incentive=IncentiveScheme.parse("balanced"),
                                          strategy="utility", horizon=500, reps=2, seed=11))
 
 

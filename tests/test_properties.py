@@ -8,7 +8,10 @@ database), so the suite stays deterministic from run to run.
 """
 
 import json
+import subprocess
+import sys
 import tempfile
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -24,7 +27,7 @@ from orgsim.organization import INCENTIVE_PRESETS
 from orgsim.simulation import STRATEGIES, cells_from_dict
 from helpers import assert_matches_reference
 
-INDIVIDUALISTIC = IncentiveScheme.from_name("individualistic")
+INDIVIDUALISTIC = IncentiveScheme.parse("individualistic")
 
 
 @st.composite
@@ -42,7 +45,7 @@ def scenarios(draw):
         incentive = INDIVIDUALISTIC
     else:
         incentive = draw(st.one_of(
-            st.sampled_from([IncentiveScheme.from_name(name) for name in INCENTIVE_PRESETS]),
+            st.sampled_from([IncentiveScheme.parse(name) for name in INCENTIVE_PRESETS]),
             st.floats(0.0, 1.0).map(IncentiveScheme),
         ))
     overrides = dict(
@@ -86,10 +89,10 @@ EDGE_CASES = [
     dict(structure="k2", n=6, m=1, tau=4, horizon=3, incentive=INDIVIDUALISTIC, strategy="utility",
          sigma=0.0, capacity=6, seed=1),
     # horizon not a multiple of tau, noise-free bids
-    dict(structure="k5", n=6, m=3, tau=3, horizon=10, incentive=IncentiveScheme.from_name("altruistic"),
+    dict(structure="k5", n=6, m=3, tau=3, horizon=10, incentive=IncentiveScheme.parse("altruistic"),
          strategy="interdependence", sigma=0.0, capacity=(2, 4, 6), seed=2),
     # one decision per agent, so no agent may sell
-    dict(structure="k2", n=3, m=3, tau=2, horizon=7, incentive=IncentiveScheme.from_name("balanced"),
+    dict(structure="k2", n=3, m=3, tau=2, horizon=7, incentive=IncentiveScheme.parse("balanced"),
          strategy="utility", sigma=0.3, capacity=(1, 1, 3), seed=3),
 ]
 
@@ -229,7 +232,7 @@ class TestAuctionPathRelations:
 
     @staticmethod
     def pair(structure, incentive, reps, **overrides):
-        cell = ScenarioConfig(structure=structure, incentive=IncentiveScheme.from_name(incentive),
+        cell = ScenarioConfig(structure=structure, incentive=IncentiveScheme.parse(incentive),
                               strategy="utility", seed=4, **overrides)
         twin = replace(cell, strategy="interdependence")  # same cell_index, so the same seed streams
         return [(run_replication(cell, rep), run_replication(twin, rep)) for rep in range(reps)]
@@ -325,3 +328,28 @@ class TestBenchmarkIncentiveRelations:
                                    for a in (1.0, alpha, 0.0))
             assert np.array_equal(first, other)
             assert np.all(still == still[0])
+
+
+def test_failing_property_report_leaves_the_run_going(tmp_path):
+    """A failing derandomized property makes hypothesis import libcst to write its patch file. Under the
+    project's warning filters that import must not stop pytest with an INTERNALERROR before later tests run."""
+    (tmp_path / "test_two.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+
+        @settings(derandomize=True, database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 5
+
+
+        def test_passes():
+            pass
+    """))
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    # Run from tmp_path, so hypothesis writes its patch files there.
+    done = subprocess.run([sys.executable, "-m", "pytest", "-c", str(pyproject), "--rootdir", str(tmp_path),
+                           "-p", "no:cacheprovider", "-q"], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in done.stdout + done.stderr, done.stdout + done.stderr
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout

@@ -42,9 +42,9 @@ from orgsim.organization import flip_improves
 import helpers
 from helpers import assert_matches_reference, changed_entries
 
-BALANCED = IncentiveScheme.from_name("balanced")
-INDIVIDUALISTIC = IncentiveScheme.from_name("individualistic")
-ALTRUISTIC = IncentiveScheme.from_name("altruistic")
+BALANCED = IncentiveScheme.parse("balanced")
+INDIVIDUALISTIC = IncentiveScheme.parse("individualistic")
+ALTRUISTIC = IncentiveScheme.parse("altruistic")
 
 
 def scenario(**overrides):
