@@ -26,7 +26,7 @@ def show(matrix, title):
 
 def contributions_of(land, config):
     """Every decision's contribution under ``config``: the vector performance() reads."""
-    return [contribution(land, config, j) for j in range(land.n)]
+    return [contribution(land, config, j) for j in range(land.matrix.n)]
 
 
 k2 = build_stylized_matrix(DECOMPOSABLE_K2, 15)

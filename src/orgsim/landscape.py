@@ -61,7 +61,8 @@ class InteractionMatrix:
 
     ``entries[j, i]`` is True when the contribution of decision ``j`` depends
     on decision ``i``. The diagonal is always True: every contribution depends
-    on its own decision.
+    on its own decision. ``n`` is the decision count, ``len(dependencies(j))``
+    decision ``j``'s dependency count; a landscape reads both through ``matrix``.
 
     ``orders[j]`` is decision ``j``'s table index order, derived once from
     ``entries``: ``(j, dep_0, dep_1, ...)`` with the dependencies ascending, so
@@ -106,10 +107,6 @@ class InteractionMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def k(self, j: int) -> int:
-        """Number of foreign dependencies of decision ``j``."""
-        return len(self.orders[j]) - 1
 
     def dependencies(self, j: int) -> list[int]:
         """Decisions other than ``j`` that ``j``'s contribution depends on, ascending."""
@@ -166,17 +163,13 @@ def build_stylized_matrix(kind: str, n: int) -> InteractionMatrix:
 
     ``"k5"`` (``NONDECOMPOSABLE_K5``): each decision keeps its two block mates
     and adds three cross-block dependencies at offsets +3, +6, +9 (mod n),
-    advancing an offset past collisions with itself, its own block, or already
-    chosen dependencies (K=5).
+    each walking forward past entries of its row already set: its own block
+    and the dependencies chosen before it (K=5).
     """
     if n < BLOCK_SIZE or n % BLOCK_SIZE != 0:
         raise ConfigError(f"n={n} is not a positive multiple of the block size {BLOCK_SIZE}")
 
-    entries = np.zeros((n, n), dtype=bool)
-    for j in range(n):
-        block = j - (j % BLOCK_SIZE)
-        entries[j, block:block + BLOCK_SIZE] = True
-
+    entries = np.kron(np.eye(n // BLOCK_SIZE, dtype=bool), np.ones((BLOCK_SIZE, BLOCK_SIZE), dtype=bool))
     if kind == DECOMPOSABLE_K2:
         return InteractionMatrix(entries)
     if kind != NONDECOMPOSABLE_K5:
@@ -185,13 +178,10 @@ def build_stylized_matrix(kind: str, n: int) -> InteractionMatrix:
     if n < 2 * BLOCK_SIZE:
         raise ConfigError(f"nondecomposable_k5 needs n >= {2 * BLOCK_SIZE}, got {n}")
     for j in range(n):
-        block = j - (j % BLOCK_SIZE)
-        own_block = range(block, block + BLOCK_SIZE)
         for offset in (3, 6, 9):
             cand = (j + offset) % n
-            # Walk forward past own-block members and duplicates; n >= 6
-            # guarantees three distinct external slots exist.
-            while cand in own_block or entries[j, cand]:
+            # n >= 6 leaves each row three unset entries, so the walk ends.
+            while entries[j, cand]:
                 cand = (cand + 1) % n
             entries[j, cand] = True
     return InteractionMatrix(entries)
@@ -254,8 +244,8 @@ def load_matrix(path: str) -> InteractionMatrix:
 class Landscape:
     """Interaction structure plus drawn contribution tables.
 
-    The structure is ``matrix``. ``tables[j]`` has length ``2**(k_j+1)`` and is indexed in
-    ``matrix.orders[j]``: the own bit as the highest-order bit, then foreign dependencies ascending.
+    The structure, the decision count ``matrix.n`` included, is read through ``matrix``. ``tables[j]`` has
+    length ``2**len(matrix.orders[j])``, indexed in that order: the own bit highest, then dependencies ascending.
     ``optimum`` is :func:`global_optimum` of the landscape, computed on first
     read and cached, so normalization never re-runs the scan.
     """
@@ -273,10 +263,6 @@ class Landscape:
                 raise ConfigError(
                     f"table for decision {j} must have {expected} entries, got {len(self.tables[j])}"
                 )
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
 
     @cached_property
     def optimum(self) -> tuple[np.ndarray, float]:
@@ -299,8 +285,8 @@ def contribution(landscape: Landscape, config: Sequence[int], j: int) -> float:
     ``config`` is a full-length 0/1 sequence; only ``j`` and its dependencies
     are read.
     """
-    if not 0 <= j < landscape.n:
-        raise IndexError(f"decision index {j} out of range for n={landscape.n}")
+    if not 0 <= j < landscape.matrix.n:
+        raise IndexError(f"decision index {j} out of range for n={landscape.matrix.n}")
     index = 0
     for i in landscape.matrix.orders[j]:
         index = (index << 1) | int(config[i])
@@ -333,7 +319,7 @@ def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
     vector, the very function the engine records every period with, so a
     configuration that reaches the optimum normalizes to exactly 1.0.
     """
-    n = landscape.n
+    n = landscape.matrix.n
     if n > ENUMERATION_LIMIT:
         raise ConfigError(f"exhaustive optimum supports n <= {ENUMERATION_LIMIT}, got {n}")
     config = _optimum_by_components(landscape)
@@ -364,7 +350,7 @@ def _optimum_by_components(landscape: Landscape) -> np.ndarray | None:
     flat = np.concatenate(landscape.tables)
     if not np.abs(flat).max() <= 1.0:  # also rejects NaN
         return None
-    config = np.empty(landscape.n, dtype=np.int8)
+    config = np.empty(landscape.matrix.n, dtype=np.int8)
     for members, index in gathers:
         scores = flat[index].sum(axis=1)  # [component, code]
         best = scores.max(axis=1)
@@ -392,7 +378,7 @@ def _scan(landscape: Landscape) -> np.ndarray:
     into zeroed totals, so each configuration's total is summed in the order
     :func:`performance` uses.
     """
-    n = landscape.n
+    n = landscape.matrix.n
     views = [_view(table, order, range(n)) for table, order in zip(landscape.tables, landscape.matrix.orders)]
     fixed = max(n - (_SCAN_CHUNK.bit_length() - 1), 0)
     tail = min(n - fixed, _SCAN_TAIL)

@@ -36,7 +36,7 @@ def brute_contribution(landscape: Landscape, config: Sequence[int], j: int) -> f
 
 def brute_performance(landscape: Landscape, config: Sequence[int], subset: Iterable[int] | None = None) -> float:
     """Mean contribution over ``subset`` (default all), summed in ascending order."""
-    indices = sorted(subset) if subset is not None else list(range(landscape.n))
+    indices = sorted(subset) if subset is not None else list(range(landscape.matrix.n))
     if not indices:
         raise ValueError("empty decision set")
     total = 0.0
@@ -51,7 +51,7 @@ def brute_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
     Compares raw contribution sums rather than means so that tie handling is
     decided before the final division, like the engine's chunked scan.
     """
-    n = landscape.n
+    n = landscape.matrix.n
     best_config: tuple[int, ...] | None = None
     best_total = -float("inf")
     for config in enumerate_configs(n):
@@ -79,7 +79,7 @@ def brute_min_contribution(
 
 def oracle_report(landscape: Landscape) -> dict:
     """Complete enumeration of a tiny environment, for the CLI and for tests."""
-    n = landscape.n
+    n = landscape.matrix.n
     if n > ORACLE_MAX_N:
         raise ConfigError(f"oracle enumeration is limited to n <= {ORACLE_MAX_N}, got n={n}")
     config_rows = []

@@ -144,6 +144,6 @@ def hillclimb_step(
     flip = agent.owned[int(rng.integers(len(agent.owned)))]
     candidate = list(config)
     candidate[flip] ^= 1
-    before = [contribution(landscape, config, j) for j in range(landscape.n)]
-    after = [contribution(landscape, candidate, j) for j in range(landscape.n)]
+    before = [contribution(landscape, config, j) for j in range(landscape.matrix.n)]
+    after = [contribution(landscape, candidate, j) for j in range(landscape.matrix.n)]
     return flip if flip_improves(agent, before, after, scheme) else None

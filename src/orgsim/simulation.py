@@ -290,15 +290,15 @@ class ScenarioConfig:
         if self.cell_index < 0:
             problems.append(f"cell_index must be nonnegative, got {self.cell_index}")
 
-        caps = self.resolved_capacities()
-        if len(caps) != self.m:
-            problems.append(f"expected {self.m} capacities, got {len(caps)}")
-        elif any(c < 1 for c in caps):
-            problems.append(f"capacities must be positive, got {caps}")
-        elif self.m >= 1 and self.n % self.m == 0 and min(caps) < self.n // self.m:
-            problems.append(
-                f"equal share {self.n // self.m} exceeds the smallest capacity {min(caps)}"
-            )
+        # An integer capacity is repeated m times; an m outside [1, min(n, ENUMERATION_LIMIT)] already has a problem.
+        if 1 <= self.m <= min(self.n, ENUMERATION_LIMIT):
+            caps = self.resolved_capacities()
+            if len(caps) != self.m:
+                problems.append(f"expected {self.m} capacities, got {len(caps)}")
+            elif any(c < 1 for c in caps):
+                problems.append(f"capacities must be positive, got {caps}")
+            elif self.n % self.m == 0 and min(caps) < self.n // self.m:
+                problems.append(f"equal share {self.n // self.m} exceeds the smallest capacity {min(caps)}")
 
         if self.m == 1 and self.incentive.alpha != 1.0:
             problems.append("a single agent has no residual; alpha must be 1.0 when m=1")

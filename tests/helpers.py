@@ -72,7 +72,7 @@ def k0_landscape(values):
 
 def contributions_of(land, config):
     """Every decision's contribution under ``config``, read through ``landscape.contribution``."""
-    return [contribution(land, config, j) for j in range(land.n)]
+    return [contribution(land, config, j) for j in range(land.matrix.n)]
 
 
 def reference_clear_auction(offers, agents, strategy, contributions, sigma, rng_noise, rng_tie, period):

@@ -18,6 +18,7 @@ per criterion at the end of the run.
 8. bid noise through the bidding path has the configured moments
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from orgsim import (
     IncentiveScheme,
     Offer,
     ScenarioConfig,
-    bid_utility,
+    clear_auction,
     contribution,
     expand_grid,
     global_optimum,
@@ -192,15 +193,19 @@ def test_criterion_7_deterministic_output_bytes(tmp_path, monkeypatch):
 
 
 def test_criterion_8_bid_noise_statistics():
-    """10^4 sigma=0.05 draws through the bidding path: mean within +/- 0.002,
-    standard deviation within 0.05 +/- 0.005."""
-    land = k0_landscape([(0.5, 0.5), (0.5, 0.5)])
-    bidder = AgentState(1, [0], 10, init_beliefs(2))
-    offer = Offer(seller=0, decision=1, min_price=0.0)
-    current = contributions_of(land, [0, 0])
-    rng = np.random.default_rng(1234)
-    noise = np.array([
-        bid_utility(bidder, offer, current, 0.05, rng) - 0.5 for _ in range(10_000)
-    ])
+    """10^4 sigma=0.05 draws through the bidding path a run takes, clear_auction: each round offers one
+    decision with no reserve to one eligible bidder, whose winning bid less the decision's contribution is its
+    noise. Mean within +/- 0.002, standard deviation within 0.05 +/- 0.005."""
+    land = k0_landscape([(0.5, 0.5)] * 3)
+    current = contributions_of(land, [0, 0, 0])
+    offer = Offer(seller=0, decision=1, min_price=-math.inf)
+    rng_noise = np.random.default_rng(1234)
+    rng_tie = np.random.default_rng(0)
+    noise = []
+    for _ in range(10_000):
+        agents = [AgentState(0, [0, 1], 2, init_beliefs(3)), AgentState(1, [2], 2, init_beliefs(3))]
+        [trade] = clear_auction([offer], agents, "utility", current, 0.05, rng_noise, rng_tie, 0)
+        noise.append(trade.winning_bid - current[offer.decision])
+    noise = np.array(noise)
     assert abs(noise.mean()) <= 0.002
     assert abs(noise.std(ddof=1) - 0.05) <= 0.005

@@ -41,7 +41,7 @@ def block_chain(land, first):
     members = range(first, first + BLOCK_SIZE)
     sums = np.zeros(STATES)
     for state in range(STATES):
-        config = [0] * land.n
+        config = [0] * land.matrix.n
         for r, d in enumerate(members):
             config[d] = (state >> (BLOCK_SIZE - 1 - r)) & 1
         sums[state] = sum(contribution(land, config, d) for d in members)

@@ -431,6 +431,18 @@ class TestValidate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("m, message", [
+        (10**30, f"n=6 must be divisible by m={10**30} for the equal initial split"),
+        (-10**30, f"m must be positive, got {-10**30}"),
+    ], ids=["huge", "negative"])
+    def test_unbounded_m_fails_before_work(self, tmp_path, monkeypatch, capsys, m, message):
+        assert main(["validate", write_scenario(tmp_path, m=m)]) == 2
+        assert message in capsys.readouterr().err
+        monkeypatch.setattr("orgsim.cli.run_grid", None)
+        assert main(["run", write_scenario(tmp_path), "--m", str(m), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("payload, message", [
         ([SCENARIO], "scenario file must hold a JSON object"),
         ({"grid": ["k2"]}, "grid must be an object with ['incentives', 'strategies', 'structures']"),

@@ -75,7 +75,7 @@ class TestInteractionMatrix:
         assert matrix.dependencies(0) == [2]
         assert matrix.dependencies(2) == [0, 1]
         assert matrix.dependencies(3) == []
-        assert matrix.k(2) == 2
+        assert len(matrix.dependencies(2)) == 2
         assert matrix.orders == ((0, 2), (1,), (2, 0, 1), (3,))
 
 
@@ -85,7 +85,7 @@ class TestStylizedStructures:
         for j in range(15):
             block = j - (j % 3)
             assert matrix.dependencies(j) == [i for i in range(block, block + 3) if i != j]
-            assert matrix.k(j) == 2
+            assert len(matrix.dependencies(j)) == 2
 
     def test_k2_is_decomposable(self):
         matrix = build_stylized_matrix(DECOMPOSABLE_K2, 15)
@@ -97,7 +97,7 @@ class TestStylizedStructures:
         matrix = build_stylized_matrix(NONDECOMPOSABLE_K5, 15)
         for j in range(15):
             deps = matrix.dependencies(j)
-            assert matrix.k(j) == 5
+            assert len(matrix.dependencies(j)) == 5
             block = j - (j % 3)
             mates = [i for i in range(block, block + 3) if i != j]
             assert set(mates) <= set(deps)
@@ -115,7 +115,7 @@ class TestStylizedStructures:
         # so the structure is fully connected
         matrix = build_stylized_matrix(NONDECOMPOSABLE_K5, 6)
         for j in range(6):
-            assert matrix.k(j) == 5
+            assert len(matrix.dependencies(j)) == 5
 
     def test_k5_is_not_decomposable(self):
         matrix = build_stylized_matrix(NONDECOMPOSABLE_K5, 15)
@@ -123,6 +123,28 @@ class TestStylizedStructures:
             1 for j in range(15) for i in matrix.dependencies(j) if i // 3 != j // 3
         )
         assert crossing == 45  # 3 externals per decision
+
+    @staticmethod
+    def reference_dependencies(kind, n, j):
+        """The stylized rule stated row by row: the other two decisions of j's 3-block and, for k5, one
+        external per offset +3, +6, +9 (mod n), each walking forward past j's block and the externals chosen
+        before it."""
+        block = [i for i in range(j - j % 3, j - j % 3 + 3) if i != j]
+        externals = []
+        for offset in (3, 6, 9) if kind == NONDECOMPOSABLE_K5 else ():
+            cand = (j + offset) % n
+            while cand // 3 == j // 3 or cand in externals:
+                cand = (cand + 1) % n
+            externals.append(cand)
+        return block + externals
+
+    @pytest.mark.parametrize("kind, smallest", [(DECOMPOSABLE_K2, 3), (NONDECOMPOSABLE_K5, 6)])
+    def test_rows_follow_the_reference_rule_over_n(self, kind, smallest):
+        for n in range(smallest, 61, 3):
+            reference = np.eye(n, dtype=bool)
+            for j in range(n):
+                reference[j, self.reference_dependencies(kind, n, j)] = True
+            assert np.array_equal(build_stylized_matrix(kind, n).entries, reference), f"n={n}"
 
     @pytest.mark.parametrize("kind, n", [
         (DECOMPOSABLE_K2, 14),
@@ -145,7 +167,7 @@ class TestRandomMatrix:
     def test_degrees(self, n, k):
         matrix = random_matrix(n, k, np.random.default_rng(7))
         for j in range(n):
-            assert matrix.k(j) == k
+            assert len(matrix.dependencies(j)) == k
             assert matrix.entries[j, j]
 
     def test_seeded_reproducibility(self):

@@ -8,6 +8,7 @@ import math
 import multiprocessing
 import pickle
 import time
+import tracemalloc
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -104,11 +105,28 @@ class TestScenarioConfig:
         ({"cell_index": -1}, "cell_index must be nonnegative"),
         ({"reps": 100_000_000_000}, r"reps x horizon must be at most 100000000, got 100000000000 x 20$"),
         ({"reps": 1, "horizon": 100_000_001}, r"reps x horizon must be at most 100000000, got 1 x 100000001$"),
+        # An m past an index-sized integer is reported, not repeated into capacities.
+        ({"m": 10**30}, f"^n=6 must be divisible by m={10**30} for the equal initial split$"),
+        ({"m": -10**30}, f"^m must be positive, got {-10**30}$"),
+        ({"n": 10**30, "m": 10**30}, f"^exhaustive optimum supports n <= 25, got n={10**30}$"),
     ])
     def test_validate_flags_problems(self, overrides, fragment):
         problems = scenario(**overrides).validate()
         assert problems
         assert any(__import__("re").search(fragment, p) for p in problems)
+
+    def test_validate_reads_no_capacities_for_an_m_above_n(self):
+        """An integer capacity is repeated m times, 8 bytes per agent, so an m above n must not reach it."""
+        config = scenario(m=10**6)
+        config.validate()  # builds and caches the matrix
+        tracemalloc.start()
+        try:
+            problems = config.validate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert problems == [f"n=6 must be divisible by m={10**6} for the equal initial split"]
+        assert peak < 16 * 1024
 
     def test_run_size_bound_is_inclusive(self):
         assert scenario(reps=200_000, horizon=500).validate() == []
@@ -449,7 +467,7 @@ class TestReferenceEquivalence:
     def test_tied_tables_fall_back_to_full_sums(self, monkeypatch):
         def tied_landscape(matrix, rng):
             # Entries in {0.25, 0.5, 0.75}: many flips leave every dependent's contribution unchanged, so Δ is 0.
-            tables = [np.round(rng.random(1 << (matrix.k(j) + 1)) * 2) / 4 + 0.25 for j in range(matrix.n)]
+            tables = [np.round(rng.random(1 << len(matrix.orders[j])) * 2) / 4 + 0.25 for j in range(matrix.n)]
             return Landscape(matrix=matrix, tables=tables)
 
         monkeypatch.setattr(orgsim.simulation, "generate_landscape", tied_landscape)
