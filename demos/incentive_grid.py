@@ -26,7 +26,7 @@ print(f"18 cells x {base.reps} replications x {base.horizon} periods in {elapsed
 
 print(f"{'cell':<40} {'final':>8} {'ci99':>8}")
 for result in results:
-    print(f"{result.cell:<40} {result.final_mean:>8.4f} {result.final_half_width:>8.4f}")
+    print(f"{result.scenario.cell:<40} {result.final_mean:>8.4f} {result.final_half_width:>8.4f}")
 
 print("\nreading the table:")
 print("- individualistic incentives: trading hurts, and trading on observed")

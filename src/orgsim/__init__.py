@@ -46,7 +46,6 @@ _EXPORTS = {
         "IncentiveScheme",
         "agent_utility",
         "flip_improves",
-        "hillclimb_step",
         "initial_allocation",
         "mirrored_allocation",
     ),
@@ -55,8 +54,6 @@ _EXPORTS = {
         "STRATEGY_UTILITY",
         "Offer",
         "TradeRecord",
-        "bid_interdependence",
-        "bid_utility",
         "clear_auction",
         "select_offer_interdependence",
         "select_offer_utility",

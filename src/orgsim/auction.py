@@ -72,39 +72,6 @@ def select_offer_interdependence(agent: AgentState, rng_tie: np.random.Generator
     return Offer(agent.id, _pick_tie(agent.owned, values, low, rng_tie), low)
 
 
-def bid_utility(
-    bidder: AgentState,
-    offer: Offer,
-    contributions: Sequence[float],
-    sigma: float,
-    rng_noise: np.random.Generator,
-) -> float | None:
-    """The bid amount ``contributions[offer.decision]`` plus N(0, sigma) noise; None when at capacity.
-
-    The noise is unclamped, so bids can leave [0, 1]. It is one scalar
-    ``normal(0.0, sigma)`` draw, drawn only when the bidder has spare
-    capacity; ``clear_auction`` draws an offer's bids in one call that gives
-    the same values.
-    """
-    if bidder.id == offer.seller:
-        raise ValueError("sellers do not bid on their own offers")
-    if len(bidder.owned) >= bidder.capacity:
-        return None
-    return float(contributions[offer.decision] + rng_noise.normal(0.0, sigma))
-
-
-def bid_interdependence(bidder: AgentState, offer: Offer) -> float | None:
-    """The bid amount: the mean believed interaction of the offered decision with the bidder's portfolio.
-
-    None when the bidder is at capacity.
-    """
-    if bidder.id == offer.seller:
-        raise ValueError("sellers do not bid on their own offers")
-    if len(bidder.owned) >= bidder.capacity:
-        return None
-    return mean_external_belief(bidder, offer.decision)
-
-
 def clear_auction(
     offers: Sequence[Offer],
     agents: Sequence[AgentState],
@@ -120,15 +87,17 @@ def clear_auction(
     Offers are processed sequentially in a uniformly random order; bidder
     eligibility (spare capacity) is re-evaluated against the running
     allocation, so a trade earlier in the pass can disqualify or qualify a
-    bidder later in the pass. Bids are collected in agent id order, with the
-    amounts ``bid_utility`` or ``bid_interdependence`` would give.
-    ``contributions[d]`` is decision d's current contribution; only the
-    ``utility`` strategy reads it.
+    bidder later in the pass. Every agent other than the seller with spare
+    capacity bids, in agent id order. Under ``utility`` a bid is
+    ``contributions[offer.decision]`` plus unclamped N(0, sigma) noise, so bids
+    can leave [0, 1]; under ``interdependence`` it is the bidder's
+    ``mean_external_belief`` of the offered decision. ``contributions[d]`` is
+    decision d's current contribution; only the ``utility`` strategy reads it.
 
     The ``utility`` noise is drawn one offer per call: ``normal(0.0, sigma, k)``
     for an offer's k eligible bidders, none when k is 0. That equals one scalar
-    ``normal(0.0, sigma)`` per eligible bidder in id order, as ``bid_utility``
-    draws it, and leaves the generator in the same state.
+    ``normal(0.0, sigma)`` per eligible bidder in id order and leaves the
+    generator in the same state.
     """
     if strategy not in (STRATEGY_UTILITY, STRATEGY_INTERDEPENDENCE):
         raise ValueError(f"unknown auction strategy {strategy!r}")

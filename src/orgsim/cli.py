@@ -96,7 +96,7 @@ def print_summary(results: list[ExperimentResult]) -> None:
     header = f"{'cell':<40} {'reps':>5}" + "".join(f"{f't={t}':>12}" for t in checkpoints) + f"{'ci99':>12}"
     print(header)
     for result in results:
-        row = f"{result.cell:<40} {result.scenario.reps:>5}"
+        row = f"{result.scenario.cell:<40} {result.scenario.reps:>5}"
         for t in checkpoints:
             row += f"{result.mean_norm_perf[t - 1]:>12.6f}"
         row += f"{result.final_half_width:>12.6f}"

@@ -32,9 +32,6 @@ class BeliefCounters:
     q: list[list[int]]
     booked: set[int] = field(default_factory=set)
 
-    def copy(self) -> "BeliefCounters":
-        return BeliefCounters([row.copy() for row in self.p], [row.copy() for row in self.q], set(self.booked))
-
     def pop_changes(self) -> tuple[tuple[int, int, int], ...]:
         """The ``(i * n + j, p, q)`` triples of the entries booked since the previous call, in row-major order;
         the record starts empty again."""

@@ -1,12 +1,12 @@
-"""Agents, incentive schemes, task allocations, and the hillclimbing step.
+"""Agents, incentive schemes, task allocations, and the hillclimbing verdict.
 
 Each of ``m`` agents owns a disjoint subset of the ``n`` decisions. Every
 period an agent evaluates exactly one random single-flip neighbor within its
 own decisions against the status quo, holding everyone else's decisions fixed
 at the previous period, and keeps the status quo on ties.
 
-``agent_utility`` and ``flip_improves`` read the contribution vectors their
-caller holds; only ``hillclimb_step`` derives its two from a landscape.
+``flip_improves`` is that verdict. It and ``agent_utility`` read the
+contribution vectors their caller holds; none of these ops reads a landscape.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .landscape import Landscape, contribution, performance
+from .landscape import performance
 from .learning import BeliefCounters
 
 # Each preset's alpha, its weight on the agent's own performance.
@@ -126,24 +126,3 @@ def flip_improves(
     """Whether a flip that changes the contribution vector from ``before`` to ``after`` strictly raises
     ``agent``'s utility; a tie keeps the status quo."""
     return agent_utility(agent, after, scheme) > agent_utility(agent, before, scheme)
-
-
-def hillclimb_step(
-    agent: AgentState,
-    landscape: Landscape,
-    config: Sequence[int],
-    scheme: IncentiveScheme,
-    rng: np.random.Generator,
-) -> int | None:
-    """One synchronous-period move for ``agent`` against the previous configuration.
-
-    Draws one owned decision uniformly, with exactly one generator draw, and
-    returns it when flipping it strictly improves the agent's utility
-    (``flip_improves``), else None: ties keep the status quo.
-    """
-    flip = agent.owned[int(rng.integers(len(agent.owned)))]
-    candidate = list(config)
-    candidate[flip] ^= 1
-    before = [contribution(landscape, config, j) for j in range(landscape.matrix.n)]
-    after = [contribution(landscape, candidate, j) for j in range(landscape.matrix.n)]
-    return flip if flip_improves(agent, before, after, scheme) else None

@@ -36,16 +36,16 @@ contributions. A proposal's verdict comes from the local utility change Δ over
 those dependents; when |Δ| is within ``VERDICT_GUARD``, a bound on the rounding
 of the full sums, ``flip_improves`` compares the utilities of the contribution
 vector and of a copy with the candidate entries, so every verdict is the one
-``hillclimb_step`` gives. A period's performance is ``performance`` of the
-whole vector, the function that scores the optimum. A verdict depends only on
-the configuration, the ownership and the incentive weights, so it is cached
-per flipped decision and dropped only when a flip lands or an auction clears.
-One ``integers(0, highs)`` call draws the hillclimb positions up to the next
-auction or the horizon, exactly like one scalar draw per agent and period. A
-period that lands no flip with every decision's verdict cached is stalled:
-each cached verdict is "no", so the rest of the interval repeats its
-performance and sizes, and is recorded without a pass over the agents (belief
-snapshots included).
+``flip_improves`` gives on the full vectors. A period's performance is
+``performance`` of the whole vector, the function that scores the optimum. A
+verdict depends only on the configuration, the ownership and the incentive
+weights, so it is cached per flipped decision and dropped only when a flip
+lands or an auction clears. One ``integers(0, highs)`` call draws the hillclimb
+positions up to the next auction or the horizon, exactly like one scalar draw
+per agent and period. A period that lands no flip with every decision's verdict
+cached is stalled: each cached verdict is "no", so the rest of the interval
+repeats its performance and sizes, and is recorded without a pass over the
+agents (belief snapshots included).
 ``tests/test_simulation.py`` and ``tests/test_properties.py`` pin the loop to
 the op-composed reference replication, to exact float equality.
 
@@ -55,8 +55,7 @@ Belief snapshots, when collected, are taken at every period ``s`` with
 the agent's previous snapshot, or since the uniform prior at the first, which
 are exactly the entries that changed. That ``BeliefSnapshots`` value, 1-3 KB
 for a k5 replication of 500 periods, is what a worker sends and what every
-sink receives; ``BeliefSnapshots.counters()`` rebuilds the full counter
-arrays for a caller that needs them.
+sink receives.
 
 The scenario schema lives here and nowhere else: ``ScenarioConfig``'s field
 declarations state each key a scenario file may set, with its value type,
@@ -414,28 +413,14 @@ class BeliefSnapshots:
     ``changes[k][a]`` holds agent a's counter entries that differ at the end of
     period ``periods[k]`` from its previous snapshot, or, at the first snapshot,
     from the uniform prior p = q = 1: one ``(i * n + j, p, q)`` triple per
-    entry, in row-major order. ``counters()`` rebuilds the full arrays.
-    Without collected beliefs ``periods`` and ``changes`` are empty and
-    ``S = 0``.
+    entry, in row-major order. Without collected beliefs ``periods`` and
+    ``changes`` are empty.
     """
 
     periods: tuple[int, ...]
     m: int
     n: int
     changes: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
-
-    def counters(self) -> tuple[np.ndarray, np.ndarray]:
-        """The full int64 counter arrays ``p`` and ``q`` of shape ``(S, m, n, n)``: ``p[k, a]`` is agent a's at
-        ``periods[k]``."""
-        steps, m, n = len(self.periods), self.m, self.n
-        p, q = np.ones((steps, m, n * n), dtype=np.int64), np.ones((steps, m, n * n), dtype=np.int64)
-        for k, agents in enumerate(self.changes):
-            if k:
-                p[k], q[k] = p[k - 1], q[k - 1]
-            for a, entries in enumerate(agents):
-                for entry, p_value, q_value in entries:
-                    p[k, a, entry], q[k, a, entry] = p_value, q_value
-        return p.reshape(steps, m, n, n), q.reshape(steps, m, n, n)
 
 
 @dataclass(eq=False)
@@ -627,10 +612,6 @@ class ExperimentResult:
     ci99_half_width: np.ndarray
 
     @property
-    def cell(self) -> str:
-        return self.scenario.cell
-
-    @property
     def final_mean(self) -> float:
         return float(self.mean_norm_perf[-1])
 
@@ -765,7 +746,7 @@ def write_results_csv(results: Sequence[ExperimentResult], path: str | Path) -> 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("cell,period,mean_norm_perf,ci99_half_width\n")
         for result in results:
-            lead = _LEAD.writerow([result.cell, ""])
+            lead = _LEAD.writerow([result.scenario.cell, ""])
             rows = zip(result.mean_norm_perf.tolist(), result.ci99_half_width.tolist())
             fh.write("".join(f"{lead}{t},{mean!r},{half_width!r}\n" for t, (mean, half_width) in enumerate(rows, 1)))
 

@@ -1,15 +1,18 @@
 """Shared fixtures-in-code for the test suite.
 
-``reference_replication`` re-derives a full replication purely from the public
-ops (hillclimb_step, update_beliefs, the single-bid ops, performance),
-consuming generator draws in the documented order. Each period it applies the
-flips ``hillclimb_step`` returns to a copy of the previous configuration. Its
-auction rounds go through ``reference_clear_auction``, which composes a round
-bid by bid, so a fault inside ``clear_auction`` shows as a difference. The
-engine's optimized loop must match it to exact float equality;
-``assert_matches_reference`` checks that for one replication.
+``reference_replication`` re-derives a full replication from the public ops
+(``flip_improves``, the offer ops, ``update_beliefs``, ``performance``) and
+the twin's own steps below, consuming generator draws in the documented order.
+Each period it applies the flips ``hillclimb_step`` returns to a copy of the
+previous configuration; ``hillclimb_step`` reads every contribution through
+``landscape.contribution``. Its auction rounds go through
+``reference_clear_auction``, which composes a round bid by bid with one scalar
+noise draw per bidder, so a fault inside ``clear_auction`` shows as a
+difference. The engine's optimized loop must match it to exact float
+equality; ``assert_matches_reference`` checks that for one replication.
 """
 
+import copy
 from bisect import insort
 
 import numpy as np
@@ -20,12 +23,11 @@ from orgsim import (
     Landscape,
     ScenarioConfig,
     TradeRecord,
-    bid_interdependence,
-    bid_utility,
     contribution,
-    hillclimb_step,
+    flip_improves,
     init_beliefs,
     initial_allocation,
+    mean_external_belief,
     mirrored_allocation,
     performance,
     replication_rng,
@@ -75,30 +77,60 @@ def contributions_of(land, config):
     return [contribution(land, config, j) for j in range(land.matrix.n)]
 
 
+def hillclimb_step(agent, land, config, scheme, rng):
+    """The twin's hillclimb move for ``agent`` against the previous configuration.
+
+    Draws one owned decision uniformly, with exactly one generator draw, and
+    returns it when flipping it strictly improves the agent's utility
+    (``flip_improves``), else None: ties keep the status quo.
+    """
+    flip = agent.owned[int(rng.integers(len(agent.owned)))]
+    candidate = list(config)
+    candidate[flip] ^= 1
+    before, after = contributions_of(land, config), contributions_of(land, candidate)
+    return flip if flip_improves(agent, before, after, scheme) else None
+
+
+def snapshot_counters(snapshots):
+    """The full int64 counter arrays ``p`` and ``q`` of shape ``(S, m, n, n)`` rebuilt from a
+    ``BeliefSnapshots``'s changes: ``p[k, a]`` is agent a's at ``snapshots.periods[k]``."""
+    steps, m, n = len(snapshots.periods), snapshots.m, snapshots.n
+    p, q = np.ones((steps, m, n * n), dtype=np.int64), np.ones((steps, m, n * n), dtype=np.int64)
+    for k, agents in enumerate(snapshots.changes):
+        if k:
+            p[k], q[k] = p[k - 1], q[k - 1]
+        for a, entries in enumerate(agents):
+            for entry, p_value, q_value in entries:
+                p[k, a, entry], q[k, a, entry] = p_value, q_value
+    return p.reshape(steps, m, n, n), q.reshape(steps, m, n, n)
+
+
 def reference_clear_auction(offers, agents, strategy, contributions, sigma, rng_noise, rng_tie, period):
-    """Slow twin of ``orgsim.auction.clear_auction``, one bid op call per other agent.
+    """Slow twin of ``orgsim.auction.clear_auction``, one bid at a time.
 
     Offers clear in ``rng_tie.permutation`` order against the running
-    allocation. Each offer collects ``(amount, bidder)`` pairs from
-    ``bid_utility`` or ``bid_interdependence`` for every other agent in id
-    order, skipping the ``None`` of a full one. The highest amount wins, a tie
-    drawn with ``rng_tie.integers`` before the reserve check; the sale happens
-    when that amount reaches the reserve, at the best of the other amounts when
-    it strictly exceeds the reserve, else at the reserve.
+    allocation. Each offer collects ``(amount, bidder)`` pairs from every
+    agent other than the seller with spare capacity, in id order. Under
+    ``utility`` the amount is the offered decision's contribution plus one
+    scalar ``rng_noise.normal(0.0, sigma)`` draw; under ``interdependence`` it
+    is the bidder's ``mean_external_belief`` of the decision. The highest
+    amount wins, a tie drawn with ``rng_tie.integers`` before the reserve
+    check; the sale happens when that amount reaches the reserve, at the best
+    of the other amounts when it strictly exceeds the reserve, else at the
+    reserve.
     """
     trades = []
     for position in rng_tie.permutation(len(offers)):
         offer = offers[int(position)]
         bids = []
         for bidder in agents:
-            if bidder.id == offer.seller:
+            if bidder.id == offer.seller or len(bidder.owned) >= bidder.capacity:
                 continue
             if strategy == STRATEGY_UTILITY:
-                amount = bid_utility(bidder, offer, contributions, sigma, rng_noise)
+                amount = float(contributions[offer.decision] + rng_noise.normal(0.0, sigma))
             else:
-                amount = bid_interdependence(bidder, offer)
-            if amount is not None:
-                bids.append((amount, bidder.id))
+                amount = mean_external_belief(bidder, offer.decision)
+            bids.append((amount, bidder.id))
         if not bids:
             continue
         high = max(amount for amount, _ in bids)
@@ -178,7 +210,7 @@ def reference_replication(scenario: ScenarioConfig, rep_index: int):
         normalized.append(perf / land.optimum[1])
         sizes.append([len(a.owned) for a in agents])
         if t % scenario.tau == 0 or t == scenario.horizon:
-            snapshots.append((t, [a.beliefs.copy() for a in agents]))
+            snapshots.append((t, [copy.deepcopy(a.beliefs) for a in agents]))
     return np.array(performance_series), np.array(normalized), np.array(sizes), trades, agents, snapshots
 
 
@@ -200,7 +232,7 @@ def assert_matches_reference(scenario: ScenarioConfig, rep_index: int) -> None:
     for changes, (_, theirs) in zip(taken.changes, snapshots, strict=True):
         assert changes == tuple(changed_entries(old, new) for old, new in zip(previous, theirs, strict=True))
         previous = theirs
-    taken_p, taken_q = taken.counters()
+    taken_p, taken_q = snapshot_counters(taken)
     assert taken_p.shape == taken_q.shape == (len(snapshots), scenario.m, scenario.n, scenario.n)
     for k, (_, theirs) in enumerate(snapshots):
         for a, expected in enumerate(theirs):

@@ -61,7 +61,7 @@ def desk_grid():
     """Shared 18-cell grid at desk scale: 100 reps, 500 periods, seed 0."""
     base = ScenarioConfig(structure="k2", incentive=BALANCED, strategy="utility",
                           reps=100, horizon=500, seed=0)
-    return {result.cell: result for result in run_grid(expand_grid(base))}
+    return {result.scenario.cell: result for result in run_grid(expand_grid(base))}
 
 
 def test_criterion_1_oracle_equivalence():

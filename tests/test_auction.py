@@ -1,6 +1,7 @@
 """Offer selection, bidding, and sequential second-price clearing."""
 
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -12,11 +13,8 @@ from orgsim import (
     Offer,
     ScenarioConfig,
     TradeRecord,
-    bid_interdependence,
-    bid_utility,
     clear_auction,
     contribution,
-    mean_external_belief,
     mean_internal_belief,
     replication_rng,
     run_replication,
@@ -82,67 +80,6 @@ class TestSelectOfferInterdependence:
         assert picks == {0, 1, 2}
 
 
-class TestBidUtility:
-    def test_sigma_zero_bids_exact_contribution(self):
-        land = k0_landscape([(0.8, 0.1), (0.35, 0.9)])
-        bidder = make_agent(1, [0], capacity=3, n=2)
-        offer = Offer(seller=0, decision=1, min_price=0.2)
-        assert bid_utility(bidder, offer, contributions_of(land, [0, 0]), 0.0, np.random.default_rng(0)) == 0.35
-
-    def test_capacity_blocks_bid(self):
-        land = k0_landscape([(0.8, 0.1), (0.35, 0.9)])
-        bidder = make_agent(1, [0], capacity=1, n=2)
-        offer = Offer(seller=0, decision=1, min_price=0.2)
-        assert bid_utility(bidder, offer, contributions_of(land, [0, 0]), 0.0, np.random.default_rng(0)) is None
-
-    def test_seller_cannot_bid(self):
-        land = k0_landscape([(0.8, 0.1), (0.35, 0.9)])
-        seller = make_agent(0, [1, 0], capacity=5, n=2)
-        offer = Offer(seller=0, decision=1, min_price=0.2)
-        with pytest.raises(ValueError, match="own offers"):
-            bid_utility(seller, offer, contributions_of(land, [0, 0]), 0.0, np.random.default_rng(0))
-
-    def test_noise_statistics(self):
-        land = k0_landscape([(0.8, 0.1), (0.5, 0.9)])
-        bidder = make_agent(1, [0], capacity=3, n=2)
-        offer = Offer(seller=0, decision=1, min_price=0.2)
-        current = contributions_of(land, [0, 0])
-        rng = np.random.default_rng(123)
-        noise = np.array([
-            bid_utility(bidder, offer, current, 0.05, rng) - 0.5 for _ in range(4000)
-        ])
-        assert abs(noise.mean()) < 0.003
-        assert 0.044 < noise.std(ddof=1) < 0.056
-
-    def test_bids_are_unclamped(self):
-        land = k0_landscape([(0.02, 0.1), (0.98, 0.9)])
-        bidder = make_agent(1, [0], capacity=3, n=2)
-        rng = np.random.default_rng(7)
-        current = contributions_of(land, [0, 0])
-        low = [bid_utility(bidder, Offer(2, 0, 0.0), current, 0.5, rng) for _ in range(200)]
-        assert min(low) < 0.0
-        assert max(low) > 1.0
-
-
-class TestBidInterdependence:
-    def test_amount_is_mean_external_belief(self):
-        bidder = make_agent(1, [2, 3], capacity=5, n=6)
-        bidder.beliefs.p[0][2] = 4  # belief 0.8
-        offer = Offer(seller=0, decision=0, min_price=0.1)
-        amount = bid_interdependence(bidder, offer)
-        assert amount == mean_external_belief(bidder, 0)
-        assert amount == (0.8 + 0.5) / 2
-
-    def test_capacity_blocks_bid(self):
-        bidder = make_agent(1, [2, 3], capacity=2, n=6)
-        assert bid_interdependence(bidder, Offer(0, 0, 0.1)) is None
-
-    def test_seller_cannot_bid(self):
-        seller = make_agent(0, [0, 1], capacity=5, n=6)
-        with pytest.raises(ValueError, match="own offers"):
-            bid_interdependence(seller, Offer(seller=0, decision=1, min_price=0.1))
-
-
 class TestClearAuction:
     def setup_three_agents(self, contributions, capacities=(5, 5, 5)):
         """k=0 landscape; agent a owns decisions {2a, 2a+1}; config all zeros."""
@@ -196,6 +133,28 @@ class TestClearAuction:
         assert trades[0].winner == 1  # agent 2 is at capacity
         assert trades[0].price == 0.2
         assert trades[0].winning_bid == 0.5
+
+    @pytest.mark.parametrize("strategy", ["utility", "interdependence"])
+    def test_full_agent_does_not_bid(self, strategy):
+        # agent 2 is full. Were it to bid, its 0.5 would tie agent 1's under utility, and its belief
+        # (0.9 + 0.5) / 2 would beat agent 1's 0.5 under interdependence.
+        offer = Offer(seller=0, decision=0, min_price=0.2)
+        for seed in range(20):
+            land, agents, config = self.setup_three_agents([(0.5, 0.1)] * 6, capacities=(5, 5, 2))
+            agents[2].beliefs.p[0][4] = 9
+            trades = clear_auction([offer], agents, strategy, contributions_of(land, config), 0.0,
+                                   np.random.default_rng(seed), np.random.default_rng(seed + 1), 25)
+            assert [(t.winner, t.price) for t in trades] == [(1, 0.2)]
+
+    def test_bids_are_unclamped(self):
+        # agent 1 is the one bidder with spare capacity, and every bid clears the reserve
+        offer = Offer(seller=0, decision=0, min_price=-math.inf)
+        winning = []
+        for seed in range(200):
+            land, agents, config = self.setup_three_agents([(0.5, 0.1)] * 6, capacities=(5, 5, 2))
+            winning.append(self.run(land, agents, config, [offer], sigma=0.5, seed=seed)[0].winning_bid)
+        assert min(winning) < 0.0
+        assert max(winning) > 1.0
 
     def test_no_trade_below_reserve(self):
         land, agents, config = self.setup_three_agents([(0.3, 0.1)] * 6)
@@ -273,9 +232,9 @@ class TestNoiseBatching:
     @pytest.mark.parametrize("sigma", [0.0, 0.05, 0.3, 2.0])
     def test_one_call_per_offer_draws_like_scalar_draws(self, sigma):
         """``clear_auction`` draws an offer's bid noise with one ``normal(0.0, sigma, k)``
-        call; it must give the k scalar ``normal(0.0, sigma)`` draws ``bid_utility``
-        makes, bit for bit, and leave the stream where they leave it (numpy 2.4.6
-        behaviour)."""
+        call; it must give the k scalar ``normal(0.0, sigma)`` draws that
+        ``reference_clear_auction`` makes, one per bidder, bit for bit, and leave the
+        stream where they leave it (numpy 2.4.6 behaviour)."""
         for seed in range(8):
             batch = replication_rng(seed, 1, 2, ROLE_NOISE)
             scalar = replication_rng(seed, 1, 2, ROLE_NOISE)

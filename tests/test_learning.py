@@ -1,5 +1,7 @@
 """Beta-Bernoulli interdependence learning."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -32,21 +34,6 @@ class TestInitBeliefs:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             init_beliefs(0)
-
-    def test_copy_is_independent(self):
-        counters = init_beliefs(3)
-        clone = counters.copy()
-        counters.p[0][1] += 5
-        counters.q[2][0] += 5
-        assert clone.p[0][1] == 1 and clone.q[2][0] == 1
-
-    def test_copy_keeps_its_own_booking_record(self):
-        agent = make_agent([0, 1, 2], n=3)
-        update_beliefs(agent, 0, [0.1, 0.2, 0.3], [0.2, 0.2, 0.4])
-        clone = agent.beliefs.copy()
-        update_beliefs(agent, 1, [0.1, 0.2, 0.3], [0.1, 0.3, 0.3])
-        assert clone.pop_changes() == ((1, 1, 2), (2, 2, 1))
-        assert agent.beliefs.pop_changes() == ((1, 1, 2), (2, 2, 1), (3, 1, 2), (5, 1, 2))
 
 
 class TestBelief:
@@ -130,7 +117,7 @@ class TestPopChanges:
         booked = 0
         for _ in range(10):
             agents = [AgentState(a, owned, capacity=n, beliefs=init_beliefs(n)) for a, owned in enumerate(portfolios())]
-            taken = [agent.beliefs.copy() for agent in agents]
+            taken = [copy.deepcopy(agent.beliefs) for agent in agents]
             for step in range(1, 61):
                 if step % 15 == 0:
                     for agent, owned in zip(agents, portfolios()):
@@ -140,7 +127,7 @@ class TestPopChanges:
                         batch = agent.beliefs.pop_changes()
                         assert batch == changed_entries(taken[a], agent.beliefs)
                         assert agent.beliefs.pop_changes() == ()
-                        taken[a] = agent.beliefs.copy()
+                        taken[a] = copy.deepcopy(agent.beliefs)
                         booked += len(batch)
                     continue
                 before = (rng.integers(0, 2, n) / 2).tolist()

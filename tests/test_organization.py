@@ -1,4 +1,4 @@
-"""Incentives, allocations, and the synchronous hillclimbing step."""
+"""Incentives, allocations, the hillclimb verdict, and the twin's synchronous hillclimbing step."""
 
 import numpy as np
 import pytest
@@ -10,13 +10,12 @@ from orgsim import (
     Landscape,
     agent_utility,
     flip_improves,
-    hillclimb_step,
     initial_allocation,
     mirrored_allocation,
     performance,
 )
 from orgsim.landscape import DECOMPOSABLE_K2, build_stylized_matrix, generate_landscape
-from helpers import contributions_of, k0_landscape, make_agent
+from helpers import contributions_of, hillclimb_step, k0_landscape, make_agent
 
 
 class TestIncentiveScheme:

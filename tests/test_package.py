@@ -26,9 +26,9 @@ EXPORTS = {
                  "performance random_matrix",
     "learning": "BeliefCounters belief init_beliefs mean_external_belief mean_internal_belief update_beliefs",
     "organization": "INCENTIVE_PRESETS AgentState Allocation IncentiveScheme agent_utility flip_improves "
-                    "hillclimb_step initial_allocation mirrored_allocation",
-    "auction": "STRATEGY_INTERDEPENDENCE STRATEGY_UTILITY Offer TradeRecord bid_interdependence bid_utility "
-               "clear_auction select_offer_interdependence select_offer_utility",
+                    "initial_allocation mirrored_allocation",
+    "auction": "STRATEGY_INTERDEPENDENCE STRATEGY_UTILITY Offer TradeRecord clear_auction "
+               "select_offer_interdependence select_offer_utility",
     "simulation": "CI99_Z GRID_STRUCTURES ROLE_HILLCLIMB ROLE_INIT "
                   "ROLE_LANDSCAPE ROLE_NOISE ROLE_TIEBREAK STRATEGIES STRATEGY_BENCHMARK BeliefSnapshots "
                   "ExperimentResult LedgerSink ReplicationResult ScenarioConfig aggregate_norm_series "

@@ -41,7 +41,7 @@ from orgsim.simulation import ROLE_HILLCLIMB, BeliefSnapshots, cells_from_dict
 from orgsim.landscape import DECOMPOSABLE_K2, NONDECOMPOSABLE_K5, Landscape, build_stylized_matrix
 from orgsim.organization import flip_improves
 import helpers
-from helpers import assert_matches_reference, changed_entries
+from helpers import assert_matches_reference, changed_entries, snapshot_counters
 
 BALANCED = IncentiveScheme.parse("balanced")
 INDIVIDUALISTIC = IncentiveScheme.parse("individualistic")
@@ -313,17 +313,17 @@ class TestRunReplication:
     def test_belief_snapshots_opt_in(self):
         bare = run_replication(scenario(), 0).belief_snapshots
         assert bare.periods == bare.changes == ()
-        assert bare.counters()[0].shape == bare.counters()[1].shape == (0, 2, 6, 6)
+        assert snapshot_counters(bare)[0].shape == snapshot_counters(bare)[1].shape == (0, 2, 6, 6)
         result = run_replication(scenario(horizon=10), 0, collect_beliefs=True)
         assert result.belief_snapshots.periods == (5, 10)
-        assert result.belief_snapshots.counters()[0].shape == (2, 2, 6, 6)
+        assert snapshot_counters(result.belief_snapshots)[0].shape == (2, 2, 6, 6)
 
     def test_belief_snapshots_at_tau_multiples_and_the_horizon(self):
         config = scenario(horizon=12, strategy="interdependence", seed=4)
         result = run_replication(config, 0, collect_beliefs=True)
         snapshots = result.belief_snapshots
         assert list(snapshots.periods) == [5, 10, 12]
-        p, q = snapshots.counters()
+        p, q = snapshot_counters(snapshots)
         assert p.shape == q.shape == (3, config.m, config.n, config.n)
         assert p.dtype == q.dtype == np.int64
         for a, agent in enumerate(result.agents):
@@ -333,13 +333,13 @@ class TestRunReplication:
     def test_belief_snapshots_are_copies(self):
         result = run_replication(scenario(horizon=12), 0, collect_beliefs=True)
         snapshots = result.belief_snapshots
-        before_p, before_q = snapshots.counters()
+        before_p, before_q = snapshot_counters(snapshots)
         for agent in result.agents:
             for row in agent.beliefs.p:
                 row[:] = [value + 7 for value in row]
             for row in agent.beliefs.q:
                 row[:] = [1] * len(row)
-        after_p, after_q = snapshots.counters()
+        after_p, after_q = snapshot_counters(snapshots)
         assert np.array_equal(after_p, before_p)
         assert np.array_equal(after_q, before_q)
 
@@ -383,7 +383,7 @@ class TestBeliefSnapshots:
             p, q = random_counters(rng, steps, m, n)
             snapshots = snapshots_of(periods, p, q)
             assert (snapshots.periods, snapshots.m, snapshots.n) == (periods, m, n)
-            rebuilt_p, rebuilt_q = snapshots.counters()
+            rebuilt_p, rebuilt_q = snapshot_counters(snapshots)
             assert rebuilt_p.dtype == rebuilt_q.dtype == np.int64
             assert np.array_equal(rebuilt_p, p)
             assert np.array_equal(rebuilt_q, q)
@@ -400,7 +400,7 @@ class TestBeliefSnapshots:
             ((), ((2, 3, 1),)),
         )
         snapshots = BeliefSnapshots((5, 10, 12), 2, 2, changes)
-        rebuilt_p, rebuilt_q = snapshots.counters()
+        rebuilt_p, rebuilt_q = snapshot_counters(snapshots)
         assert np.array_equal(rebuilt_p, p)
         assert np.array_equal(rebuilt_q, q)
         assert snapshots_of((5, 10, 12), p, q).changes == changes
@@ -409,7 +409,7 @@ class TestBeliefSnapshots:
     def test_payload_is_a_fiftieth_of_the_full_counters(self, strategy):
         config = ScenarioConfig(structure="k5", incentive=BALANCED, strategy=strategy, reps=1, seed=2)
         snapshots = run_replication(config, 0, collect_beliefs=True).belief_snapshots
-        p, q = snapshots.counters()
+        p, q = snapshot_counters(snapshots)
         assert p.shape == (20, 5, 15, 15)
         assert len(pickle.dumps(snapshots)) <= (p.nbytes + q.nbytes) / 50
 
@@ -510,7 +510,7 @@ class TestAggregation:
 class TestRunExperiment:
     def test_shapes_and_bounds(self):
         result = run_experiment(scenario())
-        assert result.cell == "k2-balanced-utility"
+        assert result.scenario.cell == "k2-balanced-utility"
         assert result.mean_norm_perf.shape == (20,)
         assert result.ci99_half_width.shape == (20,)
         assert np.all(result.mean_norm_perf > 0)
@@ -533,7 +533,7 @@ class TestRunExperiment:
         for _, rep, snapshots in beliefs.calls:
             expected = run_replication(config, rep, collect_beliefs=True).belief_snapshots
             assert snapshots.periods == expected.periods == (5, 10)
-            for got, want in zip(snapshots.counters(), expected.counters(), strict=True):
+            for got, want in zip(snapshot_counters(snapshots), snapshot_counters(expected), strict=True):
                 assert np.array_equal(got, want)
 
     def test_trades_tagged_by_rep(self):
@@ -683,14 +683,14 @@ class TestRunGrid:
         results = run_grid(expand_grid(scenario(reps=1, horizon=4, n=6, m=2, tau=3)))
         assert len(results) == 18
         assert [r.scenario.cell_index for r in results] == list(range(18))
-        assert results[0].cell == "k2-individualistic-utility"
-        assert results[-1].cell == "k5-altruistic-benchmark"
-        assert len({r.cell for r in results}) == 18
+        assert results[0].scenario.cell == "k2-individualistic-utility"
+        assert results[-1].scenario.cell == "k5-altruistic-benchmark"
+        assert len({r.scenario.cell for r in results}) == 18
 
     def test_restricted_axes(self):
         results = run_grid(expand_grid(scenario(reps=1, horizon=4), structures=["k2"],
                                        incentives=["balanced"], strategies=["utility", "benchmark"]))
-        assert [r.cell for r in results] == ["k2-balanced-utility", "k2-balanced-benchmark"]
+        assert [r.scenario.cell for r in results] == ["k2-balanced-utility", "k2-balanced-benchmark"]
         assert [r.scenario.cell_index for r in results] == [0, 1]
 
     def test_pool_sized_by_total_replications(self, inline_executor):
@@ -840,7 +840,7 @@ class TestWriters:
         writer.writerow(["cell", "period", "mean_norm_perf", "ci99_half_width"])
         for result in results:
             for t, (mean, half_width) in enumerate(zip(result.mean_norm_perf, result.ci99_half_width), start=1):
-                writer.writerow([result.cell, t, repr(float(mean)), repr(float(half_width))])
+                writer.writerow([result.scenario.cell, t, repr(float(mean)), repr(float(half_width))])
         assert path.read_bytes() == expected.getvalue().encode()
         assert '\n"a,""b-balanced-utility",1,' in expected.getvalue()
 
@@ -1077,7 +1077,7 @@ def row_by_row_beliefs_csv(cells) -> str:
 
 def write_snapshot_rows(writer, prefix, rep, snapshots) -> None:
     """One csv.writer row per snapshot, agent and off-diagonal (i, j), read entry by entry."""
-    counters_p, counters_q = snapshots.counters()
+    counters_p, counters_q = snapshot_counters(snapshots)
     _, m, n, _ = counters_p.shape
     for k, period in enumerate(snapshots.periods):
         for agent_id in range(m):
