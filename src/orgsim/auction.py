@@ -19,13 +19,14 @@ interacts with the bidder's portfolio.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import InvariantViolation
 from .learning import mean_external_belief, mean_internal_belief
 from .organization import AgentState
+
+if TYPE_CHECKING:
+    import numpy as np
 
 STRATEGY_UTILITY = "utility"
 STRATEGY_INTERDEPENDENCE = "interdependence"

@@ -29,8 +29,6 @@ from pathlib import Path
 # orgsim does no BLAS work, and an idle BLAS thread pool costs CPU at import; a user's setting is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfigError, InvariantViolation
 from .landscape import generate_landscape, random_matrix
@@ -154,6 +152,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise ConfigError(f"oracle enumeration is limited to n <= {ORACLE_MAX_N}, got n={args.n}")
     if args.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {args.seed}")
+    import numpy as np
+
     rng = np.random.default_rng(args.seed)
     matrix = random_matrix(args.n, args.k, rng)
     landscape = generate_landscape(matrix, rng)

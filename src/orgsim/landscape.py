@@ -4,7 +4,10 @@ A task environment has ``n`` binary decisions. The contribution of decision
 ``j`` is read from a lookup table indexed by the joint state of ``j`` and the
 decisions it depends on; overall performance of a configuration is the mean
 contribution. Interaction structure is a boolean matrix where row ``j`` marks
-the decisions that ``j``'s contribution depends on (diagonal always set).
+the decisions that ``j``'s contribution depends on (diagonal always set), held
+in plain Python as each row's set columns. Only the optimum and its index
+arrays import numpy, inside the functions that build them, so building,
+reading and checking a structure loads no numpy.
 
 Table indexing convention: the own decision is the highest-order bit, the
 remaining dependencies follow in ascending decision index. A decision with
@@ -25,12 +28,13 @@ scan of all ``2**n`` configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The stylized structures' scenario tokens. Both are built from blocks of three decisions.
 DECOMPOSABLE_K2 = "k2"
@@ -55,77 +59,121 @@ _SCAN_TAIL = 8
 GAP = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class InteractionMatrix:
-    """Square boolean dependency structure.
+    """Square boolean dependency structure, held as each row's set columns.
 
-    ``entries[j, i]`` is True when the contribution of decision ``j`` depends
-    on decision ``i``. The diagonal is always True: every contribution depends
-    on its own decision. ``n`` is the decision count, ``len(dependencies(j))``
-    decision ``j``'s dependency count; a landscape reads both through ``matrix``.
+    Built from a square 0/1 matrix (a numpy array or nested sequences) whose
+    entry ``[j, i]`` is true when the contribution of decision ``j`` depends on
+    decision ``i``. ``entries[j]`` holds row ``j``'s set columns, ascending:
+    the decisions ``j``'s contribution depends on, ``j`` itself included,
+    since every contribution depends on its own decision. So ``i in
+    entries[j]`` reads entry ``[j, i]``, and a matrix costs memory in its set
+    entries, not in ``n**2``. ``n`` is the decision count,
+    ``len(dependencies(j))`` decision ``j``'s dependency count; a landscape
+    reads both through ``matrix``.
 
     ``orders[j]`` is decision ``j``'s table index order, derived once from
     ``entries``: ``(j, dep_0, dep_1, ...)`` with the dependencies ascending, so
     the own decision is the highest-order bit. Every landscape drawn on the
     matrix reads these tuples.
 
-    ``components`` are the connected components of ``entries | entries.T``,
-    each ascending, in the order of their first decisions, and empty above
-    ``ENUMERATION_LIMIT`` decisions, where no optimum is sought. When there are
-    several and none has more than ``_SCAN_TAIL`` decisions, ``gathers`` holds
-    one ``(members, index)`` pair per component size: ``members[c]`` lists the
-    decisions of the c-th component of that size, and ``index[c, r, code]`` is
-    the position of member r's contribution, under the component configuration
-    ``code`` (first member as the highest-order bit), in the tables
-    concatenated in decision order, read through the scan's view :func:`_view`.
-    Otherwise ``gathers`` is empty and :func:`global_optimum` scans. Both are
-    derived here, so they travel with a pickled matrix.
+    ``components`` are the connected components of the dependency graph read
+    in either direction, each ascending, in the order of their first
+    decisions, and empty above ``ENUMERATION_LIMIT`` decisions, where no
+    optimum is sought. Both are derived here, so they travel with a pickled
+    matrix; :attr:`gathers` does not.
     """
 
-    entries: np.ndarray
-    orders: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    components: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
-    gathers: tuple[tuple[np.ndarray, np.ndarray], ...] = field(init=False, repr=False)
+    entries: tuple[tuple[int, ...], ...]
+    orders: tuple[tuple[int, ...], ...] = field(repr=False)
+    components: tuple[tuple[int, ...], ...] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        entries = np.asarray(self.entries, dtype=bool)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise ConfigError(f"interaction matrix must be square, got shape {entries.shape}")
-        if entries.shape[0] < 1:
+    def __init__(self, entries: Sequence[Sequence[object]]) -> None:
+        n = len(entries)
+        if n < 1:
             raise ConfigError("interaction matrix must have at least one decision")
-        if not entries.diagonal().all():
-            missing = int(np.flatnonzero(~entries.diagonal())[0])
-            raise ConfigError(f"diagonal must be all ones; decision {missing} does not depend on itself")
-        object.__setattr__(self, "entries", entries)
-        orders = tuple((j, *(i for i in np.flatnonzero(row).tolist() if i != j)) for j, row in enumerate(entries))
-        object.__setattr__(self, "orders", orders)
-        components = _components(entries) if len(entries) <= ENUMERATION_LIMIT else ()
+        for row in entries:
+            if len(row) != n:
+                raise ConfigError(f"interaction matrix must be square, got {n} rows, one of {len(row)} entries")
+        self._derive(tuple(tuple(i for i, value in enumerate(row) if value) for row in entries))
+
+    @classmethod
+    def _from_columns(cls, columns: tuple[tuple[int, ...], ...]) -> InteractionMatrix:
+        """The matrix whose row ``j`` sets exactly the ascending columns ``columns[j]``."""
+        matrix = cls.__new__(cls)
+        matrix._derive(columns)
+        return matrix
+
+    def _derive(self, columns: tuple[tuple[int, ...], ...]) -> None:
+        for j, row in enumerate(columns):
+            if j not in row:
+                raise ConfigError(f"diagonal must be all ones; decision {j} does not depend on itself")
+        object.__setattr__(self, "entries", columns)
+        object.__setattr__(self, "orders", tuple((j, *(i for i in row if i != j)) for j, row in enumerate(columns)))
+        components = _components(columns) if len(columns) <= ENUMERATION_LIMIT else ()
         object.__setattr__(self, "components", components)
-        decomposes = len(components) > 1 and all(len(members) <= _SCAN_TAIL for members in components)
-        object.__setattr__(self, "gathers", _gathers(orders, components) if decomposes else ())
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return len(self.entries)
+
+    @property
+    def gathers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """The matrix's index arrays for the optimum by components, or ``()`` when it is not solved that way.
+
+        When there are several components and none has more than ``_SCAN_TAIL``
+        decisions, one ``(members, index)`` pair per component size:
+        ``members[c]`` lists the decisions of the c-th component of that size,
+        and ``index[c, r, code]`` is the position of member r's contribution,
+        under the component configuration ``code`` (first member as the
+        highest-order bit), in the tables concatenated in decision order, read
+        through the scan's view :func:`_view`. Built with numpy on first read
+        in each process and kept per structure by :func:`_gathers`, so a
+        pickled matrix carries no index arrays and a worker builds them once.
+        """
+        return _gathers(self.orders, self.components)
 
     def dependencies(self, j: int) -> list[int]:
         """Decisions other than ``j`` that ``j``'s contribution depends on, ascending."""
         return list(self.orders[j][1:])
 
 
-def _components(entries: np.ndarray) -> tuple[tuple[int, ...], ...]:
+def _components(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Connected components of the dependency graph read in either direction, each ascending.
 
-    Squaring the linked matrix ``k`` times links every pair joined by a path of
-    at most ``2**k`` steps, so ``(n - 1).bit_length()`` squarings give the
-    transitive closure; its rows are the components.
+    ``rows[j]`` lists the decisions ``j`` depends on. A walk from each decision
+    not yet reached follows every link both ways, so the cost is O(n + links).
+    Each walk starts at the smallest decision left, which is its component's
+    first, so the components come in the order of their first decisions.
     """
-    reach = entries | entries.T
-    for _ in range((len(entries) - 1).bit_length()):
-        reach = reach @ reach
-    return tuple(sorted({tuple(np.flatnonzero(row).tolist()) for row in reach}))
+    links = [set(row) for row in rows]
+    for j, row in enumerate(rows):
+        for i in row:
+            links[i].add(j)
+    reached = [False] * len(rows)
+    components = []
+    for start in range(len(rows)):
+        if reached[start]:
+            continue
+        reached[start] = True
+        stack, members = [start], []
+        while stack:
+            j = stack.pop()
+            members.append(j)
+            for i in links[j]:
+                if not reached[i]:
+                    reached[i] = True
+                    stack.append(i)
+        components.append(tuple(sorted(members)))
+    return tuple(components)
 
 
+# Structures whose gathers one process keeps; the paper grid has two, only one of which decomposes.
+_GATHERS_KEPT = 16
+
+
+@lru_cache(maxsize=_GATHERS_KEPT)
 def _gathers(
     orders: tuple[tuple[int, ...], ...], components: tuple[tuple[int, ...], ...]
 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -134,6 +182,10 @@ def _gathers(
     Member j's positions in the concatenated tables, viewed through :func:`_view` over its component and
     broadcast along the members j does not read, are its positions under every component code.
     """
+    if len(components) < 2 or any(len(members) > _SCAN_TAIL for members in components):
+        return ()
+    import numpy as np
+
     offsets = np.cumsum([0] + [1 << len(order) for order in orders])
     groups: dict[int, list[tuple[int, ...]]] = {}
     for members in components:
@@ -144,7 +196,9 @@ def _gathers(
         for c, members in enumerate(group):
             for r, j in enumerate(members):
                 index[c, r] = _view(np.arange(offsets[j], offsets[j + 1]), orders[j], members)
-        gathers.append((np.array(group, dtype=np.intp), index.reshape(len(group), size, 1 << size)))
+        members, index = np.array(group, dtype=np.intp), index.reshape(len(group), size, 1 << size)
+        members.flags.writeable = index.flags.writeable = False  # every reader in the process shares them
+        gathers.append((members, index))
     return tuple(gathers)
 
 
@@ -168,35 +222,32 @@ def build_stylized_matrix(kind: str, n: int) -> InteractionMatrix:
     """
     if n < BLOCK_SIZE or n % BLOCK_SIZE != 0:
         raise ConfigError(f"n={n} is not a positive multiple of the block size {BLOCK_SIZE}")
-
-    entries = np.kron(np.eye(n // BLOCK_SIZE, dtype=bool), np.ones((BLOCK_SIZE, BLOCK_SIZE), dtype=bool))
-    if kind == DECOMPOSABLE_K2:
-        return InteractionMatrix(entries)
-    if kind != NONDECOMPOSABLE_K5:
+    if kind not in (DECOMPOSABLE_K2, NONDECOMPOSABLE_K5):
         raise ConfigError(f"unknown stylized structure {kind!r}")
 
-    if n < 2 * BLOCK_SIZE:
-        raise ConfigError(f"nondecomposable_k5 needs n >= {2 * BLOCK_SIZE}, got {n}")
-    for j in range(n):
-        for offset in (3, 6, 9):
-            cand = (j + offset) % n
-            # n >= 6 leaves each row three unset entries, so the walk ends.
-            while entries[j, cand]:
-                cand = (cand + 1) % n
-            entries[j, cand] = True
-    return InteractionMatrix(entries)
+    rows = [set(range(j - j % BLOCK_SIZE, j - j % BLOCK_SIZE + BLOCK_SIZE)) for j in range(n)]
+    if kind == NONDECOMPOSABLE_K5:
+        if n < 2 * BLOCK_SIZE:
+            raise ConfigError(f"nondecomposable_k5 needs n >= {2 * BLOCK_SIZE}, got {n}")
+        for j, row in enumerate(rows):
+            for offset in (3, 6, 9):
+                cand = (j + offset) % n
+                # n >= 6 leaves each row three unset entries, so the walk ends.
+                while cand in row:
+                    cand = (cand + 1) % n
+                row.add(cand)
+    return InteractionMatrix._from_columns(tuple(tuple(sorted(row)) for row in rows))
 
 
 def random_matrix(n: int, k: int, rng: np.random.Generator) -> InteractionMatrix:
     """Random structure where every decision depends on ``k`` distinct others."""
     if not 0 <= k <= n - 1:
         raise ConfigError(f"k must be in [0, n-1]; got k={k}, n={n}")
-    entries = np.eye(n, dtype=bool)
+    columns = []
     for j in range(n):
-        others = np.delete(np.arange(n), j)
-        picks = rng.choice(others, size=k, replace=False)
-        entries[j, picks] = True
-    return InteractionMatrix(entries)
+        picks = rng.choice([i for i in range(n) if i != j], size=k, replace=False)
+        columns.append(tuple(sorted([j, *picks.tolist()])))
+    return InteractionMatrix._from_columns(tuple(columns))
 
 
 def load_matrix(path: str) -> InteractionMatrix:
@@ -204,6 +255,8 @@ def load_matrix(path: str) -> InteractionMatrix:
 
     Format: first non-blank line holds ``n``; the next ``n`` lines hold ``n``
     whitespace-separated 0/1 entries each (row j = dependencies of decision j).
+    Each row is kept as its set columns, so a large file costs memory in its
+    set entries, not in ``n**2``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -226,18 +279,22 @@ def load_matrix(path: str) -> InteractionMatrix:
     if len(lines) - 1 != n:
         raise ConfigError(f"{path}: expected {n} matrix rows, found {len(lines) - 1}")
 
-    entries = np.zeros((n, n), dtype=bool)
+    columns = []
     for j, (line_no, line) in enumerate(lines[1:]):
         cells = line.split()
         if len(cells) != n:
             raise ConfigError(f"{path}:{line_no}: expected {n} entries, found {len(cells)}")
-        bad = [cell for cell in cells if cell != "0" and cell != "1"]
-        if bad:
-            raise ConfigError(f"{path}:{line_no}: entries must be 0 or 1, got {bad[0]!r}")
-        if cells[j] != "1":
+        row = "".join(cells)
+        if len(row) != n or row.count("0") + row.count("1") != n:  # some cell is not a single 0 or 1
+            bad = next(cell for cell in cells if cell != "0" and cell != "1")
+            raise ConfigError(f"{path}:{line_no}: entries must be 0 or 1, got {bad!r}")
+        if row[j] != "1":
             raise ConfigError(f"{path}:{line_no}: diagonal entry for decision {j} must be 1")
-        entries[j] = np.frombuffer("".join(cells).encode("ascii"), dtype=np.uint8) == ord("1")
-    return InteractionMatrix(entries)
+        ones = [row.index("1")]
+        while (i := row.find("1", ones[-1] + 1)) >= 0:
+            ones.append(i)
+        columns.append(tuple(ones))
+    return InteractionMatrix._from_columns(tuple(columns))
 
 
 @dataclass(eq=False)
@@ -347,6 +404,8 @@ def _optimum_by_components(landscape: Landscape) -> np.ndarray | None:
     gathers = landscape.matrix.gathers
     if not gathers:
         return None
+    import numpy as np
+
     flat = np.concatenate(landscape.tables)
     if not np.abs(flat).max() <= 1.0:  # also rejects NaN
         return None
@@ -378,6 +437,8 @@ def _scan(landscape: Landscape) -> np.ndarray:
     into zeroed totals, so each configuration's total is summed in the order
     :func:`performance` uses.
     """
+    import numpy as np
+
     n = landscape.matrix.n
     views = [_view(table, order, range(n)) for table, order in zip(landscape.tables, landscape.matrix.orders)]
     fixed = max(n - (_SCAN_CHUNK.bit_length() - 1), 0)

@@ -11,12 +11,13 @@ CLI subcommand prints the same tables for manual inspection.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigError
 from .landscape import Landscape
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Printing full tables is only sane for tiny environments.
 ORACLE_MAX_N = 4
@@ -51,6 +52,8 @@ def brute_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
     Compares raw contribution sums rather than means so that tie handling is
     decided before the final division, like the engine's chunked scan.
     """
+    import numpy as np
+
     n = landscape.matrix.n
     best_config: tuple[int, ...] | None = None
     best_total = -float("inf")

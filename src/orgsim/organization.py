@@ -12,13 +12,14 @@ contribution vectors their caller holds; none of these ops reads a landscape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ConfigError
 from .landscape import performance
 from .learning import BeliefCounters
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Each preset's alpha, its weight on the agent's own performance.
 INCENTIVE_PRESETS = {"individualistic": 1.0, "balanced": 0.5, "altruistic": 0.25}

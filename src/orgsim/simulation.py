@@ -77,6 +77,10 @@ not grow with the ledgers. The beliefs ledger keeps each agent's row text
 for the replication, starting from the prior's, rewrites only the rows of
 the entries a snapshot changed, and writes each snapshot's rows as soon as
 they are built.
+
+numpy is imported inside the functions that compute with it, so checking
+cells, ``validate`` and every rejected run load none. A run that opens a pool
+imports it before the pool starts, so forked workers inherit it.
 """
 
 from __future__ import annotations
@@ -92,9 +96,7 @@ from functools import cached_property
 from itertools import islice, product
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterator, Mapping, Protocol, Sequence, TextIO, get_type_hints
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Mapping, Protocol, Sequence, TextIO, get_type_hints
 
 from . import __version__
 from .auction import (
@@ -126,6 +128,9 @@ from .organization import (
     initial_allocation,
     mirrored_allocation,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 STRATEGY_BENCHMARK = "benchmark"
 STRATEGIES = (STRATEGY_UTILITY, STRATEGY_INTERDEPENDENCE, STRATEGY_BENCHMARK)
@@ -168,6 +173,8 @@ PAPER_GRID = {"structures": GRID_STRUCTURES, "incentives": tuple(INCENTIVE_PRESE
 
 def replication_rng(master_seed: int, cell_index: int, rep_index: int, role: int) -> np.random.Generator:
     """Independent generator for one (cell, replication, role) triple."""
+    import numpy as np
+
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(cell_index, rep_index, role)))
 
 
@@ -444,6 +451,8 @@ class ReplicationResult:
 
 def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: bool = False) -> ReplicationResult:
     """Run one replication; see the module docstring for the period semantics."""
+    import numpy as np
+
     matrix = scenario.matrix
     n, m = scenario.n, scenario.m
     tau, horizon = scenario.tau, scenario.horizon
@@ -622,6 +631,8 @@ class ExperimentResult:
 
 def aggregate_norm_series(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and 99 percent CI half-width across replications (rows)."""
+    import numpy as np
+
     reps = series.shape[0]
     mean = series.mean(axis=0)
     if reps < 2:
@@ -674,7 +685,11 @@ def _replications(scenarios: Sequence[ScenarioConfig], jobs: int, want_trades: b
     if workers <= 1:
         yield map(_replication_payload, tasks)
         return
-    import concurrent.futures  # only a run that opens a pool pays for the import
+    # Only a run that opens a pool pays for concurrent.futures. numpy loads before the pool starts, so forked
+    # workers inherit it rather than import it again.
+    import concurrent.futures
+
+    import numpy  # noqa: F401
 
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as executor:
         try:
@@ -703,6 +718,8 @@ def run_experiment(
     """
     if _payloads is None:
         return run_grid([scenario], jobs, trades, beliefs)[0]
+    import numpy as np
+
     series = np.empty((scenario.reps, scenario.horizon), dtype=np.float64)
     for rep, (norm, rep_trades, rep_beliefs) in zip(range(scenario.reps), _payloads):
         series[rep] = norm

@@ -64,6 +64,12 @@ def changed_entries(before, after):
     )
 
 
+def matrix_text(matrix):
+    """``matrix`` in ``load_matrix``'s file format: the decision count, then each row's n 0/1 entries."""
+    rows = "\n".join(" ".join("1" if i in row else "0" for i in range(matrix.n)) for row in matrix.entries)
+    return f"{matrix.n}\n{rows}\n"
+
+
 def k0_landscape(values):
     """Independent decisions with explicit (off, on) contribution pairs."""
     n = len(values)

@@ -17,6 +17,8 @@ from orgsim.errors import InvariantViolation
 from orgsim.landscape import DECOMPOSABLE_K2, build_stylized_matrix
 from orgsim.simulation import INPUT_KEYS
 
+from helpers import matrix_text
+
 
 SCENARIO = dict(structure="k2", incentive="balanced", strategy="utility",
                 n=6, m=2, tau=5, horizon=12, reps=2, capacity=5, seed=3)
@@ -49,9 +51,8 @@ def write_scenario(tmp_path, name="scenario.json", **values):
 
 
 def write_matrix(tmp_path, matrix, name="matrix.txt"):
-    rows = "\n".join(" ".join(str(int(v)) for v in row) for row in matrix.entries)
     path = tmp_path / name
-    path.write_text(f"{matrix.n}\n{rows}\n")
+    path.write_text(matrix_text(matrix))
     return str(path)
 
 
@@ -407,8 +408,8 @@ class TestValidate:
         assert not (tmp_path / "out").exists()
 
     def test_oversized_matrix_file_fails_without_its_components(self, tmp_path, monkeypatch, capsys):
-        """A file matrix above the enumeration limit is still read, for its size, but its components, whose
-        transitive closure costs O(n^3 log n), are never derived: no optimum is sought on it."""
+        """A file matrix above the enumeration limit is still read, for its size, but its components are never
+        derived: no optimum is sought on it, so the walk over its dependency rows would be wasted work."""
         def components(entries):
             raise AssertionError(f"components derived for a {len(entries)}-decision matrix")
 

@@ -32,7 +32,7 @@ from orgsim.oracle import (
     brute_performance,
     enumerate_configs,
 )
-from helpers import contributions_of, make_agent
+from helpers import contributions_of, make_agent, matrix_text
 
 # Test ids spell a stylized kind out by its constant's name.
 KIND_IDS = {DECOMPOSABLE_K2: "decomposable_k2", NONDECOMPOSABLE_K5: "nondecomposable_k5"}
@@ -77,6 +77,10 @@ class TestInteractionMatrix:
         assert matrix.dependencies(3) == []
         assert len(matrix.dependencies(2)) == 2
         assert matrix.orders == ((0, 2), (1,), (2, 0, 1), (3,))
+        # Each row is held as its set columns, ascending, whatever sequence type the rows came in.
+        assert matrix.entries == ((0, 2), (1,), (0, 1, 2), (3,))
+        assert InteractionMatrix(entries.astype(int).tolist()).entries == matrix.entries
+        assert all(type(i) is int for row in matrix.entries for i in row)
 
 
 class TestStylizedStructures:
@@ -144,7 +148,7 @@ class TestStylizedStructures:
             reference = np.eye(n, dtype=bool)
             for j in range(n):
                 reference[j, self.reference_dependencies(kind, n, j)] = True
-            assert np.array_equal(build_stylized_matrix(kind, n).entries, reference), f"n={n}"
+            assert build_stylized_matrix(kind, n).entries == InteractionMatrix(reference).entries, f"n={n}"
 
     @pytest.mark.parametrize("kind, n", [
         (DECOMPOSABLE_K2, 14),
@@ -168,12 +172,12 @@ class TestRandomMatrix:
         matrix = random_matrix(n, k, np.random.default_rng(7))
         for j in range(n):
             assert len(matrix.dependencies(j)) == k
-            assert matrix.entries[j, j]
+            assert j in matrix.entries[j]
 
     def test_seeded_reproducibility(self):
         a = random_matrix(8, 3, np.random.default_rng(11))
         b = random_matrix(8, 3, np.random.default_rng(11))
-        assert np.array_equal(a.entries, b.entries)
+        assert a.entries == b.entries
 
     @pytest.mark.parametrize("k", [-1, 4])
     def test_rejects_bad_k(self, k):
@@ -189,14 +193,18 @@ class TestLoadMatrix:
 
     def test_roundtrip_stylized(self, tmp_path):
         matrix = build_stylized_matrix(NONDECOMPOSABLE_K5, 15)
-        rows = "\n".join(" ".join(str(int(v)) for v in row) for row in matrix.entries)
-        loaded = load_matrix(self.write(tmp_path, f"15\n{rows}\n"))
-        assert np.array_equal(loaded.entries, matrix.entries)
+        loaded = load_matrix(self.write(tmp_path, matrix_text(matrix)))
+        assert loaded.entries == matrix.entries
 
     def test_blank_lines_and_padding_ok(self, tmp_path):
         loaded = load_matrix(self.write(tmp_path, "\n2\n\n1 1\n0 1\n\n"))
         assert loaded.n == 2
         assert loaded.dependencies(0) == [1]
+
+    def test_rows_keep_their_set_columns(self, tmp_path):
+        loaded = load_matrix(self.write(tmp_path, "4\n1 0 0 1\n0 1 0 0\n1 1 1 1\n0\t0 0  1\n"))
+        assert loaded.entries == ((0, 3), (1,), (0, 1, 2, 3), (3,))
+        assert loaded.orders == ((0, 3), (1,), (2, 0, 1, 3), (3,))
 
     @pytest.mark.parametrize("text, fragment", [
         ("", "empty"),
@@ -204,6 +212,8 @@ class TestLoadMatrix:
         ("2\n1 1\n", "expected 2 matrix rows"),
         ("2\n1 1 1\n0 1\n", "expected 2 entries"),
         ("2\n1 2\n0 1\n", "must be 0 or 1"),
+        ("2\n1 x1\n0 1\n", "must be 0 or 1, got 'x1'"),
+        ("2\n1 10\n0 1\n", "must be 0 or 1, got '10'"),
         ("2\n1 1\n1 0\n", "diagonal"),
         ("-1\n", "must be positive"),
     ])
@@ -489,6 +499,8 @@ class TestOptimumByComponents:
         assert index.shape == (5, 3, 8)
         # decision 4 reads (4, 3, 5); component code 0b110 sets decisions 3 and 4, so its index is 0b110
         assert index[1, 1, 0b110] == 4 * 8 + 0b110
+        # Every reader in the process shares the cached arrays, so none may write them.
+        assert not members.flags.writeable and not index.flags.writeable
         k5 = build_stylized_matrix(NONDECOMPOSABLE_K5, 15)
         assert k5.components == (tuple(range(15)),)
         assert k5.gathers == ()

@@ -126,6 +126,59 @@ class TestCliFixedCost:
         """, str(scenario))
         assert loaded == [[], []]
 
+    def test_validate_of_a_grid_loads_no_numpy(self, tmp_path):
+        block = ["1 1 1 0 0 0"] * 3 + ["0 0 0 1 1 1"] * 3
+        (tmp_path / "blocks.txt").write_text("\n".join(["6", *block]) + "\n")
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(dict(grid={"structures": ["k2", "k5", f"file:{tmp_path / 'blocks.txt'}"]},
+                                        n=6, m=2, tau=5, horizon=12, reps=2)))
+        assert run_script(tmp_path, """
+            import contextlib, io, json, sys
+            from orgsim.cli import main
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(["validate", sys.argv[1]])
+            print(json.dumps([code, len(json.loads(out.getvalue())["cells"]), "numpy" in sys.modules]))
+        """, str(grid)) == [0, 27, False]
+
+    def test_rejected_run_exits_before_numpy_loads(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(structure="k2", incentive="balanced", strategy="utility",
+                                            n=6, m=4, tau=1, horizon=12, reps=2)))
+        assert run_script(tmp_path, """
+            import contextlib, io, json, sys
+            from orgsim.cli import main
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["run", sys.argv[1], "--out", "out"])
+            print(json.dumps([code, "tau" in err.getvalue(), "numpy" in sys.modules]))
+        """, str(scenario)) == [2, True, False]
+
+    @pytest.mark.parametrize("call, expected", [
+        ('main(["run", sys.argv[1], "--jobs", "2", "--out", "out"])', 0),
+        ("len(run_grid(cells_from_dict(json.load(open(sys.argv[1]))), jobs=2))", 1),
+    ], ids=["cli", "run_grid"])
+    def test_pool_starts_with_numpy_loaded(self, tmp_path, call, expected):
+        """Forked workers inherit the parent's numpy instead of each importing it again."""
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(structure="k2", incentive="balanced", strategy="utility",
+                                            n=6, m=2, tau=5, horizon=12, reps=2, seed=3)))
+        assert run_script(tmp_path, f"""
+            import concurrent.futures, contextlib, io, json, os, sys
+            started = []
+
+            class Pool(concurrent.futures.ProcessPoolExecutor):
+                def __init__(self, *args, **kwargs):
+                    started.append("numpy" in sys.modules)
+                    super().__init__(*args, **kwargs)
+
+            concurrent.futures.ProcessPoolExecutor = Pool
+            os.cpu_count = lambda: 2  # --jobs 2 is allowed on a machine of any size
+            from orgsim.cli import main
+            from orgsim.simulation import cells_from_dict, run_grid
+            with contextlib.redirect_stdout(io.StringIO()):
+                result = {call}
+            print(json.dumps([result, started]))
+        """, str(scenario)) == [expected, [True]]
+
 
 @pytest.mark.parametrize("method", [m for m in ("spawn", "forkserver") if m in multiprocessing.get_all_start_methods()])
 def test_fresh_workers_match_one_process(tmp_path, method):

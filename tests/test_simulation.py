@@ -41,7 +41,7 @@ from orgsim.simulation import ROLE_HILLCLIMB, BeliefSnapshots, cells_from_dict
 from orgsim.landscape import DECOMPOSABLE_K2, NONDECOMPOSABLE_K5, Landscape, build_stylized_matrix
 from orgsim.organization import flip_improves
 import helpers
-from helpers import assert_matches_reference, changed_entries, snapshot_counters
+from helpers import assert_matches_reference, changed_entries, matrix_text, snapshot_counters
 
 BALANCED = IncentiveScheme.parse("balanced")
 INDIVIDUALISTIC = IncentiveScheme.parse("individualistic")
@@ -56,8 +56,7 @@ def scenario(**overrides):
 
 
 def write_matrix(path, matrix):
-    rows = "\n".join(" ".join(str(int(v)) for v in row) for row in matrix.entries)
-    path.write_text(f"{matrix.n}\n{rows}\n")
+    path.write_text(matrix_text(matrix))
     return path
 
 
@@ -160,14 +159,14 @@ class TestScenarioConfig:
         assert orgsim.GRID_STRUCTURES == (DECOMPOSABLE_K2, NONDECOMPOSABLE_K5) == ("k2", "k5")
         for token in orgsim.GRID_STRUCTURES:
             matrix = scenario(structure=token, n=n, m=3, capacity=n).matrix
-            assert np.array_equal(matrix.entries, build_stylized_matrix(token, n).entries)
+            assert matrix.entries == build_stylized_matrix(token, n).entries
 
     def test_structure_file_roundtrip(self, tmp_path):
         matrix = scenario().matrix
         path = write_matrix(tmp_path / "m.txt", matrix)
         config = scenario(structure=f"file:{path}")
         assert config.validate() == []
-        assert np.array_equal(config.matrix.entries, matrix.entries)
+        assert config.matrix.entries == matrix.entries
 
     def test_structure_file_size_mismatch(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -657,7 +656,8 @@ class TestMatrixReads:
 
 
 class TestScenarioPickle:
-    """A worker's task carries the scenario's matrix with everything derived from it."""
+    """A worker's task carries the scenario's matrix with its orders and components; the optimum's index arrays
+    come from the worker's own per-structure cache, not from the task."""
 
     def test_unpickled_k2_matrix_holds_its_components(self):
         config = scenario(n=15, m=5)
@@ -667,15 +667,20 @@ class TestScenarioPickle:
         assert "matrix" in vars(loaded)
         held = vars(loaded.matrix)
         assert held["components"] == matrix.components
-        [(members, index)] = held["gathers"]
+        assert "gathers" not in held
+        [(members, index)] = loaded.matrix.gathers
         assert np.array_equal(members, matrix.gathers[0][0])
         assert np.array_equal(index, matrix.gathers[0][1])
         assert index.shape == (5, 3, 8)
+        # Built once per process: the unpickled copy reads the arrays its structure already has.
+        assert loaded.matrix.gathers is matrix.gathers
 
-    def test_components_add_at_most_1_5_kb_to_a_task(self):
-        matrix = scenario(n=15, m=5).matrix
+    def test_components_add_at_most_192_bytes_to_a_768_byte_task(self):
+        config = scenario(n=15, m=5)
+        matrix = config.matrix
         derived = len(pickle.dumps(matrix)) - len(pickle.dumps((matrix.entries, matrix.orders)))
-        assert derived <= 1536
+        assert derived <= 192
+        assert len(pickle.dumps((config, 0, False, False))) <= 768
 
 
 class TestRunGrid:
