@@ -30,7 +30,7 @@ for i in agent.owned:
     for j in agent.owned:
         if i == j:
             continue
-        true = "x" if i in matrix.entries[j] else "."
+        true = "x" if i in matrix.orders[j] else "."
         strength = belief(agent.beliefs, i, j)
         seen = agent.beliefs.p[i][j] + agent.beliefs.q[i][j] - 2
         print(f"  {i:>2} -> {j:>2}    {true}      {strength:.3f}    {seen}")
@@ -43,7 +43,7 @@ for agent in result.agents:
             if i == j:
                 continue
             strong = belief(agent.beliefs, i, j) > 0.5
-            true = i in matrix.entries[j]
+            true = i in matrix.orders[j]
             if strong and true:
                 hits += 1
             elif strong and not true:

@@ -19,7 +19,7 @@ from orgsim import (
 def show(matrix, title):
     print(title)
     for j in range(matrix.n):
-        row = "".join("x" if i in matrix.entries[j] else "." for i in range(matrix.n))
+        row = "".join("x" if i in matrix.orders[j] else "." for i in range(matrix.n))
         print(f"  {j:>2} {row}   depends on {matrix.dependencies(j)}")
     print()
 

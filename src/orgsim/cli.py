@@ -31,7 +31,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .errors import ConfigError, InvariantViolation
-from .landscape import generate_landscape, random_matrix
+from .landscape import check_degree, generate_landscape, random_matrix
 from .oracle import ORACLE_MAX_N, oracle_report
 from .simulation import (
     INPUT_KEYS,
@@ -152,6 +152,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise ConfigError(f"oracle enumeration is limited to n <= {ORACLE_MAX_N}, got n={args.n}")
     if args.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {args.seed}")
+    check_degree(args.n, args.k)
     import numpy as np
 
     rng = np.random.default_rng(args.seed)

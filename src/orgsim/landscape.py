@@ -5,9 +5,11 @@ A task environment has ``n`` binary decisions. The contribution of decision
 decisions it depends on; overall performance of a configuration is the mean
 contribution. Interaction structure is a boolean matrix where row ``j`` marks
 the decisions that ``j``'s contribution depends on (diagonal always set), held
-in plain Python as each row's set columns. Only the optimum and its index
-arrays import numpy, inside the functions that build them, so building,
-reading and checking a structure loads no numpy.
+in plain Python as each decision's table index order, which lists exactly row
+``j``'s set columns. Only the optimum imports numpy, and it derives the
+components and index arrays it needs itself, once per structure and process,
+so building, reading, checking and pickling a structure loads no numpy and
+walks no components.
 
 Table indexing convention: the own decision is the highest-order bit, the
 remaining dependencies follow in ascending decision index. A decision with
@@ -27,7 +29,7 @@ scan of all ``2**n`` configurations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
@@ -61,33 +63,20 @@ GAP = 1e-12
 
 @dataclass(frozen=True, eq=False, init=False)
 class InteractionMatrix:
-    """Square boolean dependency structure, held as each row's set columns.
+    """Square boolean dependency structure, held as each decision's table index order.
 
     Built from a square 0/1 matrix (a numpy array or nested sequences) whose
     entry ``[j, i]`` is true when the contribution of decision ``j`` depends on
-    decision ``i``. ``entries[j]`` holds row ``j``'s set columns, ascending:
-    the decisions ``j``'s contribution depends on, ``j`` itself included,
-    since every contribution depends on its own decision. So ``i in
-    entries[j]`` reads entry ``[j, i]``, and a matrix costs memory in its set
-    entries, not in ``n**2``. ``n`` is the decision count,
+    decision ``i``. ``orders[j]`` is decision ``j``'s table index order,
+    ``(j, dep_0, dep_1, ...)`` with the dependencies ascending: exactly row
+    ``j``'s set columns, the own decision first, as the highest-order bit. So
+    ``i in orders[j]`` reads entry ``[j, i]``, and a matrix costs memory in its
+    set entries, not in ``n**2``. ``n`` is the decision count,
     ``len(dependencies(j))`` decision ``j``'s dependency count; a landscape
-    reads both through ``matrix``.
-
-    ``orders[j]`` is decision ``j``'s table index order, derived once from
-    ``entries``: ``(j, dep_0, dep_1, ...)`` with the dependencies ascending, so
-    the own decision is the highest-order bit. Every landscape drawn on the
-    matrix reads these tuples.
-
-    ``components`` are the connected components of the dependency graph read
-    in either direction, each ascending, in the order of their first
-    decisions, and empty above ``ENUMERATION_LIMIT`` decisions, where no
-    optimum is sought. Both are derived here, so they travel with a pickled
-    matrix; :attr:`gathers` does not.
+    reads both, and its tables' layout, through ``matrix``.
     """
 
-    entries: tuple[tuple[int, ...], ...]
-    orders: tuple[tuple[int, ...], ...] = field(repr=False)
-    components: tuple[tuple[int, ...], ...] = field(repr=False)
+    orders: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries: Sequence[Sequence[object]]) -> None:
         n = len(entries)
@@ -109,30 +98,11 @@ class InteractionMatrix:
         for j, row in enumerate(columns):
             if j not in row:
                 raise ConfigError(f"diagonal must be all ones; decision {j} does not depend on itself")
-        object.__setattr__(self, "entries", columns)
         object.__setattr__(self, "orders", tuple((j, *(i for i in row if i != j)) for j, row in enumerate(columns)))
-        components = _components(columns) if len(columns) <= ENUMERATION_LIMIT else ()
-        object.__setattr__(self, "components", components)
 
     @property
     def n(self) -> int:
-        return len(self.entries)
-
-    @property
-    def gathers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """The matrix's index arrays for the optimum by components, or ``()`` when it is not solved that way.
-
-        When there are several components and none has more than ``_SCAN_TAIL``
-        decisions, one ``(members, index)`` pair per component size:
-        ``members[c]`` lists the decisions of the c-th component of that size,
-        and ``index[c, r, code]`` is the position of member r's contribution,
-        under the component configuration ``code`` (first member as the
-        highest-order bit), in the tables concatenated in decision order, read
-        through the scan's view :func:`_view`. Built with numpy on first read
-        in each process and kept per structure by :func:`_gathers`, so a
-        pickled matrix carries no index arrays and a worker builds them once.
-        """
-        return _gathers(self.orders, self.components)
+        return len(self.orders)
 
     def dependencies(self, j: int) -> list[int]:
         """Decisions other than ``j`` that ``j``'s contribution depends on, ascending."""
@@ -174,14 +144,17 @@ _GATHERS_KEPT = 16
 
 
 @lru_cache(maxsize=_GATHERS_KEPT)
-def _gathers(
-    orders: tuple[tuple[int, ...], ...], components: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The ``(members, index)`` pairs of :attr:`InteractionMatrix.gathers`, one per component size.
+def _gathers(orders: tuple[tuple[int, ...], ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The optimum's index arrays for the structure ``orders``, or ``()`` when it is not solved by components.
 
-    Member j's positions in the concatenated tables, viewed through :func:`_view` over its component and
-    broadcast along the members j does not read, are its positions under every component code.
+    When :func:`_components` finds several components and none has more than ``_SCAN_TAIL`` decisions, one
+    ``(members, index)`` pair per component size: ``members[c]`` lists the c-th component of that size, and
+    ``index[c, r, code]`` is the position of member r's contribution under the component configuration
+    ``code`` (first member as the highest-order bit) in the tables concatenated in decision order: member j's
+    positions, viewed through :func:`_view` over its component and broadcast along the members j does not
+    read. Built on the first call per structure in each process, so a pickled matrix carries none of it.
     """
+    components = _components(orders)
     if len(components) < 2 or any(len(members) > _SCAN_TAIL for members in components):
         return ()
     import numpy as np
@@ -239,10 +212,15 @@ def build_stylized_matrix(kind: str, n: int) -> InteractionMatrix:
     return InteractionMatrix._from_columns(tuple(tuple(sorted(row)) for row in rows))
 
 
-def random_matrix(n: int, k: int, rng: np.random.Generator) -> InteractionMatrix:
-    """Random structure where every decision depends on ``k`` distinct others."""
+def check_degree(n: int, k: int) -> None:
+    """Raise :class:`ConfigError` unless each of ``n`` decisions can depend on ``k`` distinct others."""
     if not 0 <= k <= n - 1:
         raise ConfigError(f"k must be in [0, n-1]; got k={k}, n={n}")
+
+
+def random_matrix(n: int, k: int, rng: np.random.Generator) -> InteractionMatrix:
+    """Random structure where every decision depends on ``k`` distinct others."""
+    check_degree(n, k)
     columns = []
     for j in range(n):
         picks = rng.choice([i for i in range(n) if i != j], size=k, replace=False)
@@ -368,7 +346,7 @@ def global_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:
     The optimum is the first maximum, with decision 0 as the highest-order bit,
     of every configuration's total summed for ascending ``j``, as :func:`_scan`
     computes them, so ties resolve to the lexicographically smallest
-    configuration. A matrix with :attr:`InteractionMatrix.gathers` is solved
+    configuration. A matrix that :func:`_gathers` splits is solved
     component by component (:func:`_optimum_by_components`) unless a near-tie
     or an out-of-range contribution leaves that undecided; every other case
     goes through the exhaustive scan, which is the one fallback. The winning
@@ -401,7 +379,7 @@ def _optimum_by_components(landscape: Landscape) -> np.ndarray | None:
     total by more than ``GAP`` less four: the union is the scan's unique
     maximum. Otherwise there is no answer here.
     """
-    gathers = landscape.matrix.gathers
+    gathers = _gathers(landscape.matrix.orders)
     if not gathers:
         return None
     import numpy as np

@@ -66,7 +66,7 @@ def changed_entries(before, after):
 
 def matrix_text(matrix):
     """``matrix`` in ``load_matrix``'s file format: the decision count, then each row's n 0/1 entries."""
-    rows = "\n".join(" ".join("1" if i in row else "0" for i in range(matrix.n)) for row in matrix.entries)
+    rows = "\n".join(" ".join("1" if i in row else "0" for i in range(matrix.n)) for row in matrix.orders)
     return f"{matrix.n}\n{rows}\n"
 
 

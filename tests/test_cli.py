@@ -408,10 +408,11 @@ class TestValidate:
         assert not (tmp_path / "out").exists()
 
     def test_oversized_matrix_file_fails_without_its_components(self, tmp_path, monkeypatch, capsys):
-        """A file matrix above the enumeration limit is still read, for its size, but its components are never
-        derived: no optimum is sought on it, so the walk over its dependency rows would be wasted work."""
-        def components(entries):
-            raise AssertionError(f"components derived for a {len(entries)}-decision matrix")
+        """Validation walks no components at any size: only the optimum derives them. A file matrix above the
+        enumeration limit is still read, for its size, and the paper grid's k2 and k5 structures are built, but
+        the walk over their dependency rows would be wasted work."""
+        def components(orders):
+            raise AssertionError(f"components derived for a {len(orders)}-decision matrix")
 
         monkeypatch.setattr("orgsim.landscape._components", components)
         rows = "\n".join(" ".join("1" if i == j else "0" for i in range(30)) for j in range(30))
@@ -421,6 +422,10 @@ class TestValidate:
         assert "n <= 25, got n=30" in capsys.readouterr().err
         assert main(["validate", write_scenario(tmp_path, structure=structure)]) == 2
         assert "structure defines 30 decisions but scenario says n=6" in capsys.readouterr().err
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"grid": {}}))
+        assert main(["validate", str(grid)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["cells"]) == 18
 
     def test_run_size_beyond_the_bound_fails_before_work(self, tmp_path, monkeypatch, capsys):
         path = write_scenario(tmp_path, reps=100_000_000_000, horizon=500)

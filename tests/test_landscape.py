@@ -77,10 +77,10 @@ class TestInteractionMatrix:
         assert matrix.dependencies(3) == []
         assert len(matrix.dependencies(2)) == 2
         assert matrix.orders == ((0, 2), (1,), (2, 0, 1), (3,))
-        # Each row is held as its set columns, ascending, whatever sequence type the rows came in.
-        assert matrix.entries == ((0, 2), (1,), (0, 1, 2), (3,))
-        assert InteractionMatrix(entries.astype(int).tolist()).entries == matrix.entries
-        assert all(type(i) is int for row in matrix.entries for i in row)
+        # Each row is held as its set columns, own decision first, whatever sequence type the rows came in.
+        assert [sorted(order) for order in matrix.orders] == [[0, 2], [1], [0, 1, 2], [3]]
+        assert InteractionMatrix(entries.astype(int).tolist()).orders == matrix.orders
+        assert all(type(i) is int for order in matrix.orders for i in order)
 
 
 class TestStylizedStructures:
@@ -148,7 +148,7 @@ class TestStylizedStructures:
             reference = np.eye(n, dtype=bool)
             for j in range(n):
                 reference[j, self.reference_dependencies(kind, n, j)] = True
-            assert build_stylized_matrix(kind, n).entries == InteractionMatrix(reference).entries, f"n={n}"
+            assert build_stylized_matrix(kind, n).orders == InteractionMatrix(reference).orders, f"n={n}"
 
     @pytest.mark.parametrize("kind, n", [
         (DECOMPOSABLE_K2, 14),
@@ -172,12 +172,12 @@ class TestRandomMatrix:
         matrix = random_matrix(n, k, np.random.default_rng(7))
         for j in range(n):
             assert len(matrix.dependencies(j)) == k
-            assert j in matrix.entries[j]
+            assert j in matrix.orders[j]
 
     def test_seeded_reproducibility(self):
         a = random_matrix(8, 3, np.random.default_rng(11))
         b = random_matrix(8, 3, np.random.default_rng(11))
-        assert a.entries == b.entries
+        assert a.orders == b.orders
 
     @pytest.mark.parametrize("k", [-1, 4])
     def test_rejects_bad_k(self, k):
@@ -194,7 +194,7 @@ class TestLoadMatrix:
     def test_roundtrip_stylized(self, tmp_path):
         matrix = build_stylized_matrix(NONDECOMPOSABLE_K5, 15)
         loaded = load_matrix(self.write(tmp_path, matrix_text(matrix)))
-        assert loaded.entries == matrix.entries
+        assert loaded.orders == matrix.orders
 
     def test_blank_lines_and_padding_ok(self, tmp_path):
         loaded = load_matrix(self.write(tmp_path, "\n2\n\n1 1\n0 1\n\n"))
@@ -203,7 +203,7 @@ class TestLoadMatrix:
 
     def test_rows_keep_their_set_columns(self, tmp_path):
         loaded = load_matrix(self.write(tmp_path, "4\n1 0 0 1\n0 1 0 0\n1 1 1 1\n0\t0 0  1\n"))
-        assert loaded.entries == ((0, 3), (1,), (0, 1, 2, 3), (3,))
+        assert [sorted(order) for order in loaded.orders] == [[0, 3], [1], [0, 1, 2, 3], [3]]
         assert loaded.orders == ((0, 3), (1,), (2, 0, 1, 3), (3,))
 
     @pytest.mark.parametrize("text, fragment", [
@@ -480,6 +480,11 @@ def block_matrix(sizes, rng):
     return InteractionMatrix(entries)
 
 
+def components(matrix):
+    """The connected components the optimum finds in ``matrix``'s structure."""
+    return landscape_module._components(matrix.orders)
+
+
 def scan_forbidden(monkeypatch):
     def scan(land):
         raise AssertionError("the exhaustive scan ran")
@@ -493,17 +498,17 @@ class TestOptimumByComponents:
 
     def test_stylized_components(self):
         k2 = build_stylized_matrix(DECOMPOSABLE_K2, 15)
-        assert k2.components == tuple(tuple(range(b, b + 3)) for b in range(0, 15, 3))
-        [(members, index)] = k2.gathers
-        assert members.tolist() == [list(c) for c in k2.components]
+        assert components(k2) == tuple(tuple(range(b, b + 3)) for b in range(0, 15, 3))
+        [(members, index)] = landscape_module._gathers(k2.orders)
+        assert members.tolist() == [list(c) for c in components(k2)]
         assert index.shape == (5, 3, 8)
         # decision 4 reads (4, 3, 5); component code 0b110 sets decisions 3 and 4, so its index is 0b110
         assert index[1, 1, 0b110] == 4 * 8 + 0b110
         # Every reader in the process shares the cached arrays, so none may write them.
         assert not members.flags.writeable and not index.flags.writeable
         k5 = build_stylized_matrix(NONDECOMPOSABLE_K5, 15)
-        assert k5.components == (tuple(range(15)),)
-        assert k5.gathers == ()
+        assert components(k5) == (tuple(range(15)),)
+        assert landscape_module._gathers(k5.orders) == ()
 
     def test_gathers_read_the_tables_as_contribution_does(self):
         """Every gather index against the public op: under each component code, first member as the highest
@@ -517,7 +522,7 @@ class TestOptimumByComponents:
         for matrix in matrices:
             land = generate_landscape(matrix, rng)
             flat = np.concatenate(land.tables)
-            for members, index in matrix.gathers:
+            for members, index in landscape_module._gathers(matrix.orders):
                 for c, component in enumerate(members.tolist()):
                     for code in range(1 << len(component)):
                         config = rng.integers(0, 2, matrix.n).tolist()
@@ -530,8 +535,9 @@ class TestOptimumByComponents:
         entries = np.eye(5, dtype=bool)
         entries[0, 3] = entries[4, 1] = True
         matrix = InteractionMatrix(entries)
-        assert matrix.components == ((0, 3), (1, 4), (2,))
-        assert [members.tolist() for members, _ in matrix.gathers] == [[[0, 3], [1, 4]], [[2]]]
+        assert components(matrix) == ((0, 3), (1, 4), (2,))
+        gathers = landscape_module._gathers(matrix.orders)
+        assert [members.tolist() for members, _ in gathers] == [[[0, 3], [1, 4]], [[2]]]
 
     def test_components_match_union_find(self):
         """Random matrices of every density, n from 1 to 25, against a union-find over the links."""
@@ -567,9 +573,9 @@ class TestOptimumByComponents:
                 else:
                     entries = rng.random((n, n)) < density
                     np.fill_diagonal(entries, True)
-                components = InteractionMatrix(entries).components
-                assert components == union_find_components(entries)
-                assert all(type(d) is int for members in components for d in members)
+                found = components(InteractionMatrix(entries))
+                assert found == union_find_components(entries)
+                assert all(type(d) is int for members in found for d in members)
 
     @pytest.mark.parametrize("n", [6, 9, 12])
     def test_k2_answers_without_the_scan(self, n, monkeypatch):
@@ -587,7 +593,7 @@ class TestOptimumByComponents:
     @pytest.mark.parametrize("n", [6, 9, 12, 15])
     def test_k5_never_decomposes(self, n):
         matrix = build_stylized_matrix(NONDECOMPOSABLE_K5, n)
-        assert len(matrix.components) == 1
+        assert len(components(matrix)) == 1
         land = generate_landscape(matrix, np.random.default_rng(n))
         assert landscape_module._optimum_by_components(land) is None
 
@@ -595,7 +601,7 @@ class TestOptimumByComponents:
         rng = np.random.default_rng(303)
         for sizes in [(1, 2, 3, 4), (5, 1, 2, 3), (2, 8, 1), (4, 4, 4)]:
             matrix = block_matrix(sizes, rng)
-            assert [len(c) for c in matrix.components] == list(sizes)
+            assert [len(c) for c in components(matrix)] == list(sizes)
             land = generate_landscape(matrix, rng)
             brute_config, brute_perf = brute_optimum(land)
             with monkeypatch.context() as patch:
@@ -607,8 +613,8 @@ class TestOptimumByComponents:
     def test_block_larger_than_the_tail_scans(self, monkeypatch):
         rng = np.random.default_rng(304)
         matrix = block_matrix((landscape_module._SCAN_TAIL + 1, 2, 1), rng)
-        assert len(matrix.components) == 3
-        assert matrix.gathers == ()
+        assert len(components(matrix)) == 3
+        assert landscape_module._gathers(matrix.orders) == ()
         assert_scan_matches_brute(generate_landscape(matrix, rng), monkeypatch)
 
     def test_one_ulp_apart_falls_back_to_the_first_maximum(self):

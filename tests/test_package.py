@@ -152,6 +152,15 @@ class TestCliFixedCost:
             print(json.dumps([code, "tau" in err.getvalue(), "numpy" in sys.modules]))
         """, str(scenario)) == [2, True, False]
 
+    def test_rejected_oracle_exits_before_numpy_loads(self, tmp_path):
+        assert run_script(tmp_path, """
+            import contextlib, io, json, sys
+            from orgsim.cli import main
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(["oracle", "--n", "3", "--k", "5"])
+            print(json.dumps([code, "k must be in [0, n-1]; got k=5, n=3" in err.getvalue(), "numpy" in sys.modules]))
+        """) == [2, True, False]
+
     @pytest.mark.parametrize("call, expected", [
         ('main(["run", sys.argv[1], "--jobs", "2", "--out", "out"])', 0),
         ("len(run_grid(cells_from_dict(json.load(open(sys.argv[1]))), jobs=2))", 1),
