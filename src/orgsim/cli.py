@@ -48,7 +48,8 @@ from .simulation import (
     write_trades_csv,
 )
 
-EMIT_TOKENS = {"csv", "json", "beliefs", "trades"}
+# Each --emit token's output file, in the order the "wrote" line names them.
+EMIT_FILES = {"csv": "results.csv", "json": "metadata.json", "trades": "trades.csv", "beliefs": "beliefs.csv"}
 SUMMARY_CHECKPOINTS = (100, 250, 500)
 
 
@@ -82,9 +83,9 @@ def load_cells(args: argparse.Namespace) -> list[ScenarioConfig]:
 
 def parse_emit(text: str) -> set[str]:
     tokens = {token.strip() for token in text.split(",") if token.strip()}
-    unknown = tokens - EMIT_TOKENS
+    unknown = tokens - EMIT_FILES.keys()
     if unknown:
-        raise ConfigError(f"unknown emit targets {sorted(unknown)}; choose from {sorted(EMIT_TOKENS)}")
+        raise ConfigError(f"unknown emit targets {sorted(unknown)}; choose from {sorted(EMIT_FILES)}")
     return tokens or {"csv", "json"}
 
 
@@ -120,23 +121,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     if cpus is not None and args.jobs > cpus:
         raise ConfigError(f"--jobs must be at most the CPU count {cpus}, got {args.jobs}")
     out = output_dir(args.out)
+    paths = {token: out / name for token, name in EMIT_FILES.items()}
 
     with ExitStack() as ledgers:
-        trades = ledgers.enter_context(write_trades_csv(out / "trades.csv", cells)) if "trades" in emit else None
-        beliefs = ledgers.enter_context(write_beliefs_csv(out / "beliefs.csv", cells)) if "beliefs" in emit else None
+        trades = ledgers.enter_context(write_trades_csv(paths["trades"], cells)) if "trades" in emit else None
+        beliefs = ledgers.enter_context(write_beliefs_csv(paths["beliefs"], cells)) if "beliefs" in emit else None
         results = run_grid(cells, jobs=args.jobs, trades=trades, beliefs=beliefs)
-
-    written = []
     if "csv" in emit:
-        write_results_csv(results, out / "results.csv")
-        written.append("results.csv")
+        write_results_csv(results, paths["csv"])
     if "json" in emit:
-        write_metadata_json(results, out / "metadata.json")
-        written.append("metadata.json")
-    written += [f"{token}.csv" for token in ("trades", "beliefs") if token in emit]
+        write_metadata_json(results, paths["json"])
 
     print_summary(results)
-    print(f"wrote {', '.join(written)} to {out}")
+    print(f"wrote {', '.join(name for token, name in EMIT_FILES.items() if token in emit)} to {out}")
     return 0
 
 

@@ -12,10 +12,10 @@ period's value exactly.
 
 A replication returns its trajectory as arrays: ``performance`` (one value per
 period) and ``sizes`` (each agent's portfolio size per period). The loop holds
-the trajectory as runs, since performance changes only when flips land and
-sizes change only at auctions: each landed flip opens a performance run and
-each auction a sizes run, every pass adds its length to the open runs, and
-``np.repeat`` expands both once at the end. Performance is
+the trajectory as change points, since performance changes only when flips
+land and sizes change only at auctions: a landed flip records the new
+performance with the period it starts from, an auction records the new sizes,
+and every period is read from them once at the end. Performance is
 reported normalized by the landscape's exhaustive optimum, so values live in
 (0, 1] and 1.0 means the global optimum was found. Experiments aggregate
 ``reps`` independent replications into a per-period mean and a 99 percent
@@ -420,13 +420,11 @@ class BeliefSnapshots:
     ``changes[k][a]`` holds agent a's counter entries that differ at the end of
     period ``periods[k]`` from its previous snapshot, or, at the first snapshot,
     from the uniform prior p = q = 1: one ``(i * n + j, p, q)`` triple per
-    entry, in row-major order. Without collected beliefs ``periods`` and
-    ``changes`` are empty.
+    entry, in row-major order, with n the scenario's. Without collected beliefs
+    ``periods`` and ``changes`` are empty.
     """
 
     periods: tuple[int, ...]
-    m: int
-    n: int
     changes: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
 
 
@@ -434,13 +432,13 @@ class BeliefSnapshots:
 class ReplicationResult:
     """One replication's trajectory: ``performance`` holds one value per period
     (period t at index t - 1) and ``sizes[t - 1, a]`` is agent a's portfolio size
-    at the end of period t. ``belief_snapshots`` is empty unless the run collected beliefs."""
+    at the end of period t. Agent a's final counters hold its Σ(p + q - 2) belief
+    observations. ``belief_snapshots`` is empty unless the run collected beliefs."""
 
     performance: np.ndarray
     sizes: np.ndarray
     trades: list[TradeRecord]
     agents: list[AgentState]
-    observation_counts: list[int]
     optimum_performance: float
     belief_snapshots: BeliefSnapshots
 
@@ -516,11 +514,11 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
     verdicts: dict[int, bool] = {}
     positions = None
 
-    # The trajectory as runs: perf_values[i] holds for perf_runs[i] periods, size_rows[i] for size_runs[i].
-    perf_values, perf_runs = [performance(contribs)], [0]
-    size_rows, size_runs = [[len(agent.owned) for agent in agents]], [0]
+    # The trajectory as change points: perf_values[i] holds from period perf_starts[i] on, the last of equal
+    # starts winning, and size_rows[k] from the k-th auction period on.
+    perf_values, perf_starts = [performance(contribs)], [1]
+    size_rows = [[len(agent.owned) for agent in agents]]
     trades: list[TradeRecord] = []
-    observations = [0] * m
     periods = tuple(s for s in range(1, horizon + 1) if s % tau == 0 or s == horizon) if collect_beliefs else ()
     changes: list[tuple[tuple[tuple[int, int, int], ...], ...]] = []  # one per snapshot taken so far
 
@@ -543,7 +541,6 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
                 raise InvariantViolation(f"cell {scenario.cell}, rep {rep_index}, {exc}") from exc
             trades.extend(round_trades)
             size_rows.append([len(agent.owned) for agent in agents])
-            size_runs.append(0)
             positions = None
         else:
             if positions is None:
@@ -570,25 +567,22 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
                         idx[j] ^= bit
                         contribs[j] = tables[j][idx[j]]
                 perf_values.append(performance(contribs))
-                perf_runs.append(0)
+                perf_starts.append(t)
                 verdicts.clear()
                 for agent, flip in flips:
                     update_beliefs(agent, flip, previous, contribs)
-                    observations[agent.id] += len(agent.owned) - 1
             elif len(verdicts) == n:
                 # Stalled: every proposal is a cached "no", so nothing changes until the interval ends.
                 through = last
 
-        perf_runs[-1] += through - t + 1
-        size_runs[-1] += through - t + 1
         while len(changes) < len(periods) and periods[len(changes)] <= through:
             changes.append(tuple(agent.beliefs.pop_changes() for agent in agents))
         t = through + 1
 
-    series = np.repeat(np.array(perf_values, dtype=np.float64), perf_runs)
-    sizes = np.repeat(np.array(size_rows, dtype=np.int64), size_runs, axis=0)
-    snapshots = BeliefSnapshots(periods, m, n, tuple(changes))
-    result = ReplicationResult(series, sizes, trades, agents, observations, optimum, snapshots)
+    ts = np.arange(1, horizon + 1)
+    series = np.array(perf_values, dtype=np.float64)[np.searchsorted(perf_starts, ts, side="right") - 1]
+    sizes = np.array(size_rows, dtype=np.int64)[ts // auction_every]
+    result = ReplicationResult(series, sizes, trades, agents, optimum, BeliefSnapshots(periods, tuple(changes)))
     norm = result.normalized_series
     bad = np.flatnonzero(~((norm > 0.0) & (norm <= 1.0)))
     if bad.size:
@@ -748,6 +742,21 @@ def run_grid(
         return [run_experiment(scenario, trades=trades, beliefs=beliefs, _payloads=payloads) for scenario in scenarios]
 
 
+@contextmanager
+def _output(path: str | Path) -> Iterator[TextIO]:
+    """Every output file, opened under a temporary name and moved into place when the body completes: a write
+    that fails part way leaves none and keeps an older one. Line endings are written as given on every platform."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+    os.replace(partial, path)
+
+
 # writerow returns the text of its row, so _LEAD.writerow([cell, ""]) is ``cell,`` quoted as csv.writer quotes it.
 _LEAD = csv.writer(SimpleNamespace(write=str), lineterminator="")
 
@@ -760,7 +769,7 @@ def write_results_csv(results: Sequence[ExperimentResult], path: str | Path) -> 
     cell's ``cell,`` lead goes through ``csv.writer`` once and the numbers
     are written as text, as ``csv.writer`` would write them.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output(path) as fh:
         fh.write("cell,period,mean_norm_perf,ci99_half_width\n")
         for result in results:
             lead = _LEAD.writerow([result.scenario.cell, ""])
@@ -785,7 +794,7 @@ def write_metadata_json(results: Sequence[ExperimentResult], path: str | Path) -
         "ci": {"level": 0.99, "z": CI99_Z},
         "cells": cells,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -871,11 +880,11 @@ class _BeliefsLedger(_Ledger):
         return self._layouts[n]
 
     def _rows(self, lead: str, scenario: ScenarioConfig, snapshots: BeliefSnapshots) -> Iterator[str]:
-        pairs, positions, prior = self._layout(snapshots.n)
+        pairs, positions, prior = self._layout(scenario.n)
         if not pairs:  # n = 1: no off-diagonal counters, so no rows
             return
         text = self._text
-        bodies = [prior.copy() for _ in range(snapshots.m)]
+        bodies = [prior.copy() for _ in range(scenario.m)]
         for period, agents in zip(snapshots.periods, snapshots.changes):
             parts = []
             for agent_id, (body, entries) in enumerate(zip(bodies, agents)):
@@ -891,19 +900,8 @@ class _BeliefsLedger(_Ledger):
 
 @contextmanager
 def _ledger(path: str | Path, kind: type[_Ledger], cells: Sequence[ScenarioConfig]):
-    """Write ``path`` under a temporary name and move it into place only when the body completes.
-
-    A run that fails part way leaves no ledger that looks complete.
-    """
-    path = Path(path)
-    partial = path.with_name(path.name + ".partial")
-    try:
-        with open(partial, "w", encoding="utf-8", newline="") as fh:
-            yield kind(fh, cells)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
-    os.replace(partial, path)
+    with _output(path) as fh:
+        yield kind(fh, cells)
 
 
 def write_trades_csv(path: str | Path, cells: Sequence[ScenarioConfig]):

@@ -97,10 +97,10 @@ def hillclimb_step(agent, land, config, scheme, rng):
     return flip if flip_improves(agent, before, after, scheme) else None
 
 
-def snapshot_counters(snapshots):
-    """The full int64 counter arrays ``p`` and ``q`` of shape ``(S, m, n, n)`` rebuilt from a
-    ``BeliefSnapshots``'s changes: ``p[k, a]`` is agent a's at ``snapshots.periods[k]``."""
-    steps, m, n = len(snapshots.periods), snapshots.m, snapshots.n
+def snapshot_counters(snapshots, m, n):
+    """The full int64 counter arrays ``p`` and ``q`` of shape ``(S, m, n, n)`` rebuilt from the changes of a
+    ``BeliefSnapshots`` of m agents over n decisions: ``p[k, a]`` is agent a's at ``snapshots.periods[k]``."""
+    steps = len(snapshots.periods)
     p, q = np.ones((steps, m, n * n), dtype=np.int64), np.ones((steps, m, n * n), dtype=np.int64)
     for k, agents in enumerate(snapshots.changes):
         if k:
@@ -238,7 +238,7 @@ def assert_matches_reference(scenario: ScenarioConfig, rep_index: int) -> None:
     for changes, (_, theirs) in zip(taken.changes, snapshots, strict=True):
         assert changes == tuple(changed_entries(old, new) for old, new in zip(previous, theirs, strict=True))
         previous = theirs
-    taken_p, taken_q = snapshot_counters(taken)
+    taken_p, taken_q = snapshot_counters(taken, scenario.m, scenario.n)
     assert taken_p.shape == taken_q.shape == (len(snapshots), scenario.m, scenario.n, scenario.n)
     for k, (_, theirs) in enumerate(snapshots):
         for a, expected in enumerate(theirs):

@@ -329,6 +329,30 @@ class TestRun:
         assert "forced" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("name", ["results.csv", "metadata.json"])
+    def test_failed_write_keeps_the_older_output(self, tmp_path, monkeypatch, name):
+        class Failing:
+            """Fails part way through its file: the header, or the opening brace, is already written."""
+
+            def writerow(self, row):
+                raise OSError("disk full")
+
+            def dump(self, payload, fh, **options):
+                fh.write("{")
+                raise OSError("disk full")
+
+        monkeypatch.setattr(orgsim.simulation, "_LEAD" if name == "results.csv" else "json", Failing())
+        fresh, older = tmp_path / "fresh", tmp_path / "older"
+        older.mkdir()
+        (older / name).write_text("older\n")
+        for out in (fresh, older):
+            with pytest.raises(OSError, match="disk full"):
+                main(["run", "--structure", "k2", "--incentive", "balanced", "--strategy", "utility", "--n", "6",
+                      "--m", "2", "--tau", "5", "--horizon", "10", "--reps", "2", "--out", str(out)])
+            assert not any(path.name.endswith(".partial") for path in out.iterdir())
+        assert not (fresh / name).exists()
+        assert (older / name).read_text() == "older\n"
+
     def test_ledger_memory_does_not_grow_with_reps(self, tmp_path, monkeypatch):
         """trades.csv and beliefs.csv are written as replications arrive, so 33x the reps peaks the same once
         the cell's series is set aside.

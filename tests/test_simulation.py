@@ -303,26 +303,21 @@ class TestRunReplication:
         run_replication(scenario(**overrides), 0)
         assert built == roles
 
-    def test_observation_ledger_matches_counters(self):
-        result = run_replication(scenario(horizon=40, seed=5), 0)
-        for agent in result.agents:
-            booked = int(np.sum(agent.beliefs.p) + np.sum(agent.beliefs.q)) - 2 * 6 * 6
-            assert booked == result.observation_counts[agent.id]
-
     def test_belief_snapshots_opt_in(self):
         bare = run_replication(scenario(), 0).belief_snapshots
+        assert [f.name for f in fields(bare)] == ["periods", "changes"]
         assert bare.periods == bare.changes == ()
-        assert snapshot_counters(bare)[0].shape == snapshot_counters(bare)[1].shape == (0, 2, 6, 6)
+        assert snapshot_counters(bare, 2, 6)[0].shape == snapshot_counters(bare, 2, 6)[1].shape == (0, 2, 6, 6)
         result = run_replication(scenario(horizon=10), 0, collect_beliefs=True)
         assert result.belief_snapshots.periods == (5, 10)
-        assert snapshot_counters(result.belief_snapshots)[0].shape == (2, 2, 6, 6)
+        assert snapshot_counters(result.belief_snapshots, 2, 6)[0].shape == (2, 2, 6, 6)
 
     def test_belief_snapshots_at_tau_multiples_and_the_horizon(self):
         config = scenario(horizon=12, strategy="interdependence", seed=4)
         result = run_replication(config, 0, collect_beliefs=True)
         snapshots = result.belief_snapshots
         assert list(snapshots.periods) == [5, 10, 12]
-        p, q = snapshot_counters(snapshots)
+        p, q = snapshot_counters(snapshots, config.m, config.n)
         assert p.shape == q.shape == (3, config.m, config.n, config.n)
         assert p.dtype == q.dtype == np.int64
         for a, agent in enumerate(result.agents):
@@ -332,13 +327,13 @@ class TestRunReplication:
     def test_belief_snapshots_are_copies(self):
         result = run_replication(scenario(horizon=12), 0, collect_beliefs=True)
         snapshots = result.belief_snapshots
-        before_p, before_q = snapshot_counters(snapshots)
+        before_p, before_q = snapshot_counters(snapshots, 2, 6)
         for agent in result.agents:
             for row in agent.beliefs.p:
                 row[:] = [value + 7 for value in row]
             for row in agent.beliefs.q:
                 row[:] = [1] * len(row)
-        after_p, after_q = snapshot_counters(snapshots)
+        after_p, after_q = snapshot_counters(snapshots, 2, 6)
         assert np.array_equal(after_p, before_p)
         assert np.array_equal(after_q, before_q)
 
@@ -353,7 +348,7 @@ def snapshots_of(periods, p, q):
         now = [BeliefCounters(p[k, a].tolist(), q[k, a].tolist()) for a in range(m)]
         changes.append(tuple(changed_entries(old, new) for old, new in zip(previous, now)))
         previous = now
-    return BeliefSnapshots(tuple(periods), m, n, tuple(changes))
+    return BeliefSnapshots(tuple(periods), tuple(changes))
 
 
 def random_counters(rng, steps, m, n):
@@ -381,8 +376,8 @@ class TestBeliefSnapshots:
         for _ in range(20):
             p, q = random_counters(rng, steps, m, n)
             snapshots = snapshots_of(periods, p, q)
-            assert (snapshots.periods, snapshots.m, snapshots.n) == (periods, m, n)
-            rebuilt_p, rebuilt_q = snapshot_counters(snapshots)
+            assert snapshots.periods == periods
+            rebuilt_p, rebuilt_q = snapshot_counters(snapshots, m, n)
             assert rebuilt_p.dtype == rebuilt_q.dtype == np.int64
             assert np.array_equal(rebuilt_p, p)
             assert np.array_equal(rebuilt_q, q)
@@ -398,8 +393,8 @@ class TestBeliefSnapshots:
             ((), ((3, 1, 5),)),
             ((), ((2, 3, 1),)),
         )
-        snapshots = BeliefSnapshots((5, 10, 12), 2, 2, changes)
-        rebuilt_p, rebuilt_q = snapshot_counters(snapshots)
+        snapshots = BeliefSnapshots((5, 10, 12), changes)
+        rebuilt_p, rebuilt_q = snapshot_counters(snapshots, 2, 2)
         assert np.array_equal(rebuilt_p, p)
         assert np.array_equal(rebuilt_q, q)
         assert snapshots_of((5, 10, 12), p, q).changes == changes
@@ -408,7 +403,7 @@ class TestBeliefSnapshots:
     def test_payload_is_a_fiftieth_of_the_full_counters(self, strategy):
         config = ScenarioConfig(structure="k5", incentive=BALANCED, strategy=strategy, reps=1, seed=2)
         snapshots = run_replication(config, 0, collect_beliefs=True).belief_snapshots
-        p, q = snapshot_counters(snapshots)
+        p, q = snapshot_counters(snapshots, config.m, config.n)
         assert p.shape == (20, 5, 15, 15)
         assert len(pickle.dumps(snapshots)) <= (p.nbytes + q.nbytes) / 50
 
@@ -454,7 +449,7 @@ class TestReferenceEquivalence:
     ], ids=["auction-at-horizon", "two-rounds-last-at-horizon", "horizon-below-tau", "one-period",
             "every-period-an-auction", "benchmark"])
     def test_trajectory_edges(self, case):
-        """The trajectory's runs expand to one row per period, with the dtypes of a per-period list."""
+        """The trajectory's change points read out to one row per period, with the dtypes of a per-period list."""
         for rep in range(2):
             result = run_replication(case, rep)
             assert result.performance.shape == (case.horizon,)
@@ -462,6 +457,33 @@ class TestReferenceEquivalence:
             assert result.sizes.shape == (case.horizon, case.m)
             assert result.sizes.dtype == np.int64
             assert_matches_reference(case, rep)
+
+    def test_first_flip_lands_in_period_one(self, monkeypatch):
+        """The initial performance and period 1's both start at period 1; period 1 reads the later one."""
+        values = []
+        real = orgsim.simulation.performance
+
+        def recording(contribs):
+            values.append(real(contribs))
+            return values[-1]
+
+        monkeypatch.setattr(orgsim.simulation, "performance", recording)
+        first = run_replication(scenario(horizon=1, seed=20), 0)
+        assert len(values) == 2 and values[1] != values[0]  # premise: one landing, in period 1
+        assert first.performance.tolist() == [values[1]]
+        longer = scenario(horizon=20, seed=20)
+        assert run_replication(longer, 0).performance[0] == values[1]
+        assert_matches_reference(longer, 0)
+
+    def test_last_auction_falls_on_the_horizon(self):
+        """An auction in the horizon period gives the last sizes row, read by that period alone."""
+        case = scenario(horizon=15, seed=22)
+        result = run_replication(case, 0)
+        assert any(trade.period == 15 for trade in result.trades)  # premise: the round at the horizon trades
+        assert result.sizes[-1].tolist() != result.sizes[-2].tolist()
+        assert result.sizes[-1].tolist() == [len(agent.owned) for agent in result.agents]
+        assert result.performance[-1] == result.performance[-2]
+        assert_matches_reference(case, 0)
 
     def test_tied_tables_fall_back_to_full_sums(self, monkeypatch):
         def tied_landscape(matrix, rng):
@@ -532,7 +554,8 @@ class TestRunExperiment:
         for _, rep, snapshots in beliefs.calls:
             expected = run_replication(config, rep, collect_beliefs=True).belief_snapshots
             assert snapshots.periods == expected.periods == (5, 10)
-            for got, want in zip(snapshot_counters(snapshots), snapshot_counters(expected), strict=True):
+            for got, want in zip(snapshot_counters(snapshots, config.m, config.n),
+                                 snapshot_counters(expected, config.m, config.n), strict=True):
                 assert np.array_equal(got, want)
 
     def test_trades_tagged_by_rep(self):
@@ -1000,7 +1023,7 @@ class TestWriters:
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(["rep", "period", "agent", "i", "j", "p", "q", "belief"])
         for rep in (0, 1):
-            write_snapshot_rows(writer, [], rep, snapshots)
+            write_snapshot_rows(writer, [], rep, snapshots, config)
         assert path.read_text() == expected.getvalue()
 
 
@@ -1019,7 +1042,7 @@ class TestWriters:
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(["rep", "period", "agent", "i", "j", "p", "q", "belief"])
         for rep, snapshots in enumerate(values):
-            write_snapshot_rows(writer, [], rep, snapshots)
+            write_snapshot_rows(writer, [], rep, snapshots, config)
         assert path.read_text() == expected.getvalue()
 
     def test_counters_beyond_32_bits_write_their_own_values(self, tmp_path):
@@ -1038,7 +1061,7 @@ class TestWriters:
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(["rep", "period", "agent", "i", "j", "p", "q", "belief"])
-        write_snapshot_rows(writer, [], 0, snapshots)
+        write_snapshot_rows(writer, [], 0, snapshots, config)
         assert path.read_text() == expected.getvalue()
         assert f"0,5,0,0,1,1,{2**32 + 1}," in path.read_text()
 
@@ -1077,14 +1100,14 @@ def row_by_row_beliefs_csv(cells) -> str:
         prefix = [config.cell] if grid else []
         for rep in range(config.reps):
             snapshots = run_replication(config, rep, collect_beliefs=True).belief_snapshots
-            write_snapshot_rows(writer, prefix, rep, snapshots)
+            write_snapshot_rows(writer, prefix, rep, snapshots, config)
     return text.getvalue()
 
 
-def write_snapshot_rows(writer, prefix, rep, snapshots) -> None:
-    """One csv.writer row per snapshot, agent and off-diagonal (i, j), read entry by entry."""
-    counters_p, counters_q = snapshot_counters(snapshots)
-    _, m, n, _ = counters_p.shape
+def write_snapshot_rows(writer, prefix, rep, snapshots, config) -> None:
+    """One csv.writer row per snapshot, agent and off-diagonal (i, j) of ``config``, read entry by entry."""
+    m, n = config.m, config.n
+    counters_p, counters_q = snapshot_counters(snapshots, m, n)
     for k, period in enumerate(snapshots.periods):
         for agent_id in range(m):
             for i in range(n):
