@@ -38,6 +38,7 @@ from .simulation import (
     INPUT_TYPES,
     ExperimentResult,
     ScenarioConfig,
+    _output,
     cells_from_dict,
     grid_axes,
     run_experiment,  # noqa: F401  not called here; benchmarks/tracer.py patches this name (TestTraceTargets)
@@ -121,16 +122,26 @@ def cmd_run(args: argparse.Namespace) -> int:
     if cpus is not None and args.jobs > cpus:
         raise ConfigError(f"--jobs must be at most the CPU count {cpus}, got {args.jobs}")
     out = output_dir(args.out)
-    paths = {token: out / name for token, name in EMIT_FILES.items()}
+    import shutil
+    import tempfile
 
-    with ExitStack() as ledgers:
-        trades = ledgers.enter_context(write_trades_csv(paths["trades"], cells)) if "trades" in emit else None
-        beliefs = ledgers.enter_context(write_beliefs_csv(paths["beliefs"], cells)) if "beliefs" in emit else None
-        results = run_grid(cells, jobs=args.jobs, trades=trades, beliefs=beliefs)
-    if "csv" in emit:
-        write_results_csv(results, paths["csv"])
-    if "json" in emit:
-        write_metadata_json(results, paths["json"])
+    # Every file is written into a staging directory inside --out and moved into place only after the last write
+    # has succeeded, so --out never mixes this run's files with an older run's.
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
+    paths = {token: staging / name for token, name in EMIT_FILES.items() if token in emit}
+    try:
+        with ExitStack() as ledgers:
+            trades = ledgers.enter_context(write_trades_csv(paths["trades"], cells)) if "trades" in emit else None
+            beliefs = ledgers.enter_context(write_beliefs_csv(paths["beliefs"], cells)) if "beliefs" in emit else None
+            results = run_grid(cells, jobs=args.jobs, trades=trades, beliefs=beliefs)
+        if "csv" in emit:
+            write_results_csv(results, paths["csv"])
+        if "json" in emit:
+            write_metadata_json(results, paths["json"])
+        for path in paths.values():
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
     print_summary(results)
     print(f"wrote {', '.join(name for token, name in EMIT_FILES.items() if token in emit)} to {out}")
@@ -171,7 +182,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     print(f"optimum config={optimum['config']} performance={optimum['performance']!r}")
 
     if out is not None:
-        with open(out / "oracle.json", "w", encoding="utf-8") as fh:
+        with _output(out / "oracle.json") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote oracle.json to {out}")

@@ -35,15 +35,13 @@ def brute_contribution(landscape: Landscape, config: Sequence[int], j: int) -> f
     return float(landscape.tables[j][int(bits, 2)])
 
 
-def brute_performance(landscape: Landscape, config: Sequence[int], subset: Iterable[int] | None = None) -> float:
-    """Mean contribution over ``subset`` (default all), summed in ascending order."""
-    indices = sorted(subset) if subset is not None else list(range(landscape.matrix.n))
-    if not indices:
-        raise ValueError("empty decision set")
+def brute_performance(landscape: Landscape, config: Sequence[int]) -> float:
+    """Mean contribution over all decisions, summed in ascending order."""
+    n = landscape.matrix.n
     total = 0.0
-    for j in indices:
+    for j in range(n):
         total += brute_contribution(landscape, config, j)
-    return total / len(indices)
+    return total / n
 
 
 def brute_optimum(landscape: Landscape) -> tuple[np.ndarray, float]:

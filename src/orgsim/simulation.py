@@ -50,12 +50,12 @@ agents (belief snapshots included).
 the op-composed reference replication, to exact float equality.
 
 Belief snapshots, when collected, are taken at every period ``s`` with
-``s % tau == 0`` and at the horizon. Snapshot k holds, per agent, what
-``BeliefCounters.pop_changes`` returns then: the counter entries booked since
-the agent's previous snapshot, or since the uniform prior at the first, which
-are exactly the entries that changed. That ``BeliefSnapshots`` value, 1-3 KB
-for a k5 replication of 500 periods, is what a worker sends and what every
-sink receives.
+``s % tau == 0`` and at the horizon. Each is one ``(s, changes)`` pair, where
+``changes[a]`` is what agent a's ``BeliefCounters.pop_changes`` returns then:
+the counter entries booked since the agent's previous snapshot, or since the
+uniform prior at the first, which are exactly the entries that changed. The
+tuple of those pairs, 1-3 KB for a k5 replication of 500 periods, is what a
+worker sends and what every sink receives.
 
 The scenario schema lives here and nowhere else: ``ScenarioConfig``'s field
 declarations state each key a scenario file may set, with its value type,
@@ -413,19 +413,9 @@ def cells_from_dict(data: Mapping[str, object]) -> list[ScenarioConfig]:
     return cells
 
 
-@dataclass(frozen=True, eq=False)
-class BeliefSnapshots:
-    """Every agent's belief counters at each snapshot period, as the entries that changed.
-
-    ``changes[k][a]`` holds agent a's counter entries that differ at the end of
-    period ``periods[k]`` from its previous snapshot, or, at the first snapshot,
-    from the uniform prior p = q = 1: one ``(i * n + j, p, q)`` triple per
-    entry, in row-major order, with n the scenario's. Without collected beliefs
-    ``periods`` and ``changes`` are empty.
-    """
-
-    periods: tuple[int, ...]
-    changes: tuple[tuple[tuple[tuple[int, int, int], ...], ...], ...]
+# One (period, changes) pair per belief snapshot: changes[a] holds agent a's (i * n + j, p, q) counter entries,
+# row-major, that differ at the end of period from its previous snapshot, or at the first from the prior p = q = 1.
+BeliefSnapshots = tuple[tuple[int, tuple[tuple[tuple[int, int, int], ...], ...]], ...]
 
 
 @dataclass(eq=False)
@@ -433,7 +423,8 @@ class ReplicationResult:
     """One replication's trajectory: ``performance`` holds one value per period
     (period t at index t - 1) and ``sizes[t - 1, a]`` is agent a's portfolio size
     at the end of period t. Agent a's final counters hold its Σ(p + q - 2) belief
-    observations. ``belief_snapshots`` is empty unless the run collected beliefs."""
+    observations. ``belief_snapshots`` holds one ``(period, changes)`` pair per snapshot, and is ``()`` unless
+    the run collected beliefs."""
 
     performance: np.ndarray
     sizes: np.ndarray
@@ -520,7 +511,7 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
     size_rows = [[len(agent.owned) for agent in agents]]
     trades: list[TradeRecord] = []
     periods = tuple(s for s in range(1, horizon + 1) if s % tau == 0 or s == horizon) if collect_beliefs else ()
-    changes: list[tuple[tuple[tuple[int, int, int], ...], ...]] = []  # one per snapshot taken so far
+    snapshots = []  # one (period, changes) pair per snapshot taken so far
 
     t = 1
     while t <= horizon:
@@ -575,14 +566,14 @@ def run_replication(scenario: ScenarioConfig, rep_index: int, collect_beliefs: b
                 # Stalled: every proposal is a cached "no", so nothing changes until the interval ends.
                 through = last
 
-        while len(changes) < len(periods) and periods[len(changes)] <= through:
-            changes.append(tuple(agent.beliefs.pop_changes() for agent in agents))
+        while len(snapshots) < len(periods) and periods[len(snapshots)] <= through:
+            snapshots.append((periods[len(snapshots)], tuple(agent.beliefs.pop_changes() for agent in agents)))
         t = through + 1
 
     ts = np.arange(1, horizon + 1)
     series = np.array(perf_values, dtype=np.float64)[np.searchsorted(perf_starts, ts, side="right") - 1]
     sizes = np.array(size_rows, dtype=np.int64)[ts // auction_every]
-    result = ReplicationResult(series, sizes, trades, agents, optimum, BeliefSnapshots(periods, tuple(changes)))
+    result = ReplicationResult(series, sizes, trades, agents, optimum, tuple(snapshots))
     norm = result.normalized_series
     bad = np.flatnonzero(~((norm > 0.0) & (norm <= 1.0)))
     if bad.size:
@@ -637,7 +628,7 @@ def aggregate_norm_series(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class LedgerSink(Protocol):
     """Receives each replication's ``records``, in (cell, rep) order: its ``trades`` list, or its
-    ``belief_snapshots``, one ``BeliefSnapshots`` holding each snapshot's changed counter entries."""
+    ``belief_snapshots``, one ``(period, changes)`` pair per snapshot with each agent's changed counter entries."""
 
     def write(self, scenario: ScenarioConfig, rep: int, records: list[TradeRecord] | BeliefSnapshots) -> None: ...
 
@@ -885,7 +876,7 @@ class _BeliefsLedger(_Ledger):
             return
         text = self._text
         bodies = [prior.copy() for _ in range(scenario.m)]
-        for period, agents in zip(snapshots.periods, snapshots.changes):
+        for period, agents in snapshots:
             parts = []
             for agent_id, (body, entries) in enumerate(zip(bodies, agents)):
                 for entry, p, q in entries:

@@ -98,11 +98,11 @@ def hillclimb_step(agent, land, config, scheme, rng):
 
 
 def snapshot_counters(snapshots, m, n):
-    """The full int64 counter arrays ``p`` and ``q`` of shape ``(S, m, n, n)`` rebuilt from the changes of a
-    ``BeliefSnapshots`` of m agents over n decisions: ``p[k, a]`` is agent a's at ``snapshots.periods[k]``."""
-    steps = len(snapshots.periods)
+    """The full int64 counter arrays ``p`` and ``q`` of shape ``(S, m, n, n)`` rebuilt from the changes of the
+    ``(period, changes)`` snapshots of m agents over n decisions: ``p[k, a]`` is agent a's at ``snapshots[k][0]``."""
+    steps = len(snapshots)
     p, q = np.ones((steps, m, n * n), dtype=np.int64), np.ones((steps, m, n * n), dtype=np.int64)
-    for k, agents in enumerate(snapshots.changes):
+    for k, (_, agents) in enumerate(snapshots):
         if k:
             p[k], q[k] = p[k - 1], q[k - 1]
         for a, entries in enumerate(agents):
@@ -160,8 +160,8 @@ def reference_replication(scenario: ScenarioConfig, rep_index: int):
     arrays shaped like ``ReplicationResult``'s and ``snapshots`` holding the
     belief counters at ``t % tau == 0`` and at the horizon as ``(t, [counters
     per agent])`` pairs, which ``assert_matches_reference`` compares with the
-    periods, the changes and the rebuilt ``p[k, a]``, ``q[k, a]`` of
-    ``belief_snapshots``.
+    periods, the changes and the rebuilt ``p[k, a]``, ``q[k, a]`` of the
+    ``(period, changes)`` pairs in ``belief_snapshots``.
     """
     matrix = scenario.matrix
     rng_land = replication_rng(scenario.seed, scenario.cell_index, rep_index, ROLE_LANDSCAPE)
@@ -233,9 +233,9 @@ def assert_matches_reference(scenario: ScenarioConfig, rep_index: int) -> None:
         assert mine.beliefs.p == theirs.beliefs.p
         assert mine.beliefs.q == theirs.beliefs.q
     taken = engine.belief_snapshots
-    assert taken.periods == tuple(t for t, _ in snapshots)
+    assert [period for period, _ in taken] == [t for t, _ in snapshots]
     previous = [init_beliefs(scenario.n)] * scenario.m
-    for changes, (_, theirs) in zip(taken.changes, snapshots, strict=True):
+    for (_, changes), (_, theirs) in zip(taken, snapshots, strict=True):
         assert changes == tuple(changed_entries(old, new) for old, new in zip(previous, theirs, strict=True))
         previous = theirs
     taken_p, taken_q = snapshot_counters(taken, scenario.m, scenario.n)

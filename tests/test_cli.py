@@ -342,16 +342,21 @@ class TestRun:
                 raise OSError("disk full")
 
         monkeypatch.setattr(orgsim.simulation, "_LEAD" if name == "results.csv" else "json", Failing())
+        emitted = ["beliefs.csv", "metadata.json", "results.csv", "trades.csv"]
         fresh, older = tmp_path / "fresh", tmp_path / "older"
         older.mkdir()
-        (older / name).write_text("older\n")
+        for emitted_name in emitted:
+            (older / emitted_name).write_text(f"older {emitted_name}\n")
         for out in (fresh, older):
             with pytest.raises(OSError, match="disk full"):
                 main(["run", "--structure", "k2", "--incentive", "balanced", "--strategy", "utility", "--n", "6",
-                      "--m", "2", "--tau", "5", "--horizon", "10", "--reps", "2", "--out", str(out)])
-            assert not any(path.name.endswith(".partial") for path in out.iterdir())
-        assert not (fresh / name).exists()
-        assert (older / name).read_text() == "older\n"
+                      "--m", "2", "--tau", "5", "--horizon", "10", "--reps", "2", "--out", str(out),
+                      "--emit", "csv,json,trades,beliefs"])
+        # Neither the files written before the failure nor the staging directory are left behind.
+        assert list(fresh.iterdir()) == []
+        assert sorted(path.name for path in older.iterdir()) == emitted
+        for emitted_name in emitted:
+            assert (older / emitted_name).read_text() == f"older {emitted_name}\n"
 
     def test_ledger_memory_does_not_grow_with_reps(self, tmp_path, monkeypatch):
         """trades.csv and beliefs.csv are written as replications arrive, so 33x the reps peaks the same once
@@ -564,6 +569,23 @@ class TestOracleCommand:
         assert code == 0
         report = json.loads((out / "oracle.json").read_text())
         assert len(report["configs"]) == 4
+
+    def test_failed_dump_keeps_the_older_report(self, tmp_path, monkeypatch, capsys):
+        class Failing:
+            """Fails part way through oracle.json: the opening brace is already written."""
+
+            def dump(self, payload, fh, **options):
+                fh.write("{")
+                raise OSError("disk full")
+
+        out = tmp_path / "oracle_out"
+        out.mkdir()
+        (out / "oracle.json").write_bytes(b"older\r\n")
+        monkeypatch.setattr("orgsim.cli.json", Failing())
+        with pytest.raises(OSError, match="disk full"):
+            main(["oracle", "--n", "2", "--k", "0", "--out", str(out)])
+        assert [path.name for path in out.iterdir()] == ["oracle.json"]
+        assert (out / "oracle.json").read_bytes() == b"older\r\n"
 
     def test_out_on_a_file_fails_before_work(self, tmp_path, capsys):
         taken = tmp_path / "taken"

@@ -393,7 +393,14 @@ class TestOracleAgreement:
 
     def test_subset_performance_matches(self):
         """agent_utility's own mean (alpha 1) and residual mean (alpha 0) over the contribution vector equal the
-        oracle's subset performance."""
+        oracle's mean contribution over the same decisions, summed in ascending order."""
+
+        def brute_mean(land, config, subset):
+            total = 0.0
+            for j in sorted(subset):
+                total += brute_contribution(land, config, j)
+            return total / len(subset)
+
         rng = np.random.default_rng(77)
         own, residual = IncentiveScheme(1.0), IncentiveScheme(0.0)
         for _ in range(20):
@@ -404,10 +411,10 @@ class TestOracleAgreement:
             subset = list(rng.choice(4, size=size, replace=False))
             agent = make_agent(0, subset, n=4)
             contributions = contributions_of(land, config)
-            assert agent_utility(agent, contributions, own) == brute_performance(land, config, subset)
+            assert agent_utility(agent, contributions, own) == brute_mean(land, config, subset)
             rest = [d for d in range(4) if d not in agent.owned]
             if rest:
-                assert agent_utility(agent, contributions, residual) == brute_performance(land, config, rest)
+                assert agent_utility(agent, contributions, residual) == brute_mean(land, config, rest)
 
     def test_min_contribution_matches(self):
         rng = np.random.default_rng(78)

@@ -36,9 +36,6 @@ class TestBruteContribution:
     def test_performance_is_plain_mean(self):
         land = tiny_landscape()
         assert brute_performance(land, (1, 1)) == (0.40 + 0.65) / 2
-        assert brute_performance(land, (1, 1), subset=[1]) == 0.65
-        with pytest.raises(ValueError):
-            brute_performance(land, (1, 1), subset=[])
 
 
 class TestBruteOptimum:

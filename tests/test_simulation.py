@@ -37,7 +37,7 @@ from orgsim import (
     write_trades_csv,
 )
 from orgsim.cli import main
-from orgsim.simulation import ROLE_HILLCLIMB, BeliefSnapshots, cells_from_dict
+from orgsim.simulation import ROLE_HILLCLIMB, cells_from_dict
 from orgsim.landscape import DECOMPOSABLE_K2, NONDECOMPOSABLE_K5, Landscape, _gathers, build_stylized_matrix
 from orgsim.organization import flip_improves
 import helpers
@@ -305,18 +305,18 @@ class TestRunReplication:
 
     def test_belief_snapshots_opt_in(self):
         bare = run_replication(scenario(), 0).belief_snapshots
-        assert [f.name for f in fields(bare)] == ["periods", "changes"]
-        assert bare.periods == bare.changes == ()
+        assert bare == ()
+        assert len(pickle.dumps(bare)) <= 8
         assert snapshot_counters(bare, 2, 6)[0].shape == snapshot_counters(bare, 2, 6)[1].shape == (0, 2, 6, 6)
         result = run_replication(scenario(horizon=10), 0, collect_beliefs=True)
-        assert result.belief_snapshots.periods == (5, 10)
+        assert [period for period, _ in result.belief_snapshots] == [5, 10]
         assert snapshot_counters(result.belief_snapshots, 2, 6)[0].shape == (2, 2, 6, 6)
 
     def test_belief_snapshots_at_tau_multiples_and_the_horizon(self):
         config = scenario(horizon=12, strategy="interdependence", seed=4)
         result = run_replication(config, 0, collect_beliefs=True)
         snapshots = result.belief_snapshots
-        assert list(snapshots.periods) == [5, 10, 12]
+        assert [period for period, _ in snapshots] == [5, 10, 12]
         p, q = snapshot_counters(snapshots, config.m, config.n)
         assert p.shape == q.shape == (3, config.m, config.n, config.n)
         assert p.dtype == q.dtype == np.int64
@@ -339,8 +339,8 @@ class TestRunReplication:
 
 
 def snapshots_of(periods, p, q):
-    """The ``BeliefSnapshots`` of int64 counter arrays ``p`` and ``q`` of shape ``(S, m, n, n)`` taken at
-    ``periods``: each agent's entries are compared with its previous snapshot's, or at first the prior's."""
+    """The ``(period, changes)`` snapshots of int64 counter arrays ``p`` and ``q`` of shape ``(S, m, n, n)`` taken
+    at ``periods``: each agent's entries are compared with its previous snapshot's, or at first the prior's."""
     steps, m, n, _ = p.shape
     previous = [init_beliefs(n)] * m
     changes = []
@@ -348,7 +348,7 @@ def snapshots_of(periods, p, q):
         now = [BeliefCounters(p[k, a].tolist(), q[k, a].tolist()) for a in range(m)]
         changes.append(tuple(changed_entries(old, new) for old, new in zip(previous, now)))
         previous = now
-    return BeliefSnapshots(tuple(periods), tuple(changes))
+    return tuple(zip(periods, changes, strict=True))
 
 
 def random_counters(rng, steps, m, n):
@@ -376,7 +376,7 @@ class TestBeliefSnapshots:
         for _ in range(20):
             p, q = random_counters(rng, steps, m, n)
             snapshots = snapshots_of(periods, p, q)
-            assert snapshots.periods == periods
+            assert tuple(period for period, _ in snapshots) == periods
             rebuilt_p, rebuilt_q = snapshot_counters(snapshots, m, n)
             assert rebuilt_p.dtype == rebuilt_q.dtype == np.int64
             assert np.array_equal(rebuilt_p, p)
@@ -393,11 +393,11 @@ class TestBeliefSnapshots:
             ((), ((3, 1, 5),)),
             ((), ((2, 3, 1),)),
         )
-        snapshots = BeliefSnapshots((5, 10, 12), changes)
+        snapshots = tuple(zip((5, 10, 12), changes))
         rebuilt_p, rebuilt_q = snapshot_counters(snapshots, 2, 2)
         assert np.array_equal(rebuilt_p, p)
         assert np.array_equal(rebuilt_q, q)
-        assert snapshots_of((5, 10, 12), p, q).changes == changes
+        assert snapshots_of((5, 10, 12), p, q) == snapshots
 
     @pytest.mark.parametrize("strategy", ["utility", "interdependence"])
     def test_payload_is_a_fiftieth_of_the_full_counters(self, strategy):
@@ -553,7 +553,7 @@ class TestRunExperiment:
             assert [(s.cell, rep) for s, rep, _ in sink.calls] == [(config.cell, rep) for rep in range(3)]
         for _, rep, snapshots in beliefs.calls:
             expected = run_replication(config, rep, collect_beliefs=True).belief_snapshots
-            assert snapshots.periods == expected.periods == (5, 10)
+            assert [period for period, _ in snapshots] == [period for period, _ in expected] == [5, 10]
             for got, want in zip(snapshot_counters(snapshots, config.m, config.n),
                                  snapshot_counters(expected, config.m, config.n), strict=True):
                 assert np.array_equal(got, want)
@@ -1108,7 +1108,7 @@ def write_snapshot_rows(writer, prefix, rep, snapshots, config) -> None:
     """One csv.writer row per snapshot, agent and off-diagonal (i, j) of ``config``, read entry by entry."""
     m, n = config.m, config.n
     counters_p, counters_q = snapshot_counters(snapshots, m, n)
-    for k, period in enumerate(snapshots.periods):
+    for k, (period, _) in enumerate(snapshots):
         for agent_id in range(m):
             for i in range(n):
                 for j in range(n):
